@@ -8,12 +8,14 @@
 // concurrency: on a 1-core machine the honest speedup is ~1x and the
 // artifact says why.
 //
-// Also enforces an absolute single-worker throughput floor (ISSUE 7): a
-// scheduler or hot-path regression that halves events/s fails this bench
-// by exit code, not just in a dashboard.  The floor is deliberately
-// loose (~25% of the throughput measured on the reference dev host after
-// the timer-wheel scheduler landed) so slower CI machines pass while a
-// genuine algorithmic regression cannot.  Not enforced under sanitizers.
+// Also enforces an absolute single-worker throughput floor: a scheduler
+// or hot-path regression that halves events/s fails this bench by exit
+// code, not just in a dashboard.  On a 4-vCPU x86-64 VM the binary-heap
+// scheduler measured 1.2-2.4e7 events/s across slow and quiet spells (the
+// timer wheel it replaced: 0.74-1.3e7).  The floor sits at half the
+// slow-spell reading, because shared hosts have slow spells of ~1.7x and
+// a floor near the measured rate would flake.  Not enforced under
+// sanitizers.
 #include <cstdio>
 #include <vector>
 
@@ -80,9 +82,8 @@ BatchOut run_batch(const gcode::Program& program, std::size_t sims,
 int main(int argc, char** argv) {
   const auto program = bench::standard_cube(2.0);
   constexpr std::size_t kSims = 8;
-  // Single-worker events/s floor; see header comment for how it is set
-  // (the reference host measured 1.36e7 events/s).
-  constexpr double kEventsPerSecFloor = 3.0e6;
+  // Single-worker events/s floor; see header comment for how it is set.
+  constexpr double kEventsPerSecFloor = 6.0e6;
   std::size_t jobs = bench::parse_jobs(argc, argv);
   if (jobs < 2) jobs = 4;  // measure scaling even when launched bare
 

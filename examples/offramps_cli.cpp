@@ -12,6 +12,7 @@
 //   --seed N                        firmware time-noise seed
 //   --route mitm|record|direct      board jumpers (default mitm)
 //   --reduce FACTOR                 Flaw3D-mutate the g-code first
+//   --trojan T1..T10                arm one fabric Trojan (attack needs it)
 //   --capture FILE                  write the capture CSV
 //   --vcd FILE                      write a waveform of the print start
 //
@@ -23,10 +24,16 @@
 // Signal-level attacks (attack --trojan T1..T10) damage the part but -
 // as the paper notes - happen downstream of the taps, so their captures
 // compare clean; inspect the printed part metrics instead.
+//
+// Exit codes: 0 clean/completed, 1 Trojan likely, print killed or run
+// error, 2 usage error.  A flag the mode does not read, or an unknown
+// mode, route, object or trojan, is a usage error reported before the
+// simulation starts.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -43,7 +50,9 @@ namespace {
 
 using Flags = std::map<std::string, std::string>;
 
-Flags parse_flags(int argc, char** argv, int first) {
+/// Parses `--key [value]` pairs; any key outside `known` is a usage error.
+Flags parse_flags(int argc, char** argv, int first,
+                  const std::set<std::string>& known) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
@@ -52,6 +61,13 @@ Flags parse_flags(int argc, char** argv, int first) {
       std::exit(2);
     }
     key = key.substr(2);
+    if (known.count(key) == 0) {
+      std::string names;
+      for (const std::string& k : known) names += " --" + k;
+      std::fprintf(stderr, "unknown flag '--%s' (this mode takes:%s)\n",
+                   key.c_str(), names.c_str());
+      std::exit(2);
+    }
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags[key] = argv[++i];
     } else {
@@ -91,6 +107,15 @@ gcode::Program build_object(const Flags& flags) {
                                      profile);
   }
   std::fprintf(stderr, "unknown object '%s'\n", object.c_str());
+  std::exit(2);
+}
+
+core::RouteMode parse_route(const std::string& route) {
+  if (route == "mitm") return core::RouteMode::kFpgaMitm;
+  if (route == "record") return core::RouteMode::kFpgaRecord;
+  if (route == "direct") return core::RouteMode::kDirect;
+  std::fprintf(stderr, "unknown route '%s' (mitm|record|direct)\n",
+               route.c_str());
   std::exit(2);
 }
 
@@ -137,10 +162,7 @@ int run_print(const Flags& flags) {
   host::RigOptions options;
   options.firmware.jitter_seed =
       static_cast<std::uint64_t>(std::atoll(flag(flags, "seed", "1").c_str()));
-  const std::string route = flag(flags, "route", "mitm");
-  options.route = route == "direct"   ? core::RouteMode::kDirect
-                  : route == "record" ? core::RouteMode::kFpgaRecord
-                                      : core::RouteMode::kFpgaMitm;
+  options.route = parse_route(flag(flags, "route", "mitm"));
   options.trojans = build_trojans(flags);
   host::Rig rig(options);
 
@@ -198,6 +220,14 @@ int run_print(const Flags& flags) {
   return r.finished ? 0 : 1;
 }
 
+int run_attack(const Flags& flags) {
+  if (flags.count("trojan") == 0) {
+    std::fprintf(stderr, "attack needs --trojan T1..T10\n");
+    return 2;
+  }
+  return run_print(flags);
+}
+
 int run_detect(const Flags& flags) {
   if (flags.count("golden") == 0 || flags.count("suspect") == 0) {
     std::fprintf(stderr, "detect needs --golden and --suspect\n");
@@ -247,6 +277,29 @@ int run_reconstruct(const Flags& flags) {
   return 0;
 }
 
+struct Mode {
+  std::string name;
+  int (*run)(const Flags&);
+  std::set<std::string> flags;  // every --flag the mode reads
+};
+
+const Mode* find_mode(const std::string& name) {
+  static const std::set<std::string> kPrintFlags = {
+      "object", "size",   "height",  "seed", "route",
+      "reduce", "trojan", "capture", "vcd"};
+  static const Mode kModes[] = {
+      {"print", run_print, kPrintFlags},
+      {"attack", run_attack, kPrintFlags},
+      {"detect", run_detect, {"golden", "suspect", "margin", "slack"}},
+      {"goldenfree", run_goldenfree, {"capture"}},
+      {"reconstruct", run_reconstruct, {"capture", "layer"}},
+  };
+  for (const Mode& mode : kModes) {
+    if (mode.name == name) return &mode;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,24 +311,16 @@ int main(int argc, char** argv) {
         argv[0]);
     return 2;
   }
-  const std::string mode = argv[1];
-  const Flags flags = parse_flags(argc, argv, 2);
+  const Mode* mode = find_mode(argv[1]);
+  if (mode == nullptr) {
+    std::fprintf(stderr, "unknown mode '%s'\n", argv[1]);
+    return 2;
+  }
+  const Flags flags = parse_flags(argc, argv, 2, mode->flags);
   try {
-    if (mode == "print") return run_print(flags);
-    if (mode == "attack") {
-      if (flags.count("trojan") == 0) {
-        std::fprintf(stderr, "attack needs --trojan T1..T10\n");
-        return 2;
-      }
-      return run_print(flags);
-    }
-    if (mode == "detect") return run_detect(flags);
-    if (mode == "goldenfree") return run_goldenfree(flags);
-    if (mode == "reconstruct") return run_reconstruct(flags);
+    return mode->run(flags);
   } catch (const offramps::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-  return 2;
 }

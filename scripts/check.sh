@@ -82,14 +82,13 @@ else
   # multi-modal CLI acceptance drill.
   echo "==> fusion suite (ctest -L fusion)"
   ctest --preset default -L fusion -j "${jobs}"
-  # ...and the perf gates as smoke runs: timer-wheel vs heap ratio,
-  # events/s floor, metrics-enabled fleet overhead, cold-vs-warm
-  # reference-cache speedup.  On plain builds the thresholds enforce by
+  # ...and the perf gates as smoke runs: events/s floor,
+  # metrics-enabled fleet overhead, cold-vs-warm reference-cache
+  # speedup.  On plain builds the thresholds enforce by
   # exit code; under sanitizers the benches downgrade themselves to
   # report-only (bench::built_with_sanitizers), so this stays a
   # correctness smoke there.
-  echo "==> perf smoke (bench_sched / bench_parallel / bench_obs / bench_cache)"
-  ./build/bench/bench_sched
+  echo "==> perf smoke (bench_parallel / bench_obs / bench_cache)"
   ./build/bench/bench_parallel --jobs 2
   ./build/bench/bench_obs --jobs 2
   ./build/bench/bench_cache --jobs 2

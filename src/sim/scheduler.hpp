@@ -6,14 +6,14 @@
 // order so simultaneous events run in FIFO order, which makes runs fully
 // deterministic for a fixed seed.
 //
-// Hot-path notes: storage is a hierarchical `TimerWheel` (O(1) bucket
-// inserts, batched same-tick drains, recycled slot buffers - see
-// timer_wheel.hpp) instead of a binary heap, and callbacks are
-// small-buffer-optimized `SmallFn`s, so steady-state event traffic performs
-// no per-event allocation and no O(log n) sift.  Metrics, when enabled, are
-// accumulated in plain members and flushed to the registry in batches so
-// the per-event cost is an increment and a compare, not atomic RMWs and
-// clock reads (see execute_instrumented).
+// Hot-path notes: storage is a plain binary heap in a `std::vector`.  Real
+// prints keep at most ~20 events pending (`sim.scheduler.queue_depth`), so
+// a push or pop sifts about five levels.  Callbacks are
+// small-buffer-optimized `SmallFn`s that move by memcpy, so steady-state
+// event traffic allocates nothing once the vector has grown.
+// Metrics, when enabled, are accumulated in plain members and flushed to
+// the registry in batches so the per-event cost is an increment and a
+// compare, not atomic RMWs and clock reads (see execute_instrumented).
 #pragma once
 
 #include <algorithm>
@@ -22,12 +22,12 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/error.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace offramps::sim {
 
@@ -59,7 +59,8 @@ class Scheduler {
       t = std::max(now_, time_warp_(now_, t));
       ++warped_events_;
     }
-    wheel_.insert(t, next_seq_++, std::move(cb));
+    heap_.push_back(Event{t, next_seq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   /// Timing-fault hook (`sim::FaultInjector`): maps each requested event
@@ -79,42 +80,33 @@ class Scheduler {
   }
 
   /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const { return wheel_.size(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   /// True when no events remain.
-  [[nodiscard]] bool idle() const { return wheel_.empty(); }
-
-  /// Events currently parked in the wheel's far-future spill heap
-  /// (beyond the TimerWheel::kHorizon delta from the drain cursor).
-  [[nodiscard]] std::size_t overflowed() const {
-    return wheel_.overflow_size();
-  }
+  [[nodiscard]] bool idle() const { return heap_.empty(); }
 
   /// Runs the single earliest pending event.  Returns false when idle.
   bool step() {
-    Tick t = 0;
-    if (!wheel_.peek(&t)) {
+    if (heap_.empty()) {
 #if OFFRAMPS_OBS_ENABLED
       if (obs_batch_events_ != 0) flush_obs();
 #endif
       return false;
     }
-    execute(wheel_.pop());
+    execute(pop());
     return true;
   }
 
-  /// Runs the earliest pending event if its time is <= `t` (one peek
-  /// covers both the emptiness and the deadline check).  Returns false
-  /// when idle or the next event lies beyond `t`.
+  /// Runs the earliest pending event if its time is <= `t`.  Returns
+  /// false when idle or the next event lies beyond `t`.
   bool step_if_before(Tick t) {
-    Tick next = 0;
-    if (!wheel_.peek(&next) || next > t) {
+    if (heap_.empty() || heap_.front().time > t) {
 #if OFFRAMPS_OBS_ENABLED
       if (obs_batch_events_ != 0) flush_obs();
 #endif
       return false;
     }
-    execute(wheel_.pop());
+    execute(pop());
     return true;
   }
 
@@ -135,7 +127,7 @@ class Scheduler {
   /// number of events executed.
   std::size_t run_all(std::size_t max_events = kDefaultEventLimit) {
     std::size_t n = 0;
-    while (!wheel_.empty() && !stop_requested_) {
+    while (!heap_.empty() && !stop_requested_) {
       if (n >= max_events) {
 #if OFFRAMPS_OBS_ENABLED
         if (obs_batch_events_ != 0) flush_obs();
@@ -166,7 +158,29 @@ class Scheduler {
   static constexpr std::size_t kDefaultEventLimit = 2'000'000'000;
 
  private:
-  void execute(TimerWheel::Event ev) {
+  struct Event {
+    Tick time = 0;
+    std::uint64_t seq = 0;
+    Callback cb;
+  };
+  /// Heap order: the earliest (time, seq) sits at heap_.front(), so
+  /// same-tick events drain FIFO.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+
+  /// Moves the earliest event out; it leaves the heap before its
+  /// callback runs, so the callback may schedule freely.
+  Event pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    return ev;
+  }
+
+  void execute(Event ev) {
     now_ = ev.time;
     ++executed_;
 #if OFFRAMPS_OBS_ENABLED
@@ -191,7 +205,7 @@ class Scheduler {
   /// is increments and compares rather than shared atomic RMWs.  Wall
   /// time never feeds back into simulated time, so enabling metrics
   /// cannot change a run.
-  void execute_instrumented(TimerWheel::Event ev) {
+  void execute_instrumented(Event ev) {
     if (obs_events_ == nullptr) {
       auto& reg = obs::Registry::instance();
       obs_events_ = &reg.counter("sim.scheduler.events");
@@ -201,7 +215,7 @@ class Scheduler {
                          obs::latency_buckets_us());
     }
     ++obs_batch_events_;
-    const auto depth = static_cast<std::int64_t>(wheel_.size()) + 1;
+    const auto depth = static_cast<std::int64_t>(heap_.size()) + 1;
     if (depth > obs_depth_high_) obs_depth_high_ = depth;
     if (--obs_sample_countdown_ == 0) {
       obs_sample_countdown_ = obs::latency_sample_every();
@@ -226,7 +240,7 @@ class Scheduler {
   static constexpr std::uint64_t kObsFlushEvery = 1024;
 #endif
 
-  TimerWheel wheel_;
+  std::vector<Event> heap_;
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -11,10 +11,11 @@
 // Hot-path notes: listener lists live in `SmallVec` inline storage (most
 // nets have one forwarding connection plus at most one observer), so
 // wiring a board allocates nothing per net and edge delivery walks
-// memory inside the Wire itself.  Same-tick edge bursts are batched one
-// level up: the scheduler drains a whole tick's events as one sorted
-// run (see timer_wheel.hpp), so a burst of simultaneous edges is
-// delivered in a single pass without re-ordering listener interleaving.
+// memory inside the Wire itself.  A zero-delay connection forwards an
+// edge inside the event that made it; a delayed one schedules one event
+// per edge, and the scheduler runs same-tick events in the order they
+// were scheduled, so simultaneous edges keep a deterministic listener
+// interleaving.
 #pragma once
 
 #include <cstddef>

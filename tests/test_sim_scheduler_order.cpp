@@ -1,12 +1,13 @@
-// Ordering-invariant property tests for the timer-wheel scheduler.
+// Ordering-invariant property tests for `sim::Scheduler`.
 //
-// The wheel replaced the binary heap (PR 7) under a hard contract: events
-// drain in exactly (time, seq) order, FIFO among same-tick events, no
-// matter how insertions interleave with drains or how far times spread
-// across wheel levels and the overflow spill heap.  Every fleet/campaign/
-// checkpoint digest depends on this, so the tests here compare the real
-// `sim::Scheduler` against a reference binary-heap scheduler (a faithful
-// copy of the pre-wheel implementation) running the same schedule script.
+// The scheduler's hard contract: events drain in exactly (time, seq)
+// order, FIFO among same-tick events, no matter how insertions
+// interleave with drains or how far apart their times are.  Every
+// fleet/campaign/checkpoint digest depends on this, so the tests here
+// compare the real `sim::Scheduler` against a reference binary-heap
+// scheduler (std::function payloads, no fast paths) running the same
+// schedule script.  The suite name predates the scheduler's return to a
+// binary heap; it is kept so the test ids stay stable.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,16 +20,18 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace {
 
 using offramps::sim::Scheduler;
 using offramps::sim::Tick;
-using offramps::sim::TimerWheel;
 
-/// The pre-wheel scheduler, verbatim in ordering behavior: a plain
-/// binary heap popped in (time, seq) order.  Kept here as the oracle.
+/// 2^32 ticks (~4.3 simulated s): supervisor deadlines and end-of-print
+/// watchdogs are scheduled this far out and beyond.
+constexpr Tick kFarFuture = Tick{1} << 32;
+
+/// The simplest scheduler with the contract: a binary heap of
+/// std::function events popped in (time, seq) order.  The oracle.
 class RefHeapScheduler {
  public:
   using Callback = std::function<void()>;
@@ -82,28 +85,28 @@ struct LogEntry {
   bool operator==(const LogEntry&) const = default;
 };
 
-/// Time distributions matching the workloads bench_sched measures.
+/// Time distributions covering the simulator's event spacings.
 Tick draw_time(std::mt19937_64& rng, int dist) {
   switch (dist) {
     case 0:  // dense: stepper-burst spacing, heavy same-tick collisions
       return rng() % 64;
-    case 1:  // sparse: thermal-tick spacing, exercises levels 1-2
+    case 1:  // sparse: thermal-tick spacing
       return rng() % 10'000'000;
     case 2:  // clustered: few distinct ticks, long FIFO runs
       return (rng() % 8) * 1000;
-    default:  // far future: beyond the wheel horizon, spill-heap path
-      return TimerWheel::kHorizon + rng() % 1'000'000;
+    default:  // far future: supervisor-deadline distances
+      return kFarFuture + rng() % 1'000'000;
   }
 }
 
 /// Runs the same generative schedule script on both schedulers and
-/// returns (wheel log, reference log).  Initial events may spawn
+/// returns (scheduler log, reference log).  Initial events may spawn
 /// children by a deterministic rule keyed on the event id, so insertion
 /// interleaves with draining on both sides identically as long as the
 /// drain order matches - any divergence shows up in the logs.
 std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_script(
     std::uint64_t seed, std::size_t n_initial, bool spawn_children) {
-  std::vector<LogEntry> wheel_log;
+  std::vector<LogEntry> sched_log;
   std::vector<LogEntry> ref_log;
 
   const auto drive = [&](auto& sched, std::vector<LogEntry>& log) {
@@ -131,26 +134,26 @@ std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_script(
     sched.run_all();
   };
 
-  Scheduler wheel;
-  drive(wheel, wheel_log);
+  Scheduler sched;
+  drive(sched, sched_log);
   RefHeapScheduler ref;
   drive(ref, ref_log);
-  return {wheel_log, ref_log};
+  return {sched_log, ref_log};
 }
 
 TEST(SchedulerWheelProperty, RandomizedInsertionsDrainLikeReferenceHeap) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234567ULL, 0xdeadbeefULL}) {
-    auto [wheel_log, ref_log] = run_script(seed, 500, /*spawn_children=*/false);
-    ASSERT_EQ(wheel_log.size(), 500u) << "seed " << seed;
-    EXPECT_EQ(wheel_log, ref_log) << "seed " << seed;
+    auto [sched_log, ref_log] = run_script(seed, 500, /*spawn_children=*/false);
+    ASSERT_EQ(sched_log.size(), 500u) << "seed " << seed;
+    EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
   }
 }
 
 TEST(SchedulerWheelProperty, InterleavedSpawningDrainsLikeReferenceHeap) {
   for (std::uint64_t seed : {3ULL, 99ULL, 0xabcdefULL}) {
-    auto [wheel_log, ref_log] = run_script(seed, 200, /*spawn_children=*/true);
-    ASSERT_GT(wheel_log.size(), 200u) << "seed " << seed;
-    EXPECT_EQ(wheel_log, ref_log) << "seed " << seed;
+    auto [sched_log, ref_log] = run_script(seed, 200, /*spawn_children=*/true);
+    ASSERT_GT(sched_log.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
   }
 }
 
@@ -193,9 +196,9 @@ TEST(SchedulerWheelProperty, StepIfBeforeBoundaryIsInclusive) {
 }
 
 TEST(SchedulerWheelProperty, ScheduleEarlierAfterRefusedStepStillOrdersFirst) {
-  // step_if_before()'s internal peek pulls the earliest event into the
-  // wheel's ready batch; scheduling an even earlier event afterwards
-  // must spill that batch back and drain in (time, seq) order anyway.
+  // A refused step_if_before() has already looked at the earliest
+  // event; scheduling an even earlier one afterwards must still drain
+  // in (time, seq) order.
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(1000, [&]() { order.push_back(1); });
@@ -226,23 +229,19 @@ TEST(SchedulerWheelProperty, StopRequestedMidDrainPreservesRemainder) {
 TEST(SchedulerWheelProperty, FarFutureEventsSpillToOverflowAndStillOrder) {
   Scheduler s;
   std::vector<int> order;
-  // A near event first (a lone first event is served from the ready run
-  // regardless of its time), then beyond-horizon ones (delta >= 2^32):
-  // those land in the spill heap.
+  // A near event first, then ones past 2^32 ticks, inserted out of order.
   s.schedule_at(50, [&]() { order.push_back(0); });
-  s.schedule_at(TimerWheel::kHorizon + 500, [&]() { order.push_back(2); });
-  s.schedule_at(2 * TimerWheel::kHorizon + 7, [&]() { order.push_back(3); });
-  s.schedule_at(TimerWheel::kHorizon - 1, [&]() { order.push_back(1); });
-  EXPECT_GE(s.overflowed(), 2u);
+  s.schedule_at(kFarFuture + 500, [&]() { order.push_back(2); });
+  s.schedule_at(2 * kFarFuture + 7, [&]() { order.push_back(3); });
+  s.schedule_at(kFarFuture - 1, [&]() { order.push_back(1); });
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(s.now(), 2 * TimerWheel::kHorizon + 7);
-  EXPECT_EQ(s.overflowed(), 0u);
+  EXPECT_EQ(s.now(), 2 * kFarFuture + 7);
 }
 
 TEST(SchedulerWheelProperty, SlotResidueCollisionsDrainInTimeOrder) {
-  // Times congruent mod 256 share a level-0 slot; times congruent mod
-  // 65536 share a level-1 slot.  Neither may leak a later lap early.
+  // Times congruent mod 256 and mod 65536: bucketed queues (the old
+  // timer wheel) alias these, so none may run a later one early.
   Scheduler s;
   std::vector<Tick> times;
   for (Tick base : {Tick{5}, Tick{5 + 256}, Tick{5 + 512},
@@ -257,8 +256,8 @@ TEST(SchedulerWheelProperty, SlotResidueCollisionsDrainInTimeOrder) {
 }
 
 TEST(SchedulerWheelProperty, LongRunningChainsCrossLevelBoundaries) {
-  // A self-rescheduling chain whose period sweeps across level widths
-  // forces cascades at every level boundary.
+  // A self-rescheduling chain whose period sweeps from 1 tick to ~2 ms
+  // must never move time backwards.
   Scheduler s;
   std::uint64_t hops = 0;
   Tick last = 0;
@@ -274,43 +273,6 @@ TEST(SchedulerWheelProperty, LongRunningChainsCrossLevelBoundaries) {
   s.schedule_in(1, [&hop]() { hop(1); });
   s.run_all();
   EXPECT_EQ(hops, 200u);
-}
-
-TEST(TimerWheelUnit, PeekIsIdempotentAndPopConsumes) {
-  TimerWheel w;
-  w.insert(30, 0, []() {});
-  w.insert(10, 1, []() {});
-  w.insert(10, 2, []() {});
-  EXPECT_EQ(w.size(), 3u);
-  Tick t = 0;
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, 10u);
-  ASSERT_TRUE(w.peek(&t));  // idempotent
-  EXPECT_EQ(t, 10u);
-  EXPECT_EQ(w.pop().seq, 1u);
-  EXPECT_EQ(w.pop().seq, 2u);
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, 30u);
-  EXPECT_EQ(w.pop().seq, 0u);
-  EXPECT_TRUE(w.empty());
-  EXPECT_FALSE(w.peek(&t));
-}
-
-TEST(TimerWheelUnit, OverflowMigratesAsCursorAdvances) {
-  TimerWheel w;
-  int dummy = 0;
-  w.insert(1, 0, [&dummy]() { ++dummy; });
-  w.insert(TimerWheel::kHorizon + 100, 1, [&dummy]() { ++dummy; });
-  EXPECT_EQ(w.overflow_size(), 1u);
-  Tick t = 0;
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, 1u);
-  (void)w.pop();
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, TimerWheel::kHorizon + 100);
-  EXPECT_EQ(w.overflow_size(), 0u);  // migrated into the wheel
-  (void)w.pop();
-  EXPECT_TRUE(w.empty());
 }
 
 }  // namespace

@@ -35,6 +35,10 @@ std::uint64_t fnv1a(const std::string& text) {
   return h;
 }
 
+// fnv1a of small_fleet()'s JSON report.  A change that means to alter
+// the report re-records it and says why.
+constexpr std::uint64_t kSmallFleetReportFnv = 0xb1ed0f0fd0b079f2ull;
+
 // A fleet small enough for repeated runs but with real sabotage in it:
 // two clean rigs and one Flaw3D reduction rig sharing one small object.
 std::vector<RigSpec> small_fleet() {
@@ -163,6 +167,11 @@ TEST(Fleet, ReportDeterministicAcrossWorkerCounts) {
   // Byte-identical report at 1, 2, and 8 workers.
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[0], digests[2]);
+  // ...and across commits: a change that shifts any simulated outcome
+  // (an event time, a count, a window) moves these bytes even when
+  // every alarm still comes out right.  This report does not depend on
+  // the order of same-tick events; SchedulerWheelProperty pins that.
+  EXPECT_EQ(digests[0], kSmallFleetReportFnv);
 }
 
 // A chaos fleet: one sabotaged rig (must alarm), one crash-once rig
