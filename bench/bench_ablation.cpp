@@ -296,7 +296,8 @@ int main(int argc, char** argv) {
     const bool counts_hit =
         detect::compare(gold.capture, r.capture).trojan_likely;
     const bool power_hit =
-        detect::compare_power(gold.power_trace, r.power_trace)
+        detect::compare_side(gold.power_trace, r.power_trace,
+                             detect::kPowerSignature)
             .sabotage_likely;
     const auto verdict = [&](bool hit) {
       if (!c.is_attack) return hit ? "FALSE POS" : "clean";

@@ -28,6 +28,9 @@ void touch(const offramps::core::wire::Frame& frame) {
     case FrameType::kPower:
       (void)(frame.power_t_s + frame.power_watts);
       break;
+    case FrameType::kSample:
+      (void)(frame.sample_kind + frame.sample_t_s + frame.sample_value);
+      break;
     case FrameType::kFinish:
       (void)frame.finish.size();
       break;

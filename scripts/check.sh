@@ -32,7 +32,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
   echo "==> build fuzz targets"
   cmake --build --preset fuzz -j "${jobs}"
   for target in fuzz_gcode_parser fuzz_capture_binary fuzz_svc_json \
-                fuzz_session_wire fuzz_ref_cache; do
+                fuzz_session_wire fuzz_ref_cache fuzz_checkpoint; do
     corpus="tests/fuzz_corpus/${target#fuzz_}"
     case "${target}" in
       fuzz_gcode_parser)   corpus=tests/fuzz_corpus/gcode ;;
@@ -40,6 +40,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
       fuzz_svc_json)       corpus=tests/fuzz_corpus/json ;;
       fuzz_session_wire)   corpus=tests/fuzz_corpus/session ;;
       fuzz_ref_cache)      corpus=tests/fuzz_corpus/refcache ;;
+      fuzz_checkpoint)     corpus=tests/fuzz_corpus/checkpoint ;;
     esac
     echo "==> ${target}: corpus replay + ${budget}s mutation run"
     "./build-fuzz/fuzz/${target}" --time "${budget}" "${corpus}"

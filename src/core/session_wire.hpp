@@ -59,7 +59,7 @@ enum class FrameType : std::uint8_t {
 };
 
 /// Side-channel sample taxonomy of kSample frames (matches
-/// svc::SampleKind - append only).
+/// plant::SampleKind - append only).
 inline constexpr std::uint8_t kSampleKindMin = 1;  // power
 inline constexpr std::uint8_t kSampleKindMax = 3;  // vibration
 

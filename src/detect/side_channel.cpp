@@ -9,36 +9,6 @@ namespace offramps::detect {
 
 namespace {
 
-/// Windowed-mean reduction shared by every scalar side channel.  `value`
-/// extracts the sample's measurement.
-template <typename Trace, typename Value>
-std::vector<double> window_means_impl(const Trace& trace, double window_s,
-                                      Value value) {
-  std::vector<double> means;
-  if (trace.empty() || window_s <= 0.0) return means;
-  const double t0 = trace.front().t_s;
-  double sum = 0.0;
-  std::size_t n = 0;
-  std::size_t window = 0;
-  for (const auto& s : trace) {
-    const auto w = static_cast<std::size_t>((s.t_s - t0) / window_s);
-    if (w != window) {
-      if (n > 0) means.push_back(sum / static_cast<double>(n));
-      // Emit empty windows (gaps) as repeats of the last mean.
-      while (means.size() < w) {
-        means.push_back(means.empty() ? 0.0 : means.back());
-      }
-      window = w;
-      sum = 0.0;
-      n = 0;
-    }
-    sum += value(s);
-    ++n;
-  }
-  if (n > 0) means.push_back(sum / static_cast<double>(n));
-  return means;
-}
-
 /// Windowed compare shared by compare_side and verify_signature.
 SideReport compare_windows(const std::vector<double>& g,
                            const std::vector<double>& o,
@@ -67,43 +37,31 @@ SideReport compare_windows(const std::vector<double>& g,
 
 }  // namespace
 
-std::vector<double> window_means(const plant::PowerTrace& trace,
-                                 double window_s) {
-  return window_means_impl(trace, window_s,
-                           [](const plant::PowerSample& s) { return s.watts; });
-}
-
 std::vector<double> window_means(const plant::SideTrace& trace,
                                  double window_s) {
-  return window_means_impl(trace, window_s,
-                           [](const plant::SideSample& s) { return s.value; });
-}
-
-PowerReport compare_power(const plant::PowerTrace& golden,
-                          const plant::PowerTrace& observed,
-                          const PowerSignatureOptions& options) {
-  PowerReport rep;
-  const auto g = window_means(golden, options.window_s);
-  const auto o = window_means(observed, options.window_s);
-  const std::size_t n = std::min(g.size(), o.size());
-  rep.windows_compared = n;
-
-  std::uint32_t consecutive = 0;
-  const std::size_t skip = options.skip_edge_windows;
-  for (std::size_t i = skip; i + skip < n; ++i) {
-    const double delta = std::abs(g[i] - o[i]);
-    rep.largest_delta_w = std::max(rep.largest_delta_w, delta);
-    if (delta > options.tolerance_w) {
-      rep.mismatches.push_back({i, g[i], o[i]});
-      ++consecutive;
-      if (consecutive >= options.consecutive_to_flag) {
-        rep.sabotage_likely = true;
+  std::vector<double> means;
+  if (trace.empty() || window_s <= 0.0) return means;
+  const double t0 = trace.front().t_s;
+  double sum = 0.0;
+  std::size_t n = 0;
+  std::size_t window = 0;
+  for (const plant::SideSample& s : trace) {
+    const auto w = static_cast<std::size_t>((s.t_s - t0) / window_s);
+    if (w != window) {
+      if (n > 0) means.push_back(sum / static_cast<double>(n));
+      // Emit empty windows (gaps) as repeats of the last mean.
+      while (means.size() < w) {
+        means.push_back(means.empty() ? 0.0 : means.back());
       }
-    } else {
-      consecutive = 0;
+      window = w;
+      sum = 0.0;
+      n = 0;
     }
+    sum += s.value;
+    ++n;
   }
-  return rep;
+  if (n > 0) means.push_back(sum / static_cast<double>(n));
+  return means;
 }
 
 SideReport compare_side(const plant::SideTrace& golden,
@@ -149,53 +107,6 @@ SideReport verify_signature(const MasterSignature& signature,
   opts.window_s = signature.window_s;  // the signature fixes the window
   return compare_windows(signature.levels,
                          window_means(observed, opts.window_s), opts);
-}
-
-std::string PowerReport::to_string(std::size_t max_lines) const {
-  std::string out;
-  char buf[128];
-  std::size_t shown = 0;
-  for (const auto& m : mismatches) {
-    if (shown++ >= max_lines) {
-      out += "...\n";
-      break;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "Window %zu: golden %.1f W, observed %.1f W\n", m.window,
-                  m.golden_w, m.observed_w);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "Windows compared: %zu; mismatches: %zu; largest delta "
-                "%.1f W\n",
-                windows_compared, mismatches.size(), largest_delta_w);
-  out += buf;
-  out += sabotage_likely ? "Sabotage likely (power signature)!\n"
-                         : "No sabotage suspected (power signature).\n";
-  return out;
-}
-
-std::string PowerReport::to_json() const {
-  std::string out = "{\n  \"sabotage_likely\": ";
-  out += sabotage_likely ? "true" : "false";
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                ",\n  \"windows_compared\": %zu,\n"
-                "  \"largest_delta_w\": %.6f",
-                windows_compared, largest_delta_w);
-  out += buf;
-  out += ",\n  \"mismatches\": [";
-  for (std::size_t i = 0; i < mismatches.size(); ++i) {
-    const PowerMismatch& m = mismatches[i];
-    out += i == 0 ? "\n" : ",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"window\": %zu, \"golden_w\": %.6f, "
-                  "\"observed_w\": %.6f}",
-                  m.window, m.golden_w, m.observed_w);
-    out += buf;
-  }
-  out += mismatches.empty() ? "]\n}" : "\n  ]\n}";
-  return out;
 }
 
 std::string SideReport::to_string(std::size_t max_lines) const {

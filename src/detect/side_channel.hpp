@@ -25,37 +25,7 @@
 
 namespace offramps::detect {
 
-/// Power-signature comparison tuning.
-struct PowerSignatureOptions {
-  double window_s = 1.0;        // averaging window
-  double tolerance_w = 3.0;     // allowed mean-power deviation per window
-  std::uint32_t consecutive_to_flag = 3;
-  /// Ignore windows this close to print start/end (alignment slop).
-  std::uint32_t skip_edge_windows = 2;
-};
-
-/// One disagreeing window.
-struct PowerMismatch {
-  std::size_t window = 0;
-  double golden_w = 0.0;
-  double observed_w = 0.0;
-};
-
-/// Power-signature verdict.
-struct PowerReport {
-  std::vector<PowerMismatch> mismatches;
-  std::size_t windows_compared = 0;
-  double largest_delta_w = 0.0;
-  bool sabotage_likely = false;
-
-  [[nodiscard]] std::string to_string(std::size_t max_lines = 6) const;
-  /// Machine-readable rendering, in the static analyzer's JSON
-  /// conventions, so the fleet report can embed this channel next to the
-  /// step-count ones.
-  [[nodiscard]] std::string to_json() const;
-};
-
-/// Generic side-channel (acoustic/vibration) comparison tuning.
+/// Side-channel signature comparison tuning.
 struct SideSignatureOptions {
   double window_s = 1.0;        // averaging window
   double tolerance = 4.0;       // allowed mean-level deviation per window
@@ -64,14 +34,18 @@ struct SideSignatureOptions {
   std::uint32_t skip_edge_windows = 2;
 };
 
-/// One disagreeing window of a generic side channel.
+/// Power-signature tuning: 1 s windows and a 3 W tolerance, wide enough
+/// for the current clamp's noise.
+inline constexpr SideSignatureOptions kPowerSignature{1.0, 3.0, 3, 2};
+
+/// One disagreeing window of a side channel.
 struct SideMismatch {
   std::size_t window = 0;
   double golden = 0.0;
   double observed = 0.0;
 };
 
-/// Generic side-channel verdict.
+/// Side-channel verdict.
 struct SideReport {
   std::vector<SideMismatch> mismatches;
   std::size_t windows_compared = 0;
@@ -94,18 +68,9 @@ struct MasterSignature {
   [[nodiscard]] bool empty() const { return levels.empty(); }
 };
 
-/// Reduces a trace to per-window mean power.
-std::vector<double> window_means(const plant::PowerTrace& trace,
-                                 double window_s);
-
-/// Reduces a generic side-channel trace to per-window mean levels.
+/// Reduces a side-channel trace to per-window mean levels.
 std::vector<double> window_means(const plant::SideTrace& trace,
                                  double window_s);
-
-/// Compares an observed print's power trace against the golden trace.
-PowerReport compare_power(const plant::PowerTrace& golden,
-                          const plant::PowerTrace& observed,
-                          const PowerSignatureOptions& options = {});
 
 /// Compares an observed side-channel trace against the golden trace.
 SideReport compare_side(const plant::SideTrace& golden,

@@ -28,18 +28,15 @@ Rig::Rig(RigOptions options)
       firmware_.kill("MCU brown-out reset (logic rail sag)");
     }
   });
-  if (options_.power_probe.has_value()) {
-    power_probe_ = std::make_unique<plant::PowerTraceProbe>(
-        sched_, printer_, board_.ramps_side(), *options_.power_probe);
-  }
-  if (options_.acoustic_probe.has_value()) {
-    acoustic_probe_ = std::make_unique<plant::AcousticTraceProbe>(
-        sched_, printer_, board_.ramps_side(), *options_.acoustic_probe);
-  }
-  if (options_.vibration_probe.has_value()) {
-    vibration_probe_ = std::make_unique<plant::VibrationTraceProbe>(
-        sched_, printer_, *options_.vibration_probe);
-  }
+  const auto attach = [this](const auto& probe) {
+    if (probe.has_value()) {
+      probes_.push_back(plant::make_probe(sched_, printer_,
+                                          board_.ramps_side(), *probe));
+    }
+  };
+  attach(options_.power_probe);
+  attach(options_.acoustic_probe);
+  attach(options_.vibration_probe);
   if (!options_.faults.empty()) bind_faults();
   if (options_.brownout.has_value()) {
     const BrownoutScenario& b = *options_.brownout;
@@ -197,12 +194,18 @@ RunResult Rig::collect(bool finished, bool killed, std::string kill_reason,
     r.motor_dropped_steps[i] = printer_.motor(axis).dropped_steps();
     r.undervolt_skips[i] = printer_.motor(axis).undervolt_skips();
   }
-  if (power_probe_ != nullptr) r.power_trace = power_probe_->take_trace();
-  if (acoustic_probe_ != nullptr) {
-    r.acoustic_trace = acoustic_probe_->take_trace();
-  }
-  if (vibration_probe_ != nullptr) {
-    r.vibration_trace = vibration_probe_->take_trace();
+  for (const auto& probe : probes_) {
+    switch (probe->kind()) {
+      case plant::SampleKind::kPower:
+        r.power_trace = probe->take_trace();
+        break;
+      case plant::SampleKind::kAcoustic:
+        r.acoustic_trace = probe->take_trace();
+        break;
+      case plant::SampleKind::kVibration:
+        r.vibration_trace = probe->take_trace();
+        break;
+    }
   }
   if (fault_injector_ != nullptr) {
     r.faults_armed = fault_injector_->armed();

@@ -12,8 +12,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/board.hpp"
 #include "detect/compare.hpp"
@@ -91,7 +93,7 @@ struct RunResult {
   /// Steps skipped from motor-rail undervoltage, per axis.
   std::array<std::uint64_t, 4> undervolt_skips{};
   /// Side-channel traces (each empty unless its probe was attached).
-  plant::PowerTrace power_trace;
+  plant::SideTrace power_trace;
   plant::SideTrace acoustic_trace;
   plant::SideTrace vibration_trace;
 
@@ -122,20 +124,14 @@ class Rig {
   [[nodiscard]] core::Board& board() { return board_; }
   [[nodiscard]] fw::Firmware& firmware() { return firmware_; }
   [[nodiscard]] plant::Printer& printer() { return printer_; }
-  /// Attached power probe, or nullptr when options.power_probe is unset.
-  /// Live access (the trace grows during the run) lets a streaming
+  /// Attached side-channel probes, in the order power, acoustic,
+  /// vibration (each present only when its RigOptions member is set).
+  /// Live access (the traces grow during the run) lets a streaming
   /// consumer - the fleet service's detector pump - follow the side
-  /// channel mid-print instead of waiting for RunResult::power_trace.
-  [[nodiscard]] plant::PowerTraceProbe* power_probe() {
-    return power_probe_.get();
-  }
-  /// Attached acoustic / vibration probes, nullptr when unset; live
-  /// access for the same streaming reason as power_probe().
-  [[nodiscard]] plant::AcousticTraceProbe* acoustic_probe() {
-    return acoustic_probe_.get();
-  }
-  [[nodiscard]] plant::VibrationTraceProbe* vibration_probe() {
-    return vibration_probe_.get();
+  /// channels mid-print instead of waiting for the RunResult traces.
+  [[nodiscard]] const std::vector<std::unique_ptr<plant::SideProbe>>&
+  probes() const {
+    return probes_;
   }
 
   /// Runs one complete print.  Call once per Rig (the physical analogue:
@@ -161,9 +157,7 @@ class Rig {
   core::Board board_;
   fw::Firmware firmware_;
   plant::Printer printer_;
-  std::unique_ptr<plant::PowerTraceProbe> power_probe_;
-  std::unique_ptr<plant::AcousticTraceProbe> acoustic_probe_;
-  std::unique_ptr<plant::VibrationTraceProbe> vibration_probe_;
+  std::vector<std::unique_ptr<plant::SideProbe>> probes_;
   // Declared after the stack it injects into: destroyed first, which
   // unhooks the scheduler time warp before the scheduler goes away.
   std::unique_ptr<sim::FaultInjector> fault_injector_;

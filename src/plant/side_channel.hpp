@@ -39,11 +39,28 @@
 #include "sim/pins.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 
 namespace offramps::plant {
 
-/// Probe configuration.
+/// Side-channel sample taxonomy (also the wire kind byte of kSample
+/// session frames - append only).
+enum class SampleKind : std::uint8_t {
+  kPower = 1,
+  kAcoustic = 2,
+  kVibration = 3,
+};
+
+/// One side-channel measurement (watts, acoustic level, vibration
+/// magnitude, ...).
+struct SideSample {
+  double t_s = 0.0;
+  double value = 0.0;
+};
+
+/// A whole print's worth of one side channel.
+using SideTrace = std::vector<SideSample>;
+
+/// Power probe configuration (current clamp on the supply, watts).
 struct PowerProbeOptions {
   sim::Tick sample_period = sim::ms(50);
   double motor_hold_w = 4.0;
@@ -54,25 +71,6 @@ struct PowerProbeOptions {
   double noise_stddev_w = 1.5;        // clamp measurement noise
   std::uint64_t noise_seed = 0x50C4;
 };
-
-/// One power measurement.
-struct PowerSample {
-  double t_s = 0.0;
-  double watts = 0.0;
-};
-
-/// A whole print's power trace.
-using PowerTrace = std::vector<PowerSample>;
-
-/// One generic side-channel measurement (acoustic level, vibration
-/// magnitude, ...).
-struct SideSample {
-  double t_s = 0.0;
-  double value = 0.0;
-};
-
-/// A whole print's worth of one side channel.
-using SideTrace = std::vector<SideSample>;
 
 /// Acoustic probe configuration (microphone, arbitrary level units).
 struct AcousticProbeOptions {
@@ -108,78 +106,50 @@ struct VibrationProbeOptions {
 std::uint64_t probe_noise_seed(std::uint64_t rig_seed,
                                std::uint64_t channel_tag);
 
-/// Samples the machine's aggregate power draw during a print.
-class PowerTraceProbe {
+/// Samples one physical emission of the machine at a fixed period,
+/// through gaussian measurement noise, clamped at zero.  The emission
+/// model - the noise-free level - is the only per-kind code; build a
+/// probe with make_probe().  The first sample is scheduled at
+/// construction.
+class SideProbe {
  public:
-  /// `ramps` is the RAMPS-side bank (the supply side of the machine).
-  PowerTraceProbe(sim::Scheduler& sched, Printer& printer,
-                  sim::PinBank& ramps, PowerProbeOptions options = {});
+  virtual ~SideProbe() = default;
+  SideProbe(const SideProbe&) = delete;
+  SideProbe& operator=(const SideProbe&) = delete;
 
-  PowerTraceProbe(const PowerTraceProbe&) = delete;
-  PowerTraceProbe& operator=(const PowerTraceProbe&) = delete;
-
-  [[nodiscard]] const PowerTrace& trace() const { return trace_; }
-  [[nodiscard]] PowerTrace take_trace() { return std::move(trace_); }
-
- private:
-  void sample();
-  [[nodiscard]] double motor_power(sim::Axis axis, double dt_s);
-
-  sim::Scheduler& sched_;
-  Printer& printer_;
-  sim::PinBank& ramps_;
-  PowerProbeOptions options_;
-  sim::Rng noise_;
-  std::array<std::uint64_t, 4> last_step_counts_{};
-  std::array<std::unique_ptr<sim::DutyMeter>, 3> duty_;  // hotend, bed, fan
-  PowerTrace trace_;
-};
-
-/// Samples the machine's acoustic emission during a print.
-class AcousticTraceProbe {
- public:
-  AcousticTraceProbe(sim::Scheduler& sched, Printer& printer,
-                     sim::PinBank& ramps, AcousticProbeOptions options = {});
-
-  AcousticTraceProbe(const AcousticTraceProbe&) = delete;
-  AcousticTraceProbe& operator=(const AcousticTraceProbe&) = delete;
-
+  [[nodiscard]] SampleKind kind() const { return kind_; }
   [[nodiscard]] const SideTrace& trace() const { return trace_; }
   [[nodiscard]] SideTrace take_trace() { return std::move(trace_); }
 
+ protected:
+  SideProbe(sim::Scheduler& sched, SampleKind kind, sim::Tick period,
+            double noise_stddev, std::uint64_t noise_seed);
+
  private:
+  /// Noise-free level over the `dt_s` seconds since the last sample.
+  [[nodiscard]] virtual double signal(double dt_s) = 0;
   void sample();
 
   sim::Scheduler& sched_;
-  Printer& printer_;
-  AcousticProbeOptions options_;
+  SampleKind kind_;
+  sim::Tick period_;
+  double noise_stddev_;
   sim::Rng noise_;
-  std::array<std::uint64_t, 4> last_step_counts_{};
-  std::unique_ptr<sim::DutyMeter> fan_duty_;
   SideTrace trace_;
 };
 
-/// Samples the frame vibration magnitude during a print.
-class VibrationTraceProbe {
- public:
-  VibrationTraceProbe(sim::Scheduler& sched, Printer& printer,
-                      VibrationProbeOptions options = {});
-
-  VibrationTraceProbe(const VibrationTraceProbe&) = delete;
-  VibrationTraceProbe& operator=(const VibrationTraceProbe&) = delete;
-
-  [[nodiscard]] const SideTrace& trace() const { return trace_; }
-  [[nodiscard]] SideTrace take_trace() { return std::move(trace_); }
-
- private:
-  void sample();
-
-  sim::Scheduler& sched_;
-  Printer& printer_;
-  VibrationProbeOptions options_;
-  sim::Rng noise_;
-  std::array<std::uint64_t, 4> last_step_counts_{};
-  SideTrace trace_;
-};
+/// The machine's aggregate power draw (`ramps` is the RAMPS-side bank,
+/// the supply side of the machine).
+std::unique_ptr<SideProbe> make_probe(sim::Scheduler& sched,
+                                      Printer& printer, sim::PinBank& ramps,
+                                      const PowerProbeOptions& options);
+/// The machine's acoustic emission.
+std::unique_ptr<SideProbe> make_probe(sim::Scheduler& sched,
+                                      Printer& printer, sim::PinBank& ramps,
+                                      const AcousticProbeOptions& options);
+/// The frame's vibration magnitude.
+std::unique_ptr<SideProbe> make_probe(sim::Scheduler& sched,
+                                      Printer& printer, sim::PinBank& ramps,
+                                      const VibrationProbeOptions& options);
 
 }  // namespace offramps::plant

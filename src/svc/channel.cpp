@@ -92,34 +92,40 @@ const ChannelTrip* pick_first_trip(const std::vector<ChannelTrip>& trips) {
 namespace {
 
 // ---------------------------------------------------------------------
-// Shared windowed side-channel streaming (the online equivalent of
-// detect::compare_side / verify_signature): accumulate per-window means
-// against a golden window series, mismatch over tolerance, sustained
-// mismatches trip.  Empty windows (sampling gaps) repeat the previous
-// mean, mirroring detect::window_means so the online channel sees the
-// same series the offline compare would.
+// Windowed side-channel streaming (the online equivalent of
+// detect::compare_side): accumulate per-window means against a golden
+// window series, mismatch over tolerance, sustained mismatches trip.
+// Empty windows (sampling gaps) repeat the previous mean, mirroring
+// detect::window_means so the online channel sees the same series the
+// offline compare would.
 class WindowStream {
  public:
-  void arm(std::vector<double> golden, double window_s, double tolerance,
-           std::uint32_t consecutive_to_flag, std::uint32_t skip_edge) {
+  void arm(std::vector<double> golden,
+           const detect::SideSignatureOptions& options) {
     golden_ = std::move(golden);
-    window_s_ = window_s;
-    tolerance_ = tolerance;
-    consecutive_to_flag_ = consecutive_to_flag;
-    skip_edge_ = skip_edge;
+    options_ = options;
   }
 
   [[nodiscard]] bool armed() const { return !golden_.empty(); }
 
   /// Feeds one sample.  Returns true when a window closed over the
-  /// consecutive-mismatch threshold (a trip).
+  /// consecutive-mismatch threshold (a trip).  Session streams arrive
+  /// from outside the process, so a sample timed non-finite or before
+  /// the first one is ignored, and windows past the golden length -
+  /// never compared - are not closed one by one.
   bool push(double t_s, double value) {
-    if (golden_.empty() || window_s_ <= 0.0) return false;
+    if (golden_.empty() || options_.window_s <= 0.0 ||
+        !std::isfinite(t_s)) {
+      return false;
+    }
     if (!have_t0_) {
       have_t0_ = true;
       t0_ = t_s;
     }
-    const auto w = static_cast<std::size_t>((t_s - t0_) / window_s_);
+    if (t_s < t0_) return false;
+    const auto w = static_cast<std::size_t>(
+        std::min((t_s - t0_) / options_.window_s,
+                 static_cast<double>(golden_.size())));
     bool tripped = false;
     while (window_ < w) tripped = close_window() || tripped;
     sum_ += value;
@@ -127,20 +133,10 @@ class WindowStream {
     return tripped;
   }
 
-  struct Mismatch {
-    std::size_t window = 0;
-    double golden = 0.0;
-    double observed = 0.0;
-  };
-
-  [[nodiscard]] const std::vector<Mismatch>& mismatches() const {
-    return mismatches_;
-  }
-  [[nodiscard]] std::size_t windows_compared() const {
+  [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+  [[nodiscard]] std::uint64_t windows_compared() const {
     return windows_compared_;
   }
-  [[nodiscard]] double largest_delta() const { return largest_delta_; }
-  [[nodiscard]] bool flagged() const { return flagged_; }
 
  private:
   bool close_window() {
@@ -157,28 +153,18 @@ class WindowStream {
     // Leading edge windows (heat-up / homing transients) are skipped
     // just like the offline comparison; the trailing edge skip falls
     // out of finish() never closing the last partial windows.
-    if (idx < skip_edge_) return false;
-    const double golden_v = golden_[idx];
-    const double delta = std::abs(golden_v - mean);
-    largest_delta_ = std::max(largest_delta_, delta);
-    if (delta > tolerance_) {
-      mismatches_.push_back({idx, golden_v, mean});
+    if (idx < options_.skip_edge_windows) return false;
+    if (std::abs(golden_[idx] - mean) > options_.tolerance) {
+      ++mismatches_;
       ++consecutive_;
-      if (consecutive_ >= consecutive_to_flag_) {
-        flagged_ = true;
-        return true;
-      }
-    } else {
-      consecutive_ = 0;
+      return consecutive_ >= options_.consecutive_to_flag;
     }
+    consecutive_ = 0;
     return false;
   }
 
   std::vector<double> golden_;
-  double window_s_ = 1.0;
-  double tolerance_ = 0.0;
-  std::uint32_t consecutive_to_flag_ = 3;
-  std::uint32_t skip_edge_ = 2;
+  detect::SideSignatureOptions options_;
 
   std::size_t window_ = 0;  // index of the window being filled
   double t0_ = 0.0;
@@ -188,17 +174,14 @@ class WindowStream {
   double last_mean_ = 0.0;
   std::uint32_t consecutive_ = 0;
 
-  std::vector<Mismatch> mismatches_;
-  std::size_t windows_compared_ = 0;
-  double largest_delta_ = 0.0;
-  bool flagged_ = false;
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t windows_compared_ = 0;
 };
 
 /// Common verdict bookkeeping: arm state plus first-trip capture.
 class BuiltinChannel : public DetectionChannel {
  protected:
   void set_armed(bool armed) { verdict_.armed = armed; }
-  [[nodiscard]] bool armed() const { return verdict_.armed; }
 
   void record_trip(std::uint32_t window, std::uint64_t tick_ns,
                    const std::array<std::int32_t, 4>& counts,
@@ -210,14 +193,14 @@ class BuiltinChannel : public DetectionChannel {
     trips.push_back({info().id, window, tick_ns, counts});
   }
 
-  /// Finalizes counts and appends the attribution row.
-  void push_verdict(OnlineReport& report, std::uint64_t windows_compared,
-                    std::uint64_t mismatches) const {
+  /// The attribution row with this channel's final counts.
+  [[nodiscard]] ChannelVerdict row(std::uint64_t windows_compared,
+                                   std::uint64_t mismatches) const {
     ChannelVerdict v = verdict_;
     v.channel = info().id;
     v.windows_compared = windows_compared;
     v.mismatches = mismatches;
-    report.channels.push_back(v);
+    return v;
   }
 
  private:
@@ -259,9 +242,8 @@ class GoldenCompareChannel final : public BuiltinChannel {
     }
   }
 
-  void fill_report(OnlineReport& report) const override {
-    report.compare_mismatches = mismatches_.size();
-    push_verdict(report, compared_, mismatches_.size());
+  [[nodiscard]] ChannelVerdict verdict() const override {
+    return row(compared_, mismatches_.size());
   }
 
  private:
@@ -309,8 +291,8 @@ class StreamLengthChannel final : public BuiltinChannel {
     }
   }
 
-  void fill_report(OnlineReport& report) const override {
-    push_verdict(report, overrun_windows_, beyond_allowed_);
+  [[nodiscard]] ChannelVerdict verdict() const override {
+    return row(overrun_windows_, beyond_allowed_);
   }
 
  private:
@@ -345,9 +327,8 @@ class GoldenFreeChannel final : public BuiltinChannel {
     }
   }
 
-  void fill_report(OnlineReport& report) const override {
-    report.golden_free = golden_free_.report(min_violations_);
-    push_verdict(report, windows_, golden_free_.violation_count());
+  [[nodiscard]] ChannelVerdict verdict() const override {
+    return row(windows_, golden_free_.violation_count());
   }
 
  private:
@@ -356,24 +337,24 @@ class GoldenFreeChannel final : public BuiltinChannel {
   std::uint64_t windows_ = 0;
 };
 
-/// Per-window mean-power compare against a golden power trace (the
-/// side-channel baseline class).
-class PowerChannel final : public BuiltinChannel {
+/// One physical side channel (power, acoustic, vibration): per-window
+/// mean compare of its samples against its golden trace.  For acoustic
+/// this is the audio-signing check - the golden window levels are the
+/// master signature (detect::make_master_signature).
+class SideChannel final : public BuiltinChannel {
  public:
-  explicit PowerChannel(const OnlineDetectorOptions& options)
-      : options_(options.power) {}
+  using Golden = const plant::SideTrace* ChannelRefs::*;
 
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kPower, "power",
-            "per-window mean-power compare vs the golden power trace",
-            ChannelInfo::Group::kPower};
-  }
+  SideChannel(ChannelInfo info, SampleKind kind,
+              const detect::SideSignatureOptions& options, Golden golden)
+      : info_(info), kind_(kind), options_(options), golden_(golden) {}
+
+  [[nodiscard]] ChannelInfo info() const override { return info_; }
 
   void arm(const ChannelRefs& refs) override {
-    if (refs.golden_power != nullptr) {
-      stream_.arm(detect::window_means(*refs.golden_power, options_.window_s),
-                  options_.window_s, options_.tolerance_w,
-                  options_.consecutive_to_flag, options_.skip_edge_windows);
+    if (const plant::SideTrace* golden = refs.*golden_) {
+      stream_.arm(detect::window_means(*golden, options_.window_s),
+                  options_);
     }
     set_armed(stream_.armed());
   }
@@ -381,141 +362,23 @@ class PowerChannel final : public BuiltinChannel {
   void on_sample(SampleKind kind, double t_s, double value,
                  const StreamContext& ctx,
                  std::vector<ChannelTrip>& trips) override {
-    if (kind != SampleKind::kPower) return;
-    if (stream_.push(t_s, value)) {
-      record_trip(stream_window(ctx), ctx.last_tick_ns, ctx.last_counts,
-                  trips);
-    }
-  }
-
-  void fill_report(OnlineReport& report) const override {
-    detect::PowerReport& p = report.power;
-    p.windows_compared = stream_.windows_compared();
-    p.largest_delta_w = stream_.largest_delta();
-    p.sabotage_likely = stream_.flagged();
-    p.mismatches.clear();
-    for (const auto& m : stream_.mismatches()) {
-      p.mismatches.push_back({m.window, m.golden, m.observed});
-    }
-    push_verdict(report, stream_.windows_compared(),
-                 stream_.mismatches().size());
-  }
-
- private:
-  /// Side-channel trips are attributed to the latest drained transaction
-  /// window (the stream position the operator can act on).
-  static std::uint32_t stream_window(const StreamContext& ctx) {
-    return static_cast<std::uint32_t>(
+    if (kind != kind_ || !stream_.push(t_s, value)) return;
+    // Side-channel trips are attributed to the latest drained
+    // transaction window (the stream position the operator can act on).
+    const auto window = static_cast<std::uint32_t>(
         ctx.windows_processed == 0 ? 0 : ctx.windows_processed - 1);
+    record_trip(window, ctx.last_tick_ns, ctx.last_counts, trips);
   }
 
-  detect::PowerSignatureOptions options_;
-  WindowStream stream_;
-};
-
-/// Acoustic master-signature verification (audio signing): the golden
-/// recording is distilled into a MasterSignature and the live recording
-/// is verified window-by-window against its levels.
-class AcousticChannel final : public BuiltinChannel {
- public:
-  explicit AcousticChannel(const OnlineDetectorOptions& options)
-      : options_(options.acoustic) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kAcoustic, "acoustic",
-            "acoustic master-signature verification (audio signing)",
-            ChannelInfo::Group::kAcoustic};
-  }
-
-  void arm(const ChannelRefs& refs) override {
-    if (refs.golden_acoustic != nullptr) {
-      signature_ =
-          detect::make_master_signature(*refs.golden_acoustic,
-                                        options_.window_s);
-      stream_.arm(signature_.levels, signature_.window_s, options_.tolerance,
-                  options_.consecutive_to_flag, options_.skip_edge_windows);
-    }
-    set_armed(stream_.armed());
-  }
-
-  void on_sample(SampleKind kind, double t_s, double value,
-                 const StreamContext& ctx,
-                 std::vector<ChannelTrip>& trips) override {
-    if (kind != SampleKind::kAcoustic) return;
-    if (stream_.push(t_s, value)) {
-      record_trip(stream_window(ctx), ctx.last_tick_ns, ctx.last_counts,
-                  trips);
-    }
-  }
-
-  void fill_report(OnlineReport& report) const override {
-    fill_side_report(report.acoustic, stream_);
-    push_verdict(report, stream_.windows_compared(),
-                 stream_.mismatches().size());
-  }
-
-  static void fill_side_report(detect::SideReport& r,
-                               const WindowStream& stream) {
-    r.windows_compared = stream.windows_compared();
-    r.largest_delta = stream.largest_delta();
-    r.sabotage_likely = stream.flagged();
-    r.mismatches.clear();
-    for (const auto& m : stream.mismatches()) {
-      r.mismatches.push_back({m.window, m.golden, m.observed});
-    }
-  }
-
-  static std::uint32_t stream_window(const StreamContext& ctx) {
-    return static_cast<std::uint32_t>(
-        ctx.windows_processed == 0 ? 0 : ctx.windows_processed - 1);
+  [[nodiscard]] ChannelVerdict verdict() const override {
+    return row(stream_.windows_compared(), stream_.mismatches());
   }
 
  private:
+  ChannelInfo info_;
+  SampleKind kind_;
   detect::SideSignatureOptions options_;
-  detect::MasterSignature signature_;
-  WindowStream stream_;
-};
-
-/// Vibration-signature compare against the golden vibration trace.
-class VibrationChannel final : public BuiltinChannel {
- public:
-  explicit VibrationChannel(const OnlineDetectorOptions& options)
-      : options_(options.vibration) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kVibration, "vibration",
-            "per-window vibration compare vs the golden vibration trace",
-            ChannelInfo::Group::kVibration};
-  }
-
-  void arm(const ChannelRefs& refs) override {
-    if (refs.golden_vibration != nullptr) {
-      stream_.arm(
-          detect::window_means(*refs.golden_vibration, options_.window_s),
-          options_.window_s, options_.tolerance,
-          options_.consecutive_to_flag, options_.skip_edge_windows);
-    }
-    set_armed(stream_.armed());
-  }
-
-  void on_sample(SampleKind kind, double t_s, double value,
-                 const StreamContext& ctx,
-                 std::vector<ChannelTrip>& trips) override {
-    if (kind != SampleKind::kVibration) return;
-    if (stream_.push(t_s, value)) {
-      record_trip(AcousticChannel::stream_window(ctx), ctx.last_tick_ns,
-                  ctx.last_counts, trips);
-    }
-  }
-
-  void fill_report(OnlineReport& report) const override {
-    AcousticChannel::fill_side_report(report.vibration, stream_);
-    push_verdict(report, stream_.windows_compared(),
-                 stream_.mismatches().size());
-  }
-
- private:
-  detect::SideSignatureOptions options_;
+  Golden golden_;
   WindowStream stream_;
 };
 
@@ -553,9 +416,8 @@ class FinalCountsChannel final : public BuiltinChannel {
     }
   }
 
-  void fill_report(OnlineReport& report) const override {
-    report.final_counts_match = match_;
-    push_verdict(report, checked_ ? 1 : 0, match_ ? 0 : 1);
+  [[nodiscard]] ChannelVerdict verdict() const override {
+    return row(checked_ ? 1 : 0, match_ ? 0 : 1);
   }
 
  private:
@@ -585,9 +447,11 @@ class StaticOracleChannel final : public BuiltinChannel {
                  std::vector<ChannelTrip>& trips) override {
     if (oracle_ == nullptr) return;
     ran_ = true;
-    report_ = detect::static_check(*oracle_, capture, options_);
-    if (report_.trojan_suspected && report_.print_completed &&
-        report_.oracle_armed) {
+    const detect::StaticCheckReport report =
+        detect::static_check(*oracle_, capture, options_);
+    suspected_ = report.trojan_suspected;
+    if (report.trojan_suspected && report.print_completed &&
+        report.oracle_armed) {
       record_trip(capture.transactions.empty()
                       ? 0
                       : capture.transactions.back().index,
@@ -595,16 +459,15 @@ class StaticOracleChannel final : public BuiltinChannel {
     }
   }
 
-  void fill_report(OnlineReport& report) const override {
-    report.static_final = report_;
-    push_verdict(report, ran_ ? 1 : 0, report_.trojan_suspected ? 1 : 0);
+  [[nodiscard]] ChannelVerdict verdict() const override {
+    return row(ran_ ? 1 : 0, suspected_ ? 1 : 0);
   }
 
  private:
   detect::StaticCheckOptions options_;
   const analyze::Oracle* oracle_ = nullptr;
   bool ran_ = false;
-  detect::StaticCheckReport report_{};
+  bool suspected_ = false;
 };
 
 }  // namespace
@@ -697,24 +560,29 @@ void register_builtin_channels(ChannelRegistry& registry) {
                  if (!o.golden_free) return nullptr;
                  return std::make_unique<GoldenFreeChannel>(o);
                });
-  registry.add({Channel::kPower, "power",
-                "per-window mean-power compare vs the golden power trace",
-                ChannelInfo::Group::kPower},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<PowerChannel>(o);
-               });
-  registry.add({Channel::kAcoustic, "acoustic",
-                "acoustic master-signature verification (audio signing)",
-                ChannelInfo::Group::kAcoustic},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<AcousticChannel>(o);
-               });
-  registry.add({Channel::kVibration, "vibration",
-                "per-window vibration compare vs the golden vibration trace",
-                ChannelInfo::Group::kVibration},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<VibrationChannel>(o);
-               });
+  const auto add_side = [&registry](ChannelInfo info, SampleKind kind,
+                                    detect::SideSignatureOptions
+                                        OnlineDetectorOptions::*options,
+                                    SideChannel::Golden golden) {
+    registry.add(info, [=](const OnlineDetectorOptions& o) {
+      return std::make_unique<SideChannel>(info, kind, o.*options, golden);
+    });
+  };
+  add_side({Channel::kPower, "power",
+            "per-window mean-power compare vs the golden power trace",
+            ChannelInfo::Group::kPower},
+           SampleKind::kPower, &OnlineDetectorOptions::power,
+           &ChannelRefs::golden_power);
+  add_side({Channel::kAcoustic, "acoustic",
+            "acoustic master-signature verification (audio signing)",
+            ChannelInfo::Group::kAcoustic},
+           SampleKind::kAcoustic, &OnlineDetectorOptions::acoustic,
+           &ChannelRefs::golden_acoustic);
+  add_side({Channel::kVibration, "vibration",
+            "per-window vibration compare vs the golden vibration trace",
+            ChannelInfo::Group::kVibration},
+           SampleKind::kVibration, &OnlineDetectorOptions::vibration,
+           &ChannelRefs::golden_vibration);
   registry.add({Channel::kFinalCounts, "final-counts",
                 "end-of-print 0%-margin golden totals check",
                 ChannelInfo::Group::kSteps},

@@ -57,13 +57,7 @@ const char* channel_name(Channel c);
 /// Inverse of channel_name(); Channel::kNone for an unknown name.
 Channel channel_from_name(std::string_view name);
 
-/// Side-channel sample taxonomy (also the wire kind byte of kSample
-/// session frames - append only).
-enum class SampleKind : std::uint8_t {
-  kPower = 1,
-  kAcoustic = 2,
-  kVibration = 3,
-};
+using plant::SampleKind;
 
 /// Which channel groups a fleet runs with.  `steps` covers every
 /// channel derived from the captured step stream (golden compare,
@@ -104,7 +98,7 @@ struct ChannelSet {
 struct ChannelRefs {
   const core::Capture* golden = nullptr;
   const analyze::Oracle* oracle = nullptr;
-  const plant::PowerTrace* golden_power = nullptr;
+  const plant::SideTrace* golden_power = nullptr;
   const plant::SideTrace* golden_acoustic = nullptr;
   const plant::SideTrace* golden_vibration = nullptr;
 };
@@ -142,7 +136,6 @@ struct StreamContext {
 };
 
 struct OnlineDetectorOptions;
-struct OnlineReport;
 
 /// Identity card of one channel (also what list() reports).
 struct ChannelInfo {
@@ -187,9 +180,8 @@ class DetectionChannel {
                          std::vector<ChannelTrip>& trips) {
     (void)capture; (void)ctx; (void)trips;
   }
-  /// Writes this channel's detail into the report: the legacy embedded
-  /// fields (compare_mismatches, power, ...) plus its attribution row.
-  virtual void fill_report(OnlineReport& report) const = 0;
+  /// This channel's attribution row for the report.
+  [[nodiscard]] virtual ChannelVerdict verdict() const = 0;
 };
 
 using ChannelFactory = std::function<std::unique_ptr<DetectionChannel>(

@@ -169,23 +169,10 @@ void put_outcome(std::vector<std::uint8_t>& out, const RigOutcome& r) {
   put_u64(out, d.ring_high_water);
   put_u64(out, d.backpressure_stalls);
   put_u8(out, d.stream_finished ? 1 : 0);
-  put_u64(out, d.compare_mismatches);
-  // Nested channel reports are persisted as *counts*: to_json only ever
-  // renders sizes of these vectors, so resume rebuilds them as
-  // default-constructed entries of the right count and the report stays
-  // byte for byte.
-  put_u64(out, d.golden_free.violations.size());
-  put_u64(out, d.power.windows_compared);
-  put_u64(out, d.power.mismatches.size());
-  put_u64(out, d.acoustic.windows_compared);
-  put_u64(out, d.acoustic.mismatches.size());
-  put_u64(out, d.vibration.windows_compared);
-  put_u64(out, d.vibration.mismatches.size());
-  put_u8(out, d.final_counts_match ? 1 : 0);
-  put_u8(out, d.static_final.trojan_suspected ? 1 : 0);
 
-  // Per-channel verdict rows: the report's attribution array renders
-  // every field, so they are persisted whole, not as counts.
+  // Per-channel verdict rows, persisted whole: the report renders every
+  // field of the attribution array and derives its per-channel counts
+  // from them.
   put_u8(out, static_cast<std::uint8_t>(d.channels.size()));
   for (const ChannelVerdict& v : d.channels) {
     put_u8(out, static_cast<std::uint8_t>(v.channel));
@@ -235,30 +222,6 @@ RigOutcome read_outcome(Rd& r) {
   d.ring_high_water = static_cast<std::size_t>(r.u64("ring_high_water"));
   d.backpressure_stalls = r.u64("backpressure_stalls");
   d.stream_finished = r.u8("stream_finished") != 0;
-  d.compare_mismatches = static_cast<std::size_t>(r.u64("compare_mismatches"));
-  const std::uint64_t gf = r.u64("golden-free violation count");
-  const std::uint64_t pw = r.u64("power windows compared");
-  const std::uint64_t pm = r.u64("power mismatch count");
-  // Bound the resize the same way a capture bounds its transaction
-  // count: a default-constructed violation costs tens of bytes, so cap
-  // the claimed counts against the *entire* input size - a lying count
-  // cannot out-allocate the file that carried it.
-  const std::uint64_t aw = r.u64("acoustic windows compared");
-  const std::uint64_t am = r.u64("acoustic mismatch count");
-  const std::uint64_t vw = r.u64("vibration windows compared");
-  const std::uint64_t vm = r.u64("vibration mismatch count");
-  if (gf > r.size || pm > r.size || am > r.size || vm > r.size) {
-    throw Error("checkpoint: nested report count exceeds input size");
-  }
-  d.golden_free.violations.resize(static_cast<std::size_t>(gf));
-  d.power.windows_compared = static_cast<std::size_t>(pw);
-  d.power.mismatches.resize(static_cast<std::size_t>(pm));
-  d.acoustic.windows_compared = static_cast<std::size_t>(aw);
-  d.acoustic.mismatches.resize(static_cast<std::size_t>(am));
-  d.vibration.windows_compared = static_cast<std::size_t>(vw);
-  d.vibration.mismatches.resize(static_cast<std::size_t>(vm));
-  d.final_counts_match = r.u8("final_counts_match") != 0;
-  d.static_final.trojan_suspected = r.u8("static_trojan_suspected") != 0;
 
   const std::uint8_t n_channels = r.u8("channel verdict count");
   if (n_channels > kChannelCount) {
@@ -292,24 +255,7 @@ std::vector<std::uint8_t> Checkpoint::to_binary() const {
   put_u32(out, total_rigs);
 
   put_u32(out, static_cast<std::uint32_t>(references.size()));
-  for (const ReferenceSnapshot& ref : references) {
-    const std::vector<std::uint8_t> blob = ref.golden.to_binary();
-    put_u64(out, blob.size());
-    out.insert(out.end(), blob.begin(), blob.end());
-    put_u64(out, ref.golden_power.size());
-    for (const plant::PowerSample& s : ref.golden_power) {
-      put_f64(out, s.t_s);
-      put_f64(out, s.watts);
-    }
-    for (const plant::SideTrace* trace :
-         {&ref.golden_acoustic, &ref.golden_vibration}) {
-      put_u64(out, trace->size());
-      for (const plant::SideSample& s : *trace) {
-        put_f64(out, s.t_s);
-        put_f64(out, s.value);
-      }
-    }
-  }
+  for (const RefEntry& ref : references) encode_reference(out, ref);
 
   put_u32(out, static_cast<std::uint32_t>(done.size()));
   for (const auto& [index, outcome] : done) {
@@ -344,34 +290,9 @@ Checkpoint Checkpoint::from_binary(const std::uint8_t* data,
   if (n_refs > r.remaining() / 16) {
     throw Error("checkpoint: reference count exceeds input size");
   }
-  ck.references.resize(n_refs);
-  for (ReferenceSnapshot& ref : ck.references) {
-    const std::uint64_t blob_len = r.u64("golden capture length");
-    r.need(blob_len, "golden capture");
-    ref.golden = core::Capture::from_binary(data + r.pos,
-                                            static_cast<std::size_t>(blob_len));
-    r.pos += static_cast<std::size_t>(blob_len);
-    const std::uint64_t n_samples = r.u64("power sample count");
-    if (n_samples > r.remaining() / 16) {
-      throw Error("checkpoint: power sample count exceeds remaining input");
-    }
-    ref.golden_power.resize(static_cast<std::size_t>(n_samples));
-    for (plant::PowerSample& s : ref.golden_power) {
-      s.t_s = r.f64("power sample time");
-      s.watts = r.f64("power sample watts");
-    }
-    for (plant::SideTrace* trace :
-         {&ref.golden_acoustic, &ref.golden_vibration}) {
-      const std::uint64_t n_side = r.u64("side sample count");
-      if (n_side > r.remaining() / 16) {
-        throw Error("checkpoint: side sample count exceeds remaining input");
-      }
-      trace->resize(static_cast<std::size_t>(n_side));
-      for (plant::SideSample& s : *trace) {
-        s.t_s = r.f64("side sample time");
-        s.value = r.f64("side sample value");
-      }
-    }
+  ck.references.reserve(n_refs);
+  for (std::uint32_t i = 0; i < n_refs; ++i) {
+    ck.references.push_back(decode_reference(data, size, r.pos));
   }
 
   const std::uint32_t n_done = r.u32("completed rig count");

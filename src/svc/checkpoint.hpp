@@ -8,22 +8,23 @@
 //   - a digest of the fleet spec + behavior-relevant options, so a
 //     checkpoint is only ever replayed against the campaign that wrote
 //     it (resuming with edited specs is a hard error, not silent skew);
-//   - every per-object golden reference (capture + power trace), so
-//     resumed rigs never re-print references;
+//   - every per-object golden reference (capture + side-channel
+//     traces), so resumed rigs never re-print references;
 //   - every completed rig's flattened RigOutcome, so resumed campaigns
 //     skip those rigs entirely and still render the same report bytes.
 //
-// Binary format v2 (all little endian):
+// Binary format v3 (all little endian):
 //   "OFCK" magic, u16 version, u16 reserved,
 //   u64 spec digest, u32 total rigs,
-//   u32 reference count, then per reference:
-//     u64 blob length + core::Capture::to_binary() bytes,
-//     u64 power sample count + per sample 2 x f64-as-u64-bits (t_s, watts),
-//     u64 acoustic sample count + samples, u64 vibration count + samples,
+//   u32 reference count, then per reference the body svc::RefCache
+//     stores too (svc::encode_reference: u64 blob length +
+//     core::Capture::to_binary() bytes, then power, acoustic and
+//     vibration traces, each a u64 sample count + per sample
+//     2 x f64-as-u64-bits (t_s, value)),
 //   u32 completed count, then per completed rig a flattened outcome
-//   record (rig index, spec, supervision verdict, detector summary
-//   including the per-channel verdict rows the report's attribution
-//   array renders).
+//   record (rig index, spec, supervision verdict, detector summary and
+//   the per-channel verdict rows; the report derives every per-channel
+//   count it renders from those rows).
 // Length prefixes are validated against the remaining input before any
 // allocation - the same bounded-read discipline as Capture::from_binary.
 //
@@ -38,29 +39,22 @@
 #include <vector>
 
 #include "svc/fleet.hpp"
+#include "svc/ref_cache.hpp"
 
 namespace offramps::svc {
 
-/// One object's golden reference, as persisted (the sliced program and
-/// oracle are recomputed deterministically from the spec on resume).
-struct ReferenceSnapshot {
-  core::Capture golden;
-  plant::PowerTrace golden_power;
-  plant::SideTrace golden_acoustic;
-  plant::SideTrace golden_vibration;
-};
-
 /// The persistent campaign state.
 struct Checkpoint {
-  static constexpr std::uint16_t kVersion = 2;
+  static constexpr std::uint16_t kVersion = 3;
 
   std::uint64_t spec_digest = 0;
   /// Rig count of the whole campaign (so a resume can tell "done" from
   /// "everything").
   std::uint32_t total_rigs = 0;
-  /// Per-object references, indexed like the fleet's first-seen object
-  /// order.
-  std::vector<ReferenceSnapshot> references;
+  /// Per-object golden references, indexed like the fleet's first-seen
+  /// object order (the sliced program and oracle are recomputed
+  /// deterministically from the spec on resume).
+  std::vector<RefEntry> references;
   /// Completed rigs: (spec index, outcome), sorted by spec index.
   std::vector<std::pair<std::uint32_t, RigOutcome>> done;
 

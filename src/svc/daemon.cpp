@@ -41,10 +41,7 @@ namespace {
 struct Resolved {
   gcode::Program program;
   analyze::Oracle oracle;
-  core::Capture golden;
-  plant::PowerTrace golden_power;
-  plant::SideTrace golden_acoustic;
-  plant::SideTrace golden_vibration;
+  RefEntry entry;
 };
 
 class ReferenceResolver {
@@ -116,10 +113,7 @@ class ReferenceResolver {
     r.oracle = analyze::analyze_program(r.program, fw::Config{}).oracle;
     if (cache_) {
       if (auto hit = cache_->get(key)) {
-        r.golden = std::move(hit->golden);
-        r.golden_power = std::move(hit->golden_power);
-        r.golden_acoustic = std::move(hit->golden_acoustic);
-        r.golden_vibration = std::move(hit->golden_vibration);
+        r.entry = std::move(*hit);
         return r;
       }
     }
@@ -134,14 +128,9 @@ class ReferenceResolver {
     host::Rig rig(ro);
     host::RunResult res = rig.run(r.program);
     if (!res.finished) throw Error("reference print did not finish");
-    r.golden = std::move(res.capture);
-    r.golden_power = std::move(res.power_trace);
-    r.golden_acoustic = std::move(res.acoustic_trace);
-    r.golden_vibration = std::move(res.vibration_trace);
-    if (cache_) {
-      cache_->put(key, RefEntry{r.golden, r.golden_power, r.golden_acoustic,
-                                r.golden_vibration});
-    }
+    r.entry = {std::move(res.capture), std::move(res.power_trace),
+               std::move(res.acoustic_trace), std::move(res.vibration_trace)};
+    if (cache_) cache_->put(key, r.entry);
     return r;
   }
 
@@ -152,29 +141,18 @@ class ReferenceResolver {
   std::map<std::uint64_t, std::unique_ptr<Slot>> slots_;
 };
 
-/// Binds a resolver into the per-session callback, honoring the
-/// campaign-level channel switches exactly like Fleet does: the oracle
-/// only when armed, the power trace only when non-empty.
+/// Binds a resolver into the per-session callback, arming the detector
+/// exactly like Fleet does: the static oracle only when the campaign
+/// uses it and it armed.  Side channels need no switch here - a
+/// disabled group is never instantiated, and an empty golden trace
+/// leaves its channel unarmed.
 RigSession::ResolveRefs make_refs_fn(ReferenceResolver& resolver,
                                      const ServiceOptions& options) {
   const bool use_oracle = options.use_oracle;
-  const ChannelSet channels = options.channels;
-  return [&resolver, use_oracle,
-          channels](const core::wire::SessionHello& hello) {
+  return [&resolver, use_oracle](const core::wire::SessionHello& hello) {
     const Resolved& r = resolver.resolve(hello.cube_mm, hello.height_mm);
-    SessionRefs refs;
-    refs.golden = &r.golden;
-    if (use_oracle && r.oracle.counters_armed) refs.oracle = &r.oracle;
-    if (channels.power && !r.golden_power.empty()) {
-      refs.golden_power = &r.golden_power;
-    }
-    if (channels.acoustic && !r.golden_acoustic.empty()) {
-      refs.golden_acoustic = &r.golden_acoustic;
-    }
-    if (channels.vibration && !r.golden_vibration.empty()) {
-      refs.golden_vibration = &r.golden_vibration;
-    }
-    return refs;
+    return r.entry.refs(use_oracle && r.oracle.counters_armed ? &r.oracle
+                                                              : nullptr);
   };
 }
 

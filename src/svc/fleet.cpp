@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -116,6 +118,26 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// An optional integer member of a fleet spec.  Absent (or not a
+/// number) keeps `fallback`; a value that is not a finite integer in
+/// [min, T's maximum] throws, naming the key - a config typo must not
+/// reach a cast.
+template <typename T>
+T spec_integer(const json::Value& doc, const std::string& key, T fallback,
+               T min = 0) {
+  const json::Value* v = doc.find(key);
+  if (v == nullptr || v->kind != json::Value::Kind::kNumber) return fallback;
+  const double d = v->number;
+  // 2^digits is the first value past T's range, exactly a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= static_cast<double>(min) && d < limit) || d != std::floor(d)) {
+    throw Error("fleet spec: \"" + key + "\" must be an integer in [" +
+                std::to_string(min) + ", " +
+                std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(d);
+}
+
 /// A file-name-safe rendition of a rig name.
 std::string sanitize(const std::string& name) {
   std::string out;
@@ -191,6 +213,18 @@ std::string FleetReport::to_json() const {
     append_kv(out, "alarmed", r.detector.alarmed);
     out += ",\n      ";
     append_kv(out, "alarm_mid_print", r.detector.alarmed_mid_print);
+    // The per-channel counts are read off the verdict rows; a channel
+    // that was not instantiated renders as 0 (and final counts as
+    // matching, the static oracle as quiet).
+    const OnlineReport& d = r.detector;
+    const auto windows = [&d](Channel c) -> unsigned long long {
+      const ChannelVerdict* v = d.verdict(c);
+      return v != nullptr ? v->windows_compared : 0;
+    };
+    const auto mismatches = [&d](Channel c) -> unsigned long long {
+      const ChannelVerdict* v = d.verdict(c);
+      return v != nullptr ? v->mismatches : 0;
+    };
     std::snprintf(buf, sizeof(buf),
                   ",\n      \"alarm_channel\": \"%s\",\n"
                   "      \"alarm_window\": %u,\n"
@@ -199,31 +233,26 @@ std::string FleetReport::to_json() const {
                   "      \"windows_processed\": %zu,\n"
                   "      \"ring_high_water\": %zu,\n"
                   "      \"backpressure_stalls\": %llu,\n"
-                  "      \"compare_mismatches\": %zu,\n"
-                  "      \"golden_free_violations\": %zu,\n"
-                  "      \"power_windows_compared\": %zu,\n"
-                  "      \"power_mismatches\": %zu,\n",
-                  channel_name(r.detector.first_channel),
-                  r.detector.alarm_window,
-                  static_cast<double>(r.detector.alarm_tick_ns) / 1e9,
-                  r.detector.alarm_gcode_line, r.detector.windows_processed,
-                  r.detector.ring_high_water,
-                  static_cast<unsigned long long>(
-                      r.detector.backpressure_stalls),
-                  r.detector.compare_mismatches,
-                  r.detector.golden_free.violations.size(),
-                  r.detector.power.windows_compared,
-                  r.detector.power.mismatches.size());
+                  "      \"compare_mismatches\": %llu,\n"
+                  "      \"golden_free_violations\": %llu,\n"
+                  "      \"power_windows_compared\": %llu,\n"
+                  "      \"power_mismatches\": %llu,\n",
+                  channel_name(d.first_channel), d.alarm_window,
+                  static_cast<double>(d.alarm_tick_ns) / 1e9,
+                  d.alarm_gcode_line, d.windows_processed, d.ring_high_water,
+                  static_cast<unsigned long long>(d.backpressure_stalls),
+                  mismatches(Channel::kGoldenCompare),
+                  mismatches(Channel::kGoldenFree), windows(Channel::kPower),
+                  mismatches(Channel::kPower));
     out += buf;
     std::snprintf(buf, sizeof(buf),
-                  "      \"acoustic_windows_compared\": %zu,\n"
-                  "      \"acoustic_mismatches\": %zu,\n"
-                  "      \"vibration_windows_compared\": %zu,\n"
-                  "      \"vibration_mismatches\": %zu,\n",
-                  r.detector.acoustic.windows_compared,
-                  r.detector.acoustic.mismatches.size(),
-                  r.detector.vibration.windows_compared,
-                  r.detector.vibration.mismatches.size());
+                  "      \"acoustic_windows_compared\": %llu,\n"
+                  "      \"acoustic_mismatches\": %llu,\n"
+                  "      \"vibration_windows_compared\": %llu,\n"
+                  "      \"vibration_mismatches\": %llu,\n",
+                  windows(Channel::kAcoustic), mismatches(Channel::kAcoustic),
+                  windows(Channel::kVibration),
+                  mismatches(Channel::kVibration));
     out += buf;
     // Per-channel attribution: one row per registered channel of this
     // rig's detector, in fusion (registration) order.
@@ -243,10 +272,11 @@ std::string FleetReport::to_json() const {
     }
     out += r.detector.channels.empty() ? "],\n" : "\n      ],\n";
     out += "      ";
-    append_kv(out, "final_counts_match", r.detector.final_counts_match);
+    append_kv(out, "final_counts_match",
+              mismatches(Channel::kFinalCounts) == 0);
     out += ",\n      ";
     append_kv(out, "static_trojan_suspected",
-              r.detector.static_final.trojan_suspected);
+              mismatches(Channel::kStaticOracle) != 0);
     out += ",\n      ";
     append_kv(out, "print_finished", r.print_finished);
     out += ",\n      ";
@@ -353,10 +383,7 @@ namespace {
 struct Reference {
   gcode::Program program;       // clean sliced program
   analyze::Oracle oracle;
-  core::Capture golden;
-  plant::PowerTrace golden_power;
-  plant::SideTrace golden_acoustic;
-  plant::SideTrace golden_vibration;
+  RefEntry entry;               // golden capture + side-channel traces
 };
 
 gcode::Program sabotaged_program(const gcode::Program& clean,
@@ -417,7 +444,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   // edited specs or options would silently skew results.
   std::vector<char> already_done(fleet.size(), 0);
   std::vector<RigOutcome> prior(fleet.size());
-  std::vector<ReferenceSnapshot> ref_snapshots(objects.size());
+  std::vector<RefEntry> ref_snapshots(objects.size());
   std::vector<char> have_snapshot(objects.size(), 0);
   if (!options_.resume_path.empty()) {
     Checkpoint ck = Checkpoint::load(options_.resume_path);
@@ -457,8 +484,8 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
 
   // Reference phase: slice + oracle + one golden print per object, each
   // print supervised (retry on throw, sim-clocked stall watchdog).  On
-  // resume the golden capture/power come from the checkpoint and only
-  // the cheap deterministic slice + oracle are recomputed.
+  // resume the golden references come from the checkpoint and only the
+  // cheap deterministic slice + oracle are recomputed.
   std::vector<GuardOutcome> ref_guards(objects.size());
   std::vector<Reference> refs = pool.map<Reference>(
       objects.size(), [&](std::size_t i) {
@@ -475,10 +502,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
             analyze::analyze_program(ref.program, fw::Config{}).oracle;
 
         if (have_snapshot[i]) {
-          ref.golden = std::move(ref_snapshots[i].golden);
-          ref.golden_power = std::move(ref_snapshots[i].golden_power);
-          ref.golden_acoustic = std::move(ref_snapshots[i].golden_acoustic);
-          ref.golden_vibration = std::move(ref_snapshots[i].golden_vibration);
+          ref.entry = std::move(ref_snapshots[i]);
           ref_guards[i] = GuardOutcome{RigStatus::kOk, 0, {}};
           ref_seconds[i] = seconds_since(job_t0);
           return ref;
@@ -492,15 +516,12 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
             options_.reference_seed, options_.channels);
         if (ref_cache) {
           if (auto hit = ref_cache->get(ref_key)) {
-            ref.golden = std::move(hit->golden);
-            ref.golden_power = std::move(hit->golden_power);
-            ref.golden_acoustic = std::move(hit->golden_acoustic);
-            ref.golden_vibration = std::move(hit->golden_vibration);
+            ref.entry = std::move(*hit);
             ref_guards[i] = GuardOutcome{RigStatus::kOk, 0, {}};
             if (!options_.save_captures_dir.empty()) {
-              ref.golden.save_binary(options_.save_captures_dir +
-                                     "/golden-" + std::to_string(i) +
-                                     ".bin");
+              ref.entry.golden.save_binary(options_.save_captures_dir +
+                                           "/golden-" + std::to_string(i) +
+                                           ".bin");
             }
             ref_seconds[i] = seconds_since(job_t0);
             return ref;
@@ -538,16 +559,12 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
               if (!res.finished) {
                 throw Error("fleet: reference print did not finish");
               }
-              ref.golden = std::move(res.capture);
-              ref.golden_power = std::move(res.power_trace);
-              ref.golden_acoustic = std::move(res.acoustic_trace);
-              ref.golden_vibration = std::move(res.vibration_trace);
+              ref.entry = {std::move(res.capture), std::move(res.power_trace),
+                           std::move(res.acoustic_trace),
+                           std::move(res.vibration_trace)};
             });
         if (ref_guards[i].status == RigStatus::kLost) {
-          ref.golden = core::Capture{};
-          ref.golden_power.clear();
-          ref.golden_acoustic.clear();
-          ref.golden_vibration.clear();
+          ref.entry = RefEntry{};
         } else {
           // Persist only full-fidelity references: a degraded attempt
           // ran without its probes, and caching empty side-channel
@@ -555,14 +572,12 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
           // future campaign that hits this key.
           if (ref_cache && (ref_guards[i].status == RigStatus::kOk ||
                             ref_guards[i].status == RigStatus::kRecovered)) {
-            ref_cache->put(ref_key,
-                           RefEntry{ref.golden, ref.golden_power,
-                                    ref.golden_acoustic,
-                                    ref.golden_vibration});
+            ref_cache->put(ref_key, ref.entry);
           }
           if (!options_.save_captures_dir.empty()) {
-            ref.golden.save_binary(options_.save_captures_dir + "/golden-" +
-                                   std::to_string(i) + ".bin");
+            ref.entry.golden.save_binary(options_.save_captures_dir +
+                                         "/golden-" + std::to_string(i) +
+                                         ".bin");
           }
         }
         ref_seconds[i] = seconds_since(job_t0);
@@ -581,10 +596,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     ck_out.references.resize(objects.size());
     for (std::size_t j = 0; j < objects.size(); ++j) {
       if (ref_guards[j].status == RigStatus::kLost) continue;
-      ck_out.references[j] =
-          ReferenceSnapshot{refs[j].golden, refs[j].golden_power,
-                            refs[j].golden_acoustic,
-                            refs[j].golden_vibration};
+      ck_out.references[j] = refs[j].entry;
     }
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       if (already_done[i]) {
@@ -666,20 +678,10 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
 
         OnlineDetectorOptions det_opts = options_.detector;
         det_opts.channels = live;
-        OnlineDetector detector(det_opts);
-        detector.set_golden(&ref.golden);
-        if (options_.use_oracle && ref.oracle.counters_armed) {
-          detector.set_oracle(&ref.oracle);
-        }
-        if (live.power && !ref.golden_power.empty()) {
-          detector.set_golden_power(&ref.golden_power);
-        }
-        if (live.acoustic && !ref.golden_acoustic.empty()) {
-          detector.set_golden_acoustic(&ref.golden_acoustic);
-        }
-        if (live.vibration && !ref.golden_vibration.empty()) {
-          detector.set_golden_vibration(&ref.golden_vibration);
-        }
+        const analyze::Oracle* oracle =
+            options_.use_oracle && ref.oracle.counters_armed ? &ref.oracle
+                                                             : nullptr;
+        OnlineDetector detector(det_opts, ref.entry.refs(oracle));
 
         host::RigOptions ro;
         ro.firmware.jitter_seed = spec.seed;
@@ -708,60 +710,40 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
               }
             });
 
-        // Consumer: clock-slaved pump, plus live power-sample streaming.
+        // Consumer: clock-slaved pump, plus live side-channel streaming.
         // The chaos ring-wedge gate stops the pump draining; the ring's
         // lossless backpressure must absorb that, so it is NOT a fault.
         Pump pump(rig.scheduler(), detector, options_.pump);
         // The kSlot marker is recorded from inside the gate - after the
-        // power hook ran, only when the poll actually happens - so the
-        // replayed submit-powers-then-poll order matches the live one.
+        // sample hook ran, only when the poll actually happens - so the
+        // replayed submit-samples-then-poll order matches the live one.
         pump.set_gate([&injector, &pump, &rec, record] {
           const bool go = !injector.wedge_pump(pump.slots_run());
           if (go && record) rec.slot();
           return go;
         });
-        std::size_t power_consumed = 0;
-        std::size_t acoustic_consumed = 0;
-        std::size_t vibration_consumed = 0;
-        pump.on_slot([&rig, &detector, &power_consumed, &acoustic_consumed,
-                      &vibration_consumed, &injector, &rec, record] {
-          if (plant::PowerTraceProbe* probe = rig.power_probe()) {
-            if (injector.jam_power()) {
+        std::vector<std::size_t> consumed(rig.probes().size(), 0);
+        pump.on_slot([&rig, &detector, &consumed, &injector, &rec, record] {
+          for (std::size_t p = 0; p < consumed.size(); ++p) {
+            const plant::SideProbe& probe = *rig.probes()[p];
+            const SampleKind kind = probe.kind();
+            if (kind == SampleKind::kPower && injector.jam_power()) {
               throw Error("chaos: power side-channel probe jammed");
             }
-            const plant::PowerTrace& trace = probe->trace();
-            for (; power_consumed < trace.size(); ++power_consumed) {
+            const plant::SideTrace& trace = probe.trace();
+            for (; consumed[p] < trace.size(); ++consumed[p]) {
+              const plant::SideSample& s = trace[consumed[p]];
               if (record) {
-                rec.power(trace[power_consumed].t_s,
-                          trace[power_consumed].watts);
+                // Power keeps its dedicated frame so pre-multi-modal
+                // corpora stay replayable; the rest ride kSample.
+                if (kind == SampleKind::kPower) {
+                  rec.power(s.t_s, s.value);
+                } else {
+                  rec.sample(static_cast<std::uint8_t>(kind), s.t_s,
+                             s.value);
+                }
               }
-              detector.submit_power(trace[power_consumed].t_s,
-                                    trace[power_consumed].watts);
-            }
-          }
-          // New side channels ride the generic kSample frame; power keeps
-          // its dedicated frame so pre-multi-modal corpora stay replayable.
-          if (plant::AcousticTraceProbe* probe = rig.acoustic_probe()) {
-            const plant::SideTrace& trace = probe->trace();
-            for (; acoustic_consumed < trace.size(); ++acoustic_consumed) {
-              const plant::SideSample& s = trace[acoustic_consumed];
-              if (record) {
-                rec.sample(static_cast<std::uint8_t>(SampleKind::kAcoustic),
-                           s.t_s, s.value);
-              }
-              detector.submit_sample(SampleKind::kAcoustic, s.t_s, s.value);
-            }
-          }
-          if (plant::VibrationTraceProbe* probe = rig.vibration_probe()) {
-            const plant::SideTrace& trace = probe->trace();
-            for (; vibration_consumed < trace.size();
-                 ++vibration_consumed) {
-              const plant::SideSample& s = trace[vibration_consumed];
-              if (record) {
-                rec.sample(static_cast<std::uint8_t>(SampleKind::kVibration),
-                           s.t_s, s.value);
-              }
-              detector.submit_sample(SampleKind::kVibration, s.t_s, s.value);
+              detector.submit_sample(kind, s.t_s, s.value);
             }
           }
         });
@@ -927,8 +909,7 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
   const json::Value doc = json::parse(text);
   if (!doc.is_object()) throw Error("fleet spec: root must be an object");
 
-  options.workers = static_cast<std::size_t>(
-      doc.number_or("workers", static_cast<double>(options.workers)));
+  options.workers = spec_integer(doc, "workers", options.workers);
   options.safe_stop = doc.bool_or("safe_stop", options.safe_stop);
   options.use_oracle = doc.bool_or("use_oracle", options.use_oracle);
   // Back-compat: "use_power" predates the channel set and only gates the
@@ -943,32 +924,33 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
       throw Error(std::string("fleet spec: ") + e.what());
     }
   }
-  options.reference_seed = static_cast<std::uint64_t>(doc.number_or(
-      "reference_seed", static_cast<double>(options.reference_seed)));
+  options.reference_seed =
+      spec_integer(doc, "reference_seed", options.reference_seed);
   options.save_captures_dir =
       doc.string_or("save_captures_dir", options.save_captures_dir);
   options.cache_dir = doc.string_or("cache", options.cache_dir);
-  options.cache_max_bytes = static_cast<std::uint64_t>(
+  const double cache_bytes =
       doc.number_or("cache_max_mb",
                     static_cast<double>(options.cache_max_bytes) /
                         (1024.0 * 1024.0)) *
-      1024.0 * 1024.0);
-  options.detector.ring_capacity = static_cast<std::size_t>(doc.number_or(
-      "ring_capacity",
-      static_cast<double>(options.detector.ring_capacity)));
-  options.supervisor.max_attempts = static_cast<std::uint32_t>(doc.number_or(
-      "max_attempts",
-      static_cast<double>(options.supervisor.max_attempts)));
+      1024.0 * 1024.0;
+  if (!(cache_bytes >= 0.0 && cache_bytes < std::ldexp(1.0, 64))) {
+    throw Error(
+        "fleet spec: \"cache_max_mb\" must be a non-negative size in MiB");
+  }
+  options.cache_max_bytes = static_cast<std::uint64_t>(cache_bytes);
+  options.detector.ring_capacity = spec_integer<std::size_t>(
+      doc, "ring_capacity", options.detector.ring_capacity, 1);
+  options.supervisor.max_attempts =
+      spec_integer(doc, "max_attempts", options.supervisor.max_attempts);
   options.supervisor.backoff_base_ms =
-      static_cast<std::uint64_t>(doc.number_or(
-          "backoff_ms",
-          static_cast<double>(options.supervisor.backoff_base_ms)));
+      spec_integer(doc, "backoff_ms", options.supervisor.backoff_base_ms);
   options.supervisor.stall_timeout_s = doc.number_or(
       "stall_timeout_s", options.supervisor.stall_timeout_s);
   options.checkpoint_path =
       doc.string_or("checkpoint", options.checkpoint_path);
-  options.checkpoint_every = static_cast<std::size_t>(doc.number_or(
-      "checkpoint_every", static_cast<double>(options.checkpoint_every)));
+  options.checkpoint_every =
+      spec_integer(doc, "checkpoint_every", options.checkpoint_every);
 
   const json::Value* rigs = doc.find("rigs");
   if (rigs == nullptr || !rigs->is_array()) {
@@ -982,8 +964,7 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
     }
     RigSpec spec;
     spec.name = r.string_or("name", "");
-    spec.seed =
-        static_cast<std::uint64_t>(r.number_or("seed", 1000.0 + specs.size()));
+    spec.seed = spec_integer<std::uint64_t>(r, "seed", 1000 + specs.size());
     spec.cube_mm = r.number_or("cube_mm", spec.cube_mm);
     spec.height_mm = r.number_or("height_mm", spec.height_mm);
     spec.sabotage = parse_sabotage(r.string_or("sabotage", ""));

@@ -9,6 +9,13 @@
 
 namespace offramps::svc {
 
+const ChannelVerdict* OnlineReport::verdict(Channel c) const {
+  for (const ChannelVerdict& v : channels) {
+    if (v.channel == c) return &v;
+  }
+  return nullptr;
+}
+
 std::string OnlineReport::to_string() const {
   char buf[256];
   if (!alarmed) {
@@ -51,8 +58,9 @@ std::size_t estimate_gcode_line(const analyze::Oracle& oracle,
   return line;
 }
 
-OnlineDetector::OnlineDetector(OnlineDetectorOptions options)
-    : options_(options), ring_(options.ring_capacity) {
+OnlineDetector::OnlineDetector(OnlineDetectorOptions options,
+                               ChannelRefs refs)
+    : options_(options), ring_(options.ring_capacity), refs_(refs) {
   channels_ =
       ChannelRegistry::global().make_enabled(options_.channels, options_);
 }
@@ -203,8 +211,9 @@ OnlineReport OnlineDetector::report() const {
   OnlineReport r = report_;
   r.ring_high_water = ring_.high_water();
   r.backpressure_stalls = backpressure_stalls_;
-  r.channels.clear();
-  for (const auto& channel : channels_) channel->fill_report(r);
+  for (const auto& channel : channels_) {
+    r.channels.push_back(channel->verdict());
+  }
   return r;
 }
 

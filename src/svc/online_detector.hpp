@@ -58,7 +58,6 @@
 #include "detect/golden_free.hpp"
 #include "detect/side_channel.hpp"
 #include "detect/static_check.hpp"
-#include "plant/side_channel.hpp"
 #include "sim/ring_buffer.hpp"
 #include "svc/channel.hpp"
 
@@ -85,7 +84,7 @@ struct OnlineDetectorOptions {
   std::size_t golden_free_min_violations = 3;
 
   /// Power channel tuning (armed only when a golden trace is provided).
-  detect::PowerSignatureOptions power{};
+  detect::SideSignatureOptions power = detect::kPowerSignature;
   /// Acoustic master-signature channel tuning.  The tolerance rides the
   /// jitter-driven spread between two honest prints of the same part,
   /// which the acoustic tone weights amplify harder than power does.
@@ -121,18 +120,13 @@ struct OnlineReport {
   std::uint64_t backpressure_stalls = 0;
   bool stream_finished = false;
 
-  /// Channel detail, embeddable via the reports' to_json().
-  std::size_t compare_mismatches = 0;
-  detect::GoldenFreeReport golden_free;
-  detect::PowerReport power;
-  detect::SideReport acoustic;
-  detect::SideReport vibration;
-  bool final_counts_match = true;
-  detect::StaticCheckReport static_final;
   /// Per-channel attribution rows, one per instantiated channel, in
   /// registration order.
   std::vector<ChannelVerdict> channels;
 
+  /// The row of channel `c`; nullptr when that channel was not
+  /// instantiated.
+  [[nodiscard]] const ChannelVerdict* verdict(Channel c) const;
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -147,28 +141,14 @@ class OnlineDetector {
  public:
   using AlarmCallback = std::function<void(const OnlineReport&)>;
 
-  explicit OnlineDetector(OnlineDetectorOptions options = {});
+  /// `refs` arms the channels (golden capture, static oracle for the
+  /// final check and g-code line attribution, golden side-channel
+  /// traces); every pointee must outlive the detector.
+  explicit OnlineDetector(OnlineDetectorOptions options = {},
+                          ChannelRefs refs = {});
 
   OnlineDetector(const OnlineDetector&) = delete;
   OnlineDetector& operator=(const OnlineDetector&) = delete;
-
-  /// Arms the golden-compare (and final-counts) channel.  The capture
-  /// must outlive the detector.
-  void set_golden(const core::Capture* golden) { refs_.golden = golden; }
-  /// Arms the static-oracle final check and g-code line attribution.
-  void set_oracle(const analyze::Oracle* oracle) { refs_.oracle = oracle; }
-  /// Arms the power channel.  The trace must outlive the detector.
-  void set_golden_power(const plant::PowerTrace* trace) {
-    refs_.golden_power = trace;
-  }
-  /// Arms the acoustic master-signature channel.
-  void set_golden_acoustic(const plant::SideTrace* trace) {
-    refs_.golden_acoustic = trace;
-  }
-  /// Arms the vibration channel.
-  void set_golden_vibration(const plant::SideTrace* trace) {
-    refs_.golden_vibration = trace;
-  }
 
   /// Alarm hook, fired once on the first alarm (any channel).  The fleet
   /// orchestrator uses this for mid-print safe-stop.
@@ -178,12 +158,7 @@ class OnlineDetector {
   /// the ring is full - see the backpressure contract above.
   void submit(const core::Transaction& txn);
 
-  /// Producer side: one power sample (seconds, watts).
-  void submit_power(double t_s, double watts) {
-    submit_sample(SampleKind::kPower, t_s, watts);
-  }
-
-  /// Producer side: one side-channel sample of any kind.
+  /// Producer side: one side-channel sample (seconds, channel units).
   void submit_sample(SampleKind kind, double t_s, double value);
 
   /// Consumer side: processes up to `max_windows` queued transactions.
@@ -212,8 +187,8 @@ class OnlineDetector {
   /// instrumentation cannot change a verdict).
   void process(const core::Transaction& txn);
   void process_impl(const core::Transaction& txn);
-  /// Arms every channel with the accumulated references, once, before
-  /// the first event is delivered.
+  /// Arms every channel with the references, once, before the first
+  /// event is delivered.
   void ensure_armed();
   /// Fuses the trips one event produced into the first-alarm verdict.
   void fuse(const std::vector<ChannelTrip>& trips);

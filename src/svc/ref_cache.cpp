@@ -1,6 +1,7 @@
 #include "svc/ref_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -61,11 +62,11 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
 struct Rd {
   const std::uint8_t* data;
   std::size_t size;
-  std::size_t pos = 0;
+  std::size_t& pos;
 
   void need(std::size_t n) const {
     if (size - pos < n) {
-      throw Error("RefCache: truncated entry (need " + std::to_string(n) +
+      throw Error("truncated reference record (need " + std::to_string(n) +
                   " bytes, have " + std::to_string(size - pos) + ")");
     }
   }
@@ -92,6 +93,13 @@ struct Rd {
     return v;
   }
 };
+
+/// The three side-channel traces in body order.
+template <typename Entry>
+auto traces(Entry& entry) {
+  return std::array{&entry.golden_power, &entry.golden_acoustic,
+                    &entry.golden_vibration};
+}
 
 /// obs counters, registered eagerly at cache construction when metrics
 /// are on so a fully-warm campaign still exports "svc.cache.miss": 0.
@@ -169,42 +177,67 @@ std::string RefCache::path_for(std::uint64_t key) const {
   return options_.dir + "/" + name;
 }
 
-std::vector<std::uint8_t> RefCache::encode_entry(std::uint64_t key,
-                                                 const RefEntry& entry) {
+void encode_reference(std::vector<std::uint8_t>& out,
+                      const RefEntry& entry) {
   const auto blob = entry.golden.to_binary();
-  std::vector<std::uint8_t> out;
-  out.reserve(48 + blob.size() + 16 * entry.golden_power.size() +
-              16 * entry.golden_acoustic.size() +
-              16 * entry.golden_vibration.size());
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u16(out, kVersion);
-  put_u16(out, 0);  // reserved
-  put_u64(out, key);
   put_u64(out, blob.size());
   out.insert(out.end(), blob.begin(), blob.end());
-  put_u64(out, entry.golden_power.size());
-  for (const auto& s : entry.golden_power) {
-    put_f64(out, s.t_s);
-    put_f64(out, s.watts);
-  }
-  for (const auto* trace : {&entry.golden_acoustic, &entry.golden_vibration}) {
+  for (const plant::SideTrace* trace : traces(entry)) {
     put_u64(out, trace->size());
-    for (const auto& s : *trace) {
+    for (const plant::SideSample& s : *trace) {
       put_f64(out, s.t_s);
       put_f64(out, s.value);
     }
   }
+}
+
+RefEntry decode_reference(const std::uint8_t* data, std::size_t size,
+                          std::size_t& pos) {
+  Rd r{data, size, pos};
+  const std::uint64_t blob_len = r.u64();
+  r.need(blob_len);
+  RefEntry entry;
+  entry.golden = core::Capture::from_binary(data + pos,
+                                            static_cast<std::size_t>(blob_len));
+  pos += static_cast<std::size_t>(blob_len);
+  for (plant::SideTrace* trace : traces(entry)) {
+    const std::uint64_t n = r.u64();
+    // Each sample is 16 bytes; checking the aggregate before reserving
+    // keeps a lying count from allocating gigabytes.
+    if (n > r.remaining() / 16) {
+      throw Error("reference record: sample count exceeds the input");
+    }
+    trace->reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      plant::SideSample s;
+      s.t_s = r.f64();
+      s.value = r.f64();
+      trace->push_back(s);
+    }
+  }
+  return entry;
+}
+
+std::vector<std::uint8_t> RefCache::encode_entry(std::uint64_t key,
+                                                 const RefEntry& entry) {
+  std::vector<std::uint8_t> out;
+  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
+  put_u16(out, kVersion);
+  put_u16(out, 0);  // reserved
+  put_u64(out, key);
+  encode_reference(out, entry);
   return out;
 }
 
 RefEntry RefCache::decode_entry(const std::uint8_t* data, std::size_t size,
                                 std::uint64_t expect_key) {
-  Rd r{data, size};
+  std::size_t pos = 0;
+  Rd r{data, size, pos};
   r.need(4);
   if (std::memcmp(data, kMagic.data(), 4) != 0) {
     throw Error("RefCache: bad magic (not a reference cache entry)");
   }
-  r.pos = 4;
+  pos = 4;
   const std::uint16_t version = r.u16();
   if (version != kVersion) {
     throw Error("RefCache: unsupported entry version " +
@@ -215,39 +248,7 @@ RefEntry RefCache::decode_entry(const std::uint8_t* data, std::size_t size,
   if (key != expect_key) {
     throw Error("RefCache: entry key does not match its address");
   }
-  const std::uint64_t blob_len = r.u64();
-  r.need(blob_len);
-  RefEntry entry;
-  entry.golden = core::Capture::from_binary(data + r.pos,
-                                            static_cast<std::size_t>(blob_len));
-  r.pos += static_cast<std::size_t>(blob_len);
-  const std::uint64_t samples = r.u64();
-  // Each sample is 16 bytes; checking the aggregate before reserving
-  // keeps a lying count from allocating gigabytes.
-  if (samples > r.remaining() / 16) {
-    throw Error("RefCache: truncated entry (power sample count lies)");
-  }
-  entry.golden_power.reserve(static_cast<std::size_t>(samples));
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    plant::PowerSample s;
-    s.t_s = r.f64();
-    s.watts = r.f64();
-    entry.golden_power.push_back(s);
-  }
-  for (plant::SideTrace* trace :
-       {&entry.golden_acoustic, &entry.golden_vibration}) {
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining() / 16) {
-      throw Error("RefCache: truncated entry (side sample count lies)");
-    }
-    trace->reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      plant::SideSample s;
-      s.t_s = r.f64();
-      s.value = r.f64();
-      trace->push_back(s);
-    }
-  }
+  RefEntry entry = decode_reference(data, size, pos);
   if (r.remaining() != 0) {
     throw Error("RefCache: trailing bytes after entry");
   }

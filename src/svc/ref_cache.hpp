@@ -3,7 +3,7 @@
 // The fleet's reference phase is its single most expensive fixed cost:
 // every campaign re-simulates one golden print per distinct object even
 // though the result is a pure function of (object geometry, slicer
-// profile, reference seed, power instrumentation).  This store memoizes
+// profile, reference seed, attached side-channel probes).  This store memoizes
 // that function on disk, keyed by an FNV-1a digest of exactly those
 // inputs, so a farm daemon computes each reference once per content hash
 // and serves it from cache on every later campaign, replay, or session.
@@ -11,8 +11,9 @@
 // On-disk record (<dir>/<16-hex-digest>.ref, little endian):
 //
 //   "OFRF" magic, u16 version, u16 reserved, u64 key,
+//   then the reference body (encode_reference):
 //   u64 capture-blob length + Capture::to_binary bytes,
-//   u64 power-sample count + per sample f64 t_s + f64 watts,
+//   u64 power-sample count + per sample f64 t_s + f64 value (watts),
 //   u64 acoustic-sample count + per sample f64 t_s + f64 value,
 //   u64 vibration-sample count + per sample f64 t_s + f64 value
 //
@@ -59,14 +60,32 @@ struct RefCacheOptions {
   std::uint64_t max_bytes = 0;
 };
 
-/// One cached reference: the golden capture plus its side-channel
-/// snapshots (each trace empty when that probe was not attached).
+/// One golden reference: the clean reference print's capture plus its
+/// side-channel traces (each empty when that probe was not attached).
+/// The fleet, the daemon, the cache and the checkpoint all hold this.
 struct RefEntry {
   core::Capture golden;
-  plant::PowerTrace golden_power;
+  plant::SideTrace golden_power;
   plant::SideTrace golden_acoustic;
   plant::SideTrace golden_vibration;
+
+  /// The detector references this entry arms (`oracle` may be null).
+  [[nodiscard]] ChannelRefs refs(const analyze::Oracle* oracle) const {
+    return {&golden, oracle, &golden_power, &golden_acoustic,
+            &golden_vibration};
+  }
 };
+
+/// Reference body codec, shared by the cache record and the checkpoint:
+/// u64 capture-blob length + Capture::to_binary bytes, then for power,
+/// acoustic and vibration a u64 sample count + per sample f64 t_s +
+/// f64 value.
+void encode_reference(std::vector<std::uint8_t>& out, const RefEntry& entry);
+/// Decodes one reference body starting at `data[pos]` and advances
+/// `pos` past it.  Every length prefix is checked against the bytes left
+/// before any allocation; throws offramps::Error on malformed input.
+[[nodiscard]] RefEntry decode_reference(const std::uint8_t* data,
+                                        std::size_t size, std::size_t& pos);
 
 class RefCache {
  public:

@@ -40,27 +40,15 @@ void RigSession::on_frame(const core::wire::Frame& frame) {
           fail("session: no golden reference for object");
           return;
         }
-        detector_ = std::make_unique<OnlineDetector>(options_.detector);
-        detector_->set_golden(refs.golden);
-        if (refs.oracle != nullptr) detector_->set_oracle(refs.oracle);
-        if (refs.golden_power != nullptr && !refs.golden_power->empty()) {
-          detector_->set_golden_power(refs.golden_power);
-        }
-        if (refs.golden_acoustic != nullptr &&
-            !refs.golden_acoustic->empty()) {
-          detector_->set_golden_acoustic(refs.golden_acoustic);
-        }
-        if (refs.golden_vibration != nullptr &&
-            !refs.golden_vibration->empty()) {
-          detector_->set_golden_vibration(refs.golden_vibration);
-        }
+        detector_ = std::make_unique<OnlineDetector>(options_.detector, refs);
         break;
       }
       case FrameType::kTxn:
         detector_->submit(frame.txn);
         break;
       case FrameType::kPower:
-        detector_->submit_power(frame.power_t_s, frame.power_watts);
+        detector_->submit_sample(SampleKind::kPower, frame.power_t_s,
+                                 frame.power_watts);
         break;
       case FrameType::kSample:
         detector_->submit_sample(static_cast<SampleKind>(frame.sample_kind),

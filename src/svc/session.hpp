@@ -4,12 +4,12 @@
 // OnlineDetector in EXACTLY the order the live rig drove its own: every
 // kTxn is a producer submit (stalling losslessly when the ring fills,
 // i.e. the SPSC backpressure contract extends across the wire), every
-// kPower a power sample, every kSlot one consumer poll of the pump's
-// window budget.  Because the detector's observable state - verdict,
-// windows processed, ring high-water, stall count - is a pure function
-// of that call sequence, a session replayed from a recorded stream
-// yields a RigOutcome byte-identical to the live campaign's, without
-// running the simulator.
+// kPower or kSample a side-channel sample, every kSlot one consumer poll
+// of the pump's window budget.  Because the detector's observable state
+// - verdict, windows processed, ring high-water, stall count - is a pure
+// function of that call sequence, a session replayed from a recorded
+// stream yields a RigOutcome byte-identical to the live campaign's,
+// without running the simulator.
 //
 // Damage ladder (mirrors the supervisor's classification):
 //
@@ -33,16 +33,10 @@
 namespace offramps::svc {
 
 /// References resolved for one session's object, after its hello.  The
-/// pointees must outlive the session.  `oracle` and the side-channel
-/// traces may be null (channel disarmed, exactly like FleetOptions
-/// use_oracle / the channel set).
-struct SessionRefs {
-  const core::Capture* golden = nullptr;
-  const analyze::Oracle* oracle = nullptr;
-  const plant::PowerTrace* golden_power = nullptr;
-  const plant::SideTrace* golden_acoustic = nullptr;
-  const plant::SideTrace* golden_vibration = nullptr;
-};
+/// pointees must outlive the session.  `golden` is required; `oracle`
+/// and the side-channel traces may be null or empty (channel disarmed,
+/// exactly like FleetOptions use_oracle).
+using SessionRefs = ChannelRefs;
 
 struct SessionOptions {
   /// Detector tuning; must match the live campaign's for replay

@@ -1,5 +1,5 @@
-// Tests for the power side-channel probe and signature detection - the
-// lossy baseline the paper's direct-signal approach is compared against.
+// Tests for the side-channel probes and signature detection - the lossy
+// baseline the paper's direct-signal approach is compared against.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -45,7 +45,7 @@ TEST(PowerProbe, HeatupDrawsFullHotendPower) {
   double max_early = 0.0;
   for (const auto& s : r.power_trace) {
     if (s.t_s > 20.0) break;
-    max_early = std::max(max_early, s.watts);
+    max_early = std::max(max_early, s.value);
   }
   EXPECT_GT(max_early, 35.0);
   EXPECT_LT(max_early, 60.0);
@@ -56,7 +56,7 @@ TEST(PowerProbe, PrintingPhaseShowsMotorLoad) {
   // Mid-print: motors enabled (4 x ~4-8 W) + PID duty (~35% x 40 W).
   std::vector<double> mid;
   for (const auto& s : r.power_trace) {
-    if (s.t_s > 80.0 && s.t_s < 100.0) mid.push_back(s.watts);
+    if (s.t_s > 80.0 && s.t_s < 100.0) mid.push_back(s.value);
   }
   ASSERT_FALSE(mid.empty());
   const double mean =
@@ -69,7 +69,7 @@ TEST(PowerProbe, PrintingPhaseShowsMotorLoad) {
 TEST(PowerSignature, CleanReprintPassesDespiteNoise) {
   const auto golden = probed_run(object(), 1).power_trace;
   const auto reprint = probed_run(object(), 31337).power_trace;
-  const PowerReport rep = compare_power(golden, reprint);
+  const SideReport rep = compare_side(golden, reprint, kPowerSignature);
   EXPECT_FALSE(rep.sabotage_likely) << rep.to_string();
 }
 
@@ -81,9 +81,9 @@ TEST(PowerSignature, HeaterDosIsObvious) {
                           .delay_after_homing_s = 10.0};
   const auto golden = probed_run(object(), 1).power_trace;
   const auto attacked = probed_run(object(), 7, cfg).power_trace;
-  const PowerReport rep = compare_power(golden, attacked);
+  const SideReport rep = compare_side(golden, attacked, kPowerSignature);
   EXPECT_TRUE(rep.sabotage_likely) << rep.to_string();
-  EXPECT_GT(rep.largest_delta_w, 8.0);
+  EXPECT_GT(rep.largest_delta, 8.0);
 }
 
 TEST(PowerSignature, SubtleReductionIsInvisible) {
@@ -95,12 +95,12 @@ TEST(PowerSignature, SubtleReductionIsInvisible) {
       gcode::flaw3d::apply_reduction(object(), {.factor = 0.98});
   const auto golden = probed_run(object(), 1).power_trace;
   const auto attacked = probed_run(mutated, 7).power_trace;
-  const PowerReport rep = compare_power(golden, attacked);
+  const SideReport rep = compare_side(golden, attacked, kPowerSignature);
   EXPECT_FALSE(rep.sabotage_likely) << rep.to_string();
 }
 
 TEST(WindowMeans, ReducesCorrectly) {
-  plant::PowerTrace trace;
+  plant::SideTrace trace;
   for (int i = 0; i < 40; ++i) {
     trace.push_back({static_cast<double>(i) * 0.05,
                      i < 20 ? 10.0 : 30.0});
@@ -112,7 +112,6 @@ TEST(WindowMeans, ReducesCorrectly) {
 }
 
 TEST(WindowMeans, EmptyTrace) {
-  EXPECT_TRUE(window_means(plant::PowerTrace{}, 1.0).empty());
   EXPECT_TRUE(window_means(plant::SideTrace{}, 1.0).empty());
 }
 
@@ -280,20 +279,6 @@ TEST(SideReport, Rendering) {
   EXPECT_NE(text.find("Window"), std::string::npos);
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"windows_compared\""), std::string::npos);
-}
-
-TEST(PowerReport, Rendering) {
-  plant::PowerTrace g, o;
-  for (int i = 0; i < 200; ++i) {
-    g.push_back({i * 0.05, 20.0});
-    o.push_back({i * 0.05, i > 100 ? 50.0 : 20.0});
-  }
-  const PowerReport rep = compare_power(g, o);
-  EXPECT_TRUE(rep.sabotage_likely);
-  const std::string text = rep.to_string(2);
-  EXPECT_NE(text.find("Sabotage likely (power signature)!"),
-            std::string::npos);
-  EXPECT_NE(text.find("Window"), std::string::npos);
 }
 
 }  // namespace

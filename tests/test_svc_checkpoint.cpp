@@ -18,9 +18,11 @@ using offramps::Error;
 using offramps::core::Capture;
 using offramps::core::Transaction;
 using offramps::svc::campaign_digest;
+using offramps::svc::Channel;
+using offramps::svc::ChannelVerdict;
 using offramps::svc::Checkpoint;
 using offramps::svc::FleetOptions;
-using offramps::svc::ReferenceSnapshot;
+using offramps::svc::RefEntry;
 using offramps::svc::RigOutcome;
 using offramps::svc::RigSpec;
 using offramps::svc::RigStatus;
@@ -46,7 +48,7 @@ Checkpoint sample_checkpoint() {
   ck.spec_digest = 0xDEADBEEFCAFEF00Dull;
   ck.total_rigs = 3;
 
-  ReferenceSnapshot ref;
+  RefEntry ref;
   ref.golden = small_capture();
   ref.golden_power = {{0.0, 11.5}, {0.1, 12.25}, {0.2, 13.0}};
   ck.references.push_back(std::move(ref));
@@ -72,12 +74,13 @@ Checkpoint sample_checkpoint() {
   out.detector.alarm_tick_ns = 1'700'000'000ull;
   out.detector.windows_processed = 42;
   out.detector.ring_high_water = 9;
-  out.detector.compare_mismatches = 3;
-  out.detector.golden_free.violations.resize(2);
-  out.detector.power.windows_compared = 12;
-  out.detector.power.mismatches.resize(1);
-  out.detector.final_counts_match = false;
-  out.detector.static_final.trojan_suspected = true;
+  out.detector.channels = {
+      {Channel::kGoldenCompare, true, true, 17, 40, 3},
+      {Channel::kGoldenFree, true, false, 0, 42, 2},
+      {Channel::kPower, true, false, 0, 12, 1},
+      {Channel::kFinalCounts, true, true, 41, 1, 1},
+      {Channel::kStaticOracle, false, false, 0, 0, 0},
+  };
   ck.done.emplace_back(1, std::move(out));
   return ck;
 }
@@ -92,7 +95,7 @@ TEST(Checkpoint, BinaryRoundTrip) {
   EXPECT_EQ(back.references[0].golden.size(), 4u);
   EXPECT_EQ(back.references[0].golden.label, "golden-0");
   ASSERT_EQ(back.references[0].golden_power.size(), 3u);
-  EXPECT_DOUBLE_EQ(back.references[0].golden_power[1].watts, 12.25);
+  EXPECT_DOUBLE_EQ(back.references[0].golden_power[1].value, 12.25);
 
   ASSERT_EQ(back.done.size(), 1u);
   EXPECT_EQ(back.done[0].first, 1u);
@@ -109,12 +112,24 @@ TEST(Checkpoint, BinaryRoundTrip) {
   EXPECT_EQ(out.final_counts[3], 40);
   EXPECT_TRUE(out.detector.alarmed_mid_print);
   EXPECT_EQ(out.detector.windows_processed, 42u);
-  // Nested reports round-trip as counts (all to_json ever renders).
-  EXPECT_EQ(out.detector.golden_free.violations.size(), 2u);
-  EXPECT_EQ(out.detector.power.windows_compared, 12u);
-  EXPECT_EQ(out.detector.power.mismatches.size(), 1u);
-  EXPECT_FALSE(out.detector.final_counts_match);
-  EXPECT_TRUE(out.detector.static_final.trojan_suspected);
+  // The verdict rows round-trip whole, in order: the report derives
+  // every per-channel count it renders from them.
+  const std::vector<ChannelVerdict>& rows = out.detector.channels;
+  const std::vector<ChannelVerdict>& want =
+      ck.done[0].second.detector.channels;
+  ASSERT_EQ(rows.size(), want.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].channel, want[i].channel) << "row " << i;
+    EXPECT_EQ(rows[i].armed, want[i].armed) << "row " << i;
+    EXPECT_EQ(rows[i].tripped, want[i].tripped) << "row " << i;
+    EXPECT_EQ(rows[i].trip_window, want[i].trip_window) << "row " << i;
+    EXPECT_EQ(rows[i].windows_compared, want[i].windows_compared)
+        << "row " << i;
+    EXPECT_EQ(rows[i].mismatches, want[i].mismatches) << "row " << i;
+  }
+  EXPECT_EQ(out.detector.verdict(Channel::kGoldenFree)->mismatches, 2u);
+  EXPECT_EQ(out.detector.verdict(Channel::kPower)->windows_compared, 12u);
+  EXPECT_EQ(out.detector.verdict(Channel::kAcoustic), nullptr);
 }
 
 TEST(Checkpoint, RejectsBadMagicAndVersion) {
@@ -136,6 +151,20 @@ TEST(Checkpoint, RejectsBadMagicAndVersion) {
     EXPECT_NE(what.find("version"), std::string::npos);
     EXPECT_NE(what.find(std::to_string(Checkpoint::kVersion)),
               std::string::npos);
+  }
+
+  // A v2 checkpoint (which stored per-channel counts beside the verdict
+  // rows) is a version error, not a misparse.
+  std::vector<std::uint8_t> v2 = bytes;
+  v2[4] = 2;
+  v2[5] = 0;
+  try {
+    Checkpoint::from_binary(v2);
+    FAIL() << "a v2 checkpoint must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 2"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -114,6 +114,46 @@ TEST(Fleet, SpecsFromJson) {
   EXPECT_EQ(specs[1].sabotage.kind, Sabotage::Kind::kNone);
 }
 
+// The report's per-channel keys are read off the verdict rows; a channel
+// that was not instantiated (disabled group, lost rig) renders as 0, its
+// final counts as matching and the static oracle as quiet.
+TEST(FleetReport, PerChannelKeysRenderFromVerdictRows) {
+  using offramps::svc::Channel;
+  FleetReport report;
+  report.rigs.resize(2);
+  report.rigs[0].detector.channels = {
+      {Channel::kGoldenCompare, true, true, 9, 40, 3},
+      {Channel::kGoldenFree, true, false, 0, 41, 2},
+      {Channel::kPower, true, false, 0, 12, 1},
+      {Channel::kAcoustic, true, false, 0, 13, 4},
+      {Channel::kVibration, true, false, 0, 14, 5},
+      {Channel::kFinalCounts, true, true, 40, 1, 1},
+      {Channel::kStaticOracle, true, true, 40, 1, 1},
+  };
+  const std::string json = report.to_json();
+  const std::size_t second =
+      json.find("\"name\"", json.find("\"name\"") + 1);
+  ASSERT_NE(second, std::string::npos);
+  const std::string first = json.substr(0, second);
+  const std::string rest = json.substr(second);
+  for (const char* key :
+       {"\"compare_mismatches\": 3", "\"golden_free_violations\": 2",
+        "\"power_windows_compared\": 12", "\"power_mismatches\": 1",
+        "\"acoustic_windows_compared\": 13", "\"acoustic_mismatches\": 4",
+        "\"vibration_windows_compared\": 14",
+        "\"vibration_mismatches\": 5", "\"final_counts_match\": false",
+        "\"static_trojan_suspected\": true"}) {
+    EXPECT_NE(first.find(key), std::string::npos) << key;
+  }
+  for (const char* key :
+       {"\"compare_mismatches\": 0", "\"golden_free_violations\": 0",
+        "\"power_windows_compared\": 0", "\"vibration_mismatches\": 0",
+        "\"final_counts_match\": true",
+        "\"static_trojan_suspected\": false"}) {
+    EXPECT_NE(rest.find(key), std::string::npos) << key;
+  }
+}
+
 TEST(Fleet, SpecsFromJsonRejectsMalformed) {
   FleetOptions options;
   EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": \"nope\" }", options),
@@ -121,6 +161,34 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
   EXPECT_THROW(Fleet::specs_from_json("not json", options), offramps::Error);
   EXPECT_THROW(Fleet::specs_from_json(
                    "{ \"rigs\": [{\"sabotage\": \"bogus\"}] }", options),
+               offramps::Error);
+  // Integer fields: negative, fractional, out of range or non-finite
+  // numbers are spec errors that name the key, never silent casts.
+  for (const std::string& bad :
+       {std::string("\"workers\": -1"), std::string("\"workers\": 2.5"),
+        std::string("\"ring_capacity\": -1"),
+        std::string("\"ring_capacity\": 0"),
+        std::string("\"checkpoint_every\": -3"),
+        std::string("\"max_attempts\": 4294967296"),
+        std::string("\"backoff_ms\": 1e300"),
+        std::string("\"reference_seed\": -42"),
+        std::string("\"cache_max_mb\": -1")}) {
+    const std::string text = "{ " + bad + ", \"rigs\": [{}] }";
+    try {
+      FleetOptions o;
+      Fleet::specs_from_json(text, o);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const offramps::Error& e) {
+      const std::string key = bad.substr(0, bad.find(':'));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": [{\"seed\": -1}] }",
+                                      options),
+               offramps::Error);
+  EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": [{\"seed\": 1.5}] }",
+                                      options),
                offramps::Error);
 }
 
@@ -250,7 +318,8 @@ TEST(FleetChaos, PowerJamDegradesRingWedgeIsAbsorbed) {
   // final attempt runs without the power channel and succeeds.
   EXPECT_EQ(report.rigs[0].status, RigStatus::kDegraded);
   EXPECT_EQ(report.rigs[0].attempts, 3u);
-  EXPECT_EQ(report.rigs[0].detector.power.windows_compared, 0u);
+  EXPECT_EQ(report.rigs[0].detector.verdict(offramps::svc::Channel::kPower),
+            nullptr);
   EXPECT_TRUE(report.rigs[0].print_finished);
 
   // ringwedge stops the pump draining; the ring's lossless backpressure

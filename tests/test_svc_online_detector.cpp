@@ -54,8 +54,7 @@ TEST(OnlineDetector, FirstWindowAlarm) {
   const Capture golden = make_golden(10);
   OnlineDetectorOptions options = quiet_options();
   options.consecutive_to_alarm = 1;  // no debounce: trust window 0
-  OnlineDetector det(options);
-  det.set_golden(&golden);
+  OnlineDetector det(options, {.golden = &golden});
 
   std::size_t alarm_callbacks = 0;
   det.on_alarm([&](const OnlineReport&) { ++alarm_callbacks; });
@@ -72,15 +71,14 @@ TEST(OnlineDetector, FirstWindowAlarm) {
   EXPECT_EQ(report.alarm_window, 0u);
   EXPECT_EQ(report.alarm_tick_ns, bad.time_ns);
   EXPECT_EQ(alarm_callbacks, 1u);
-  EXPECT_GE(report.compare_mismatches, 1u);
+  EXPECT_GE(report.verdict(Channel::kGoldenCompare)->mismatches, 1u);
 }
 
 TEST(OnlineDetector, DebounceHoldsOneOffSpike) {
   const Capture golden = make_golden(10);
   OnlineDetectorOptions options = quiet_options();
   options.consecutive_to_alarm = 2;
-  OnlineDetector det(options);
-  det.set_golden(&golden);
+  OnlineDetector det(options, {.golden = &golden});
 
   // One bad window surrounded by clean ones never alarms at debounce 2.
   for (std::size_t i = 0; i < golden.transactions.size(); ++i) {
@@ -90,7 +88,7 @@ TEST(OnlineDetector, DebounceHoldsOneOffSpike) {
   }
   det.drain();
   EXPECT_FALSE(det.alarmed());
-  EXPECT_EQ(det.report().compare_mismatches, 1u);
+  EXPECT_EQ(det.report().verdict(Channel::kGoldenCompare)->mismatches, 1u);
 }
 
 TEST(OnlineDetector, BackpressureStallsLoseNothing) {
@@ -98,8 +96,7 @@ TEST(OnlineDetector, BackpressureStallsLoseNothing) {
   const Capture golden = make_golden(kStream);
   OnlineDetectorOptions options = quiet_options();
   options.ring_capacity = 8;
-  OnlineDetector det(options);
-  det.set_golden(&golden);
+  OnlineDetector det(options, {.golden = &golden});
 
   // Stalled consumer: submit the whole stream without a single poll.
   // The ring must saturate, the producer must stall-and-drain, and every
@@ -113,7 +110,7 @@ TEST(OnlineDetector, BackpressureStallsLoseNothing) {
   // mismatches (a dropped/duplicated/reordered window would pair against
   // the wrong golden counts and mismatch).
   EXPECT_EQ(report.windows_processed, kStream);
-  EXPECT_EQ(report.compare_mismatches, 0u);
+  EXPECT_EQ(report.verdict(Channel::kGoldenCompare)->mismatches, 0u);
   EXPECT_FALSE(report.alarmed);
   // Backpressure was actually exercised, and memory stayed bounded.
   EXPECT_GT(report.backpressure_stalls, 0u);
@@ -128,8 +125,7 @@ TEST(OnlineDetector, ProducerStallAtExactRingCapacityBoundary) {
   // producer never has to stall.
   {
     const Capture golden = make_golden(options.ring_capacity);
-    OnlineDetector det(options);
-    det.set_golden(&golden);
+    OnlineDetector det(options, {.golden = &golden});
     for (const Transaction& txn : golden.transactions) det.submit(txn);
     EXPECT_EQ(det.queued(), options.ring_capacity);
     EXPECT_EQ(det.report().backpressure_stalls, 0u);
@@ -137,29 +133,27 @@ TEST(OnlineDetector, ProducerStallAtExactRingCapacityBoundary) {
     const OnlineReport report = det.report();
     EXPECT_EQ(report.windows_processed, options.ring_capacity);
     EXPECT_EQ(report.ring_high_water, options.ring_capacity);
-    EXPECT_EQ(report.compare_mismatches, 0u);
+    EXPECT_EQ(report.verdict(Channel::kGoldenCompare)->mismatches, 0u);
   }
 
   // One past capacity: the first submit that finds the ring full is the
   // first stall, and the overflow window is drained, not dropped.
   {
     const Capture golden = make_golden(options.ring_capacity + 1);
-    OnlineDetector det(options);
-    det.set_golden(&golden);
+    OnlineDetector det(options, {.golden = &golden});
     for (const Transaction& txn : golden.transactions) det.submit(txn);
     det.drain();
     const OnlineReport report = det.report();
     EXPECT_EQ(report.backpressure_stalls, 1u);
     EXPECT_EQ(report.windows_processed, options.ring_capacity + 1);
-    EXPECT_EQ(report.compare_mismatches, 0u);
+    EXPECT_EQ(report.verdict(Channel::kGoldenCompare)->mismatches, 0u);
     EXPECT_FALSE(report.alarmed);
   }
 }
 
 TEST(OnlineDetector, PollInBatchesMatchesDrain) {
   const Capture golden = make_golden(30);
-  OnlineDetector det(quiet_options());
-  det.set_golden(&golden);
+  OnlineDetector det(quiet_options(), {.golden = &golden});
   std::size_t polled = 0;
   for (std::size_t i = 0; i < golden.transactions.size(); ++i) {
     det.submit(golden.transactions[i]);
@@ -174,8 +168,7 @@ TEST(OnlineDetector, PollInBatchesMatchesDrain) {
 TEST(OnlineDetector, StreamLengthOverrunAlarms) {
   const Capture golden = make_golden(20);
   OnlineDetectorOptions options = quiet_options();
-  OnlineDetector det(options);
-  det.set_golden(&golden);
+  OnlineDetector det(options, {.golden = &golden});
 
   // Replay the golden stream, then keep the stream alive well past the
   // compare length tolerance plus the slack window budget.
@@ -197,7 +190,7 @@ TEST(OnlineDetector, StreamLengthOverrunAlarms) {
 TEST(OnlineDetector, GoldenFreeChannelNeedsNoReference) {
   OnlineDetectorOptions options;  // golden_free on by default
   options.golden_free_min_violations = 3;
-  OnlineDetector det(options);  // note: no set_golden()
+  OnlineDetector det(options);  // note: no golden reference
 
   // Impossible kinematics: ~10 m of X travel per 0.1 s window.
   Transaction txn;
@@ -212,14 +205,13 @@ TEST(OnlineDetector, GoldenFreeChannelNeedsNoReference) {
   EXPECT_TRUE(report.alarmed);
   EXPECT_TRUE(report.alarmed_mid_print);
   EXPECT_EQ(report.first_channel, Channel::kGoldenFree);
-  EXPECT_GE(report.golden_free.violations.size(),
+  EXPECT_GE(report.verdict(Channel::kGoldenFree)->mismatches,
             options.golden_free_min_violations);
 }
 
 TEST(OnlineDetector, FinalCountsCheckIsPostPrint) {
   const Capture golden = make_golden(10);
-  OnlineDetector det(quiet_options());
-  det.set_golden(&golden);
+  OnlineDetector det(quiet_options(), {.golden = &golden});
 
   // The windowed stream is clean...
   for (const Transaction& txn : golden.transactions) det.submit(txn);
@@ -235,13 +227,12 @@ TEST(OnlineDetector, FinalCountsCheckIsPostPrint) {
   EXPECT_TRUE(report.alarmed);
   EXPECT_FALSE(report.alarmed_mid_print);  // fired after the stream ended
   EXPECT_EQ(report.first_channel, Channel::kFinalCounts);
-  EXPECT_FALSE(report.final_counts_match);
+  EXPECT_EQ(report.verdict(Channel::kFinalCounts)->mismatches, 1u);
 }
 
 TEST(OnlineDetector, CleanStreamStaysClean) {
   const Capture golden = make_golden(25);
-  OnlineDetector det(quiet_options());
-  det.set_golden(&golden);
+  OnlineDetector det(quiet_options(), {.golden = &golden});
   for (const Transaction& txn : golden.transactions) {
     det.submit(txn);
     det.poll(1);
@@ -250,7 +241,7 @@ TEST(OnlineDetector, CleanStreamStaysClean) {
   const OnlineReport report = det.report();
   EXPECT_FALSE(report.alarmed);
   EXPECT_TRUE(report.stream_finished);
-  EXPECT_TRUE(report.final_counts_match);
+  EXPECT_EQ(report.verdict(Channel::kFinalCounts)->mismatches, 0u);
   EXPECT_EQ(report.first_channel, Channel::kNone);
   EXPECT_EQ(report.windows_processed, golden.transactions.size());
 }

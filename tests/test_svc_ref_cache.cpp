@@ -49,7 +49,7 @@ RefEntry sample_entry(std::size_t txns, std::size_t power_samples,
   entry.golden.final_counts = {100, 200, 0, 300};
   for (std::size_t i = 0; i < power_samples; ++i) {
     entry.golden_power.push_back(
-        {.t_s = 0.25 * static_cast<double>(i), .watts = 10.0 + i});
+        {.t_s = 0.25 * static_cast<double>(i), .value = 10.0 + i});
   }
   for (std::size_t i = 0; i < side_samples; ++i) {
     entry.golden_acoustic.push_back(
@@ -118,7 +118,7 @@ TEST(RefCacheCodec, RoundTripPreservesEverything) {
   ASSERT_EQ(back.golden_power.size(), entry.golden_power.size());
   for (std::size_t i = 0; i < back.golden_power.size(); ++i) {
     EXPECT_DOUBLE_EQ(back.golden_power[i].t_s, entry.golden_power[i].t_s);
-    EXPECT_DOUBLE_EQ(back.golden_power[i].watts, entry.golden_power[i].watts);
+    EXPECT_DOUBLE_EQ(back.golden_power[i].value, entry.golden_power[i].value);
   }
   ASSERT_EQ(back.golden_acoustic.size(), entry.golden_acoustic.size());
   for (std::size_t i = 0; i < back.golden_acoustic.size(); ++i) {

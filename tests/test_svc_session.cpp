@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,12 @@ using offramps::core::wire::SessionMeta;
 using offramps::core::wire::SessionRecorder;
 using offramps::host::ChaosInjector;
 using offramps::host::parse_chaos;
+using offramps::plant::SideTrace;
 using offramps::svc::RigOutcome;
 using offramps::svc::RigSession;
 using offramps::svc::RigStatus;
 using offramps::svc::SessionOptions;
+using offramps::svc::SampleKind;
 using offramps::svc::SessionRefs;
 
 /// A plausible golden print: monotone counts, steady cadence.
@@ -132,6 +135,41 @@ TEST(RigSession, CleanStreamIsOkWithEndFactsMapped) {
                 golden.final_counts[0], golden.final_counts[1],
                 golden.final_counts[2], golden.final_counts[3]}));
   EXPECT_EQ(out.attempts, 1u);
+}
+
+// Session frames arrive from sockets and --replay files.  A sample timed
+// far past the print, before the first sample, or not at all (NaN, inf)
+// must neither hang the side channel - which once closed every empty
+// window up to the claimed time one by one - nor count against the
+// print.
+TEST(RigSession, HostileSampleTimesReturnPromptly) {
+  const Capture golden = synthetic_golden();
+  SideTrace acoustic;
+  for (int i = 0; i < 200; ++i) acoustic.push_back({i * 0.05, 40.0});
+  const auto kind = static_cast<std::uint8_t>(SampleKind::kAcoustic);
+  for (const double t : {1e8, 1e9, 1e12, -5.0,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    SessionRecorder rec;
+    rec.hello(clean_hello());
+    rec.sample(kind, 0.0, 40.0);
+    rec.sample(kind, t, 40.0);
+    rec.finish(golden);
+    rec.end({.print_finished = true,
+             .safe_stopped = false,
+             .sim_seconds = 42.5,
+             .final_counts = {golden.final_counts[0], golden.final_counts[1],
+                              golden.final_counts[2],
+                              golden.final_counts[3]}});
+    RigSession session(quiet_options(), [&](const SessionHello&) {
+      return SessionRefs{.golden = &golden, .golden_acoustic = &acoustic};
+    });
+    session.feed(rec.bytes().data(), rec.bytes().size());
+    session.close();
+    const RigOutcome out = session.outcome();
+    EXPECT_EQ(out.status, RigStatus::kOk) << "t=" << t;
+    EXPECT_FALSE(out.detector.alarmed) << "t=" << t;
+  }
 }
 
 TEST(RigSession, ChunkedFeedMatchesWholeBuffer) {
