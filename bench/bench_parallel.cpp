@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/bytes.hpp"
 
 using namespace offramps;
 
@@ -29,24 +30,18 @@ namespace {
 /// counts, motor steps, part metrics).  Equal digests across worker
 /// counts == equal simulations.
 std::uint64_t digest(const host::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  };
+  core::Fnv1a f;
   for (const auto& txn : r.capture.transactions) {
-    mix(txn.time_ns);
-    for (const auto c : txn.counts) mix(static_cast<std::uint64_t>(c));
+    f.u64(txn.time_ns);
+    for (const auto c : txn.counts) f.u64(static_cast<std::uint64_t>(c));
   }
   for (const auto c : r.capture.final_counts) {
-    mix(static_cast<std::uint64_t>(c));
+    f.u64(static_cast<std::uint64_t>(c));
   }
-  for (const auto s : r.motor_steps) mix(static_cast<std::uint64_t>(s));
-  mix(static_cast<std::uint64_t>(r.part.total_filament_mm * 1e6));
-  mix(r.events_executed);
-  return h;
+  for (const auto s : r.motor_steps) f.u64(static_cast<std::uint64_t>(s));
+  f.u64(static_cast<std::uint64_t>(r.part.total_filament_mm * 1e6));
+  f.u64(r.events_executed);
+  return f.value();
 }
 
 struct BatchOut {

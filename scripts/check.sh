@@ -32,7 +32,8 @@ if [[ "${fuzz}" -eq 1 ]]; then
   echo "==> build fuzz targets"
   cmake --build --preset fuzz -j "${jobs}"
   for target in fuzz_gcode_parser fuzz_capture_binary fuzz_svc_json \
-                fuzz_session_wire fuzz_ref_cache fuzz_checkpoint; do
+                fuzz_session_wire fuzz_ref_cache fuzz_checkpoint \
+                fuzz_bytes_reader; do
     corpus="tests/fuzz_corpus/${target#fuzz_}"
     case "${target}" in
       fuzz_gcode_parser)   corpus=tests/fuzz_corpus/gcode ;;
@@ -41,6 +42,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
       fuzz_session_wire)   corpus=tests/fuzz_corpus/session ;;
       fuzz_ref_cache)      corpus=tests/fuzz_corpus/refcache ;;
       fuzz_checkpoint)     corpus=tests/fuzz_corpus/checkpoint ;;
+      fuzz_bytes_reader)   corpus=tests/fuzz_corpus/bytes ;;
     esac
     echo "==> ${target}: corpus replay + ${budget}s mutation run"
     "./build-fuzz/fuzz/${target}" --time "${budget}" "${corpus}"

@@ -1,9 +1,10 @@
 #include "core/capture.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 
+#include "core/bytes.hpp"
 #include "sim/error.hpp"
 
 namespace offramps::core {
@@ -22,13 +23,7 @@ std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t len) {
 
 std::array<std::uint8_t, 16> Transaction::to_bytes() const {
   std::array<std::uint8_t, 16> out{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto v = static_cast<std::uint32_t>(counts[i]);
-    out[i * 4 + 0] = static_cast<std::uint8_t>(v & 0xFF);
-    out[i * 4 + 1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
-    out[i * 4 + 2] = static_cast<std::uint8_t>((v >> 16) & 0xFF);
-    out[i * 4 + 3] = static_cast<std::uint8_t>((v >> 24) & 0xFF);
-  }
+  for (std::size_t i = 0; i < 4; ++i) store_le(out.data() + 4 * i, counts[i]);
   return out;
 }
 
@@ -39,12 +34,7 @@ Transaction Transaction::from_bytes(const std::array<std::uint8_t, 16>& bytes,
   t.index = index;
   t.time_ns = time_ns;
   for (std::size_t i = 0; i < 4; ++i) {
-    std::uint32_t v = 0;
-    v |= static_cast<std::uint32_t>(bytes[i * 4 + 0]);
-    v |= static_cast<std::uint32_t>(bytes[i * 4 + 1]) << 8;
-    v |= static_cast<std::uint32_t>(bytes[i * 4 + 2]) << 16;
-    v |= static_cast<std::uint32_t>(bytes[i * 4 + 3]) << 24;
-    t.counts[i] = static_cast<std::int32_t>(v);
+    t.counts[i] = load_le<std::int32_t>(bytes.data() + 4 * i);
   }
   return t;
 }
@@ -54,15 +44,10 @@ std::array<std::uint8_t, Transaction::kFrameSize> Transaction::to_frame()
   std::array<std::uint8_t, kFrameSize> f{};
   f[0] = kMagic0;
   f[1] = kMagic1;
-  f[2] = static_cast<std::uint8_t>(index & 0xFF);
-  f[3] = static_cast<std::uint8_t>((index >> 8) & 0xFF);
-  f[4] = static_cast<std::uint8_t>((index >> 16) & 0xFF);
-  f[5] = static_cast<std::uint8_t>((index >> 24) & 0xFF);
+  store_le(f.data() + 2, index);
   const auto payload = to_bytes();
-  for (std::size_t i = 0; i < payload.size(); ++i) f[6 + i] = payload[i];
-  const std::uint16_t crc = crc16_ccitt(f.data() + 2, 20);
-  f[22] = static_cast<std::uint8_t>(crc & 0xFF);
-  f[23] = static_cast<std::uint8_t>((crc >> 8) & 0xFF);
+  std::copy(payload.begin(), payload.end(), f.begin() + 6);
+  store_le(f.data() + 22, crc16_ccitt(f.data() + 2, 20));
   return f;
 }
 
@@ -70,17 +55,14 @@ std::optional<Transaction> Transaction::from_frame(
     const std::array<std::uint8_t, kFrameSize>& frame,
     std::uint64_t time_ns) {
   if (frame[0] != kMagic0 || frame[1] != kMagic1) return std::nullopt;
-  const std::uint16_t want = static_cast<std::uint16_t>(
-      frame[22] | (static_cast<std::uint16_t>(frame[23]) << 8));
-  if (crc16_ccitt(frame.data() + 2, 20) != want) return std::nullopt;
-  std::uint32_t index = 0;
-  index |= static_cast<std::uint32_t>(frame[2]);
-  index |= static_cast<std::uint32_t>(frame[3]) << 8;
-  index |= static_cast<std::uint32_t>(frame[4]) << 16;
-  index |= static_cast<std::uint32_t>(frame[5]) << 24;
+  if (crc16_ccitt(frame.data() + 2, 20) !=
+      load_le<std::uint16_t>(frame.data() + 22)) {
+    return std::nullopt;
+  }
   std::array<std::uint8_t, 16> payload{};
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = frame[6 + i];
-  return from_bytes(payload, index, time_ns);
+  std::copy_n(frame.begin() + 6, payload.size(), payload.begin());
+  return from_bytes(payload, load_le<std::uint32_t>(frame.data() + 2),
+                    time_ns);
 }
 
 std::string Capture::to_csv() const {
@@ -186,65 +168,7 @@ Capture Capture::from_csv(const std::string& text, std::string label) {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-/// Bounds-checked little-endian reader over the input buffer.
-struct BinReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (size - pos < n) {
-      throw Error("Capture::from_binary: truncated input (need " +
-                  std::to_string(n) + " bytes at offset " +
-                  std::to_string(pos) + ", have " +
-                  std::to_string(size - pos) + ")");
-    }
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        data[pos] | (static_cast<std::uint16_t>(data[pos + 1]) << 8));
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-};
-
-constexpr std::uint8_t kBinMagic[4] = {'O', 'F', 'R', 'C'};
+constexpr std::string_view kBinMagic = "OFRC";
 
 /// Serialized size of one transaction record: u32 index + 4 x i32
 /// counts + u64 time_ns.  The count-prefix bound below divides by this,
@@ -256,83 +180,51 @@ constexpr std::size_t kBinRecordBytes = 28;
 std::vector<std::uint8_t> Capture::to_binary() const {
   std::vector<std::uint8_t> out;
   out.reserve(24 + label.size() + transactions.size() * kBinRecordBytes + 32);
-  for (const std::uint8_t b : kBinMagic) out.push_back(b);
-  put_u16(out, kBinaryVersion);
-  put_u16(out, print_completed ? 1 : 0);
-  put_u32(out, static_cast<std::uint32_t>(label.size()));
-  out.insert(out.end(), label.begin(), label.end());
-  put_u64(out, transactions.size());
+  ByteWriter w(out);
+  w.bytes(kBinMagic.data(), kBinMagic.size());
+  w.u16(kBinaryVersion);
+  w.u16(print_completed ? 1 : 0);
+  w.str(label);
+  w.u64(transactions.size());
   for (const Transaction& t : transactions) {
-    put_u32(out, t.index);
-    for (const std::int32_t c : t.counts) {
-      put_u32(out, static_cast<std::uint32_t>(c));
-    }
-    put_u64(out, t.time_ns);
+    w.u32(t.index);
+    for (const std::int32_t c : t.counts) w.u32(static_cast<std::uint32_t>(c));
+    w.u64(t.time_ns);
   }
-  for (const std::int64_t c : final_counts) {
-    put_u64(out, static_cast<std::uint64_t>(c));
-  }
+  for (const std::int64_t c : final_counts) w.i64(c);
   return out;
 }
 
 Capture Capture::from_binary(const std::uint8_t* data, std::size_t size) {
-  BinReader r{data, size};
-  r.need(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (data[i] != kBinMagic[i]) {
-      throw Error("Capture::from_binary: bad magic (not a capture file)");
-    }
-  }
-  r.pos = 4;
+  ByteReader r(data, size, "Capture::from_binary");
+  r.magic(kBinMagic, "not a capture file");
   const std::uint16_t version = r.u16();
   if (version != kBinaryVersion) {
-    throw Error("Capture::from_binary: unsupported format version " +
-                std::to_string(version));
+    r.fail("unsupported format version " + std::to_string(version));
   }
   Capture cap;
   cap.print_completed = (r.u16() & 1) != 0;
-  const std::uint32_t label_len = r.u32();
-  r.need(label_len);
-  cap.label.assign(reinterpret_cast<const char*>(data + r.pos), label_len);
-  r.pos += label_len;
-  const std::uint64_t count = r.u64();
-  // Reject a count the remaining bytes cannot possibly hold before
-  // reserving storage for it (a corrupt prefix must not OOM the host).
-  if ((r.size - r.pos) / kBinRecordBytes < count) {
-    throw Error("Capture::from_binary: truncated input (transaction count "
-                "exceeds remaining bytes)");
-  }
-  cap.transactions.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  cap.label = r.str(ByteReader::kUncapped, "label");
+  const std::size_t count = r.count(kBinRecordBytes, "transaction count");
+  cap.transactions.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     Transaction t;
     t.index = r.u32();
-    for (std::size_t a = 0; a < 4; ++a) {
-      t.counts[a] = static_cast<std::int32_t>(r.u32());
-    }
+    for (std::int32_t& c : t.counts) c = static_cast<std::int32_t>(r.u32());
     t.time_ns = r.u64();
     cap.transactions.push_back(t);
   }
-  for (std::size_t a = 0; a < 4; ++a) {
-    cap.final_counts[a] = static_cast<std::int64_t>(r.u64());
-  }
+  for (std::int64_t& c : cap.final_counts) c = r.i64();
+  r.finish();
   return cap;
 }
 
 void Capture::save_binary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw Error("Capture::save_binary: cannot open " + path);
-  const std::vector<std::uint8_t> bytes = to_binary();
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw Error("Capture::save_binary: write failed for " + path);
+  write_file_atomic(path, to_binary(), "Capture::save_binary");
 }
 
 Capture Capture::load_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("Capture::load_binary: cannot open " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return from_binary(bytes.data(), bytes.size());
+  return from_binary(read_file(path, "Capture::load_binary"));
 }
 
 }  // namespace offramps::core

@@ -76,23 +76,25 @@ struct Capture {
   static Capture from_csv(const std::string& text, std::string label = {});
 
   /// Binary serialization, for fleet runs that persist/replay captures.
-  /// Layout (all little endian): "OFRC" magic, u16 format version, u16
-  /// flags (bit 0 = print_completed), u32 label length + label bytes,
-  /// u64 transaction count, then per transaction u32 index + 4 x i32
-  /// counts + u64 time_ns, then 4 x i64 final counts.  The two length
-  /// prefixes make truncation detectable without a trailing checksum.
+  /// Layout (the core/bytes.hpp codec, little endian): "OFRC" magic, u16
+  /// format version, u16 flags (bit 0 = print_completed), u32 label
+  /// length + label bytes, u64 transaction count, then per transaction
+  /// u32 index + 4 x i32 counts + u64 time_ns, then 4 x i64 final
+  /// counts.  The two length prefixes make truncation detectable without
+  /// a trailing checksum.
   static constexpr std::uint16_t kBinaryVersion = 1;
   [[nodiscard]] std::vector<std::uint8_t> to_binary() const;
-  /// Decodes to_binary() output.  Throws offramps::Error on a bad magic,
-  /// an unknown version, or a buffer shorter than its length prefixes
-  /// promise (truncated file).
+  /// Decodes to_binary() output through core::ByteReader.  Throws
+  /// offramps::Error on a bad magic, an unknown version, a buffer
+  /// shorter than its length prefixes promise (truncated file), or
+  /// trailing bytes.
   static Capture from_binary(const std::uint8_t* data, std::size_t size);
   static Capture from_binary(const std::vector<std::uint8_t>& bytes) {
     return from_binary(bytes.data(), bytes.size());
   }
 
-  /// File round trip via to_binary()/from_binary().  Throws
-  /// offramps::Error on I/O failure.
+  /// File round trip via to_binary()/from_binary(); saves are atomic
+  /// (core::write_file_atomic).  Throws offramps::Error on I/O failure.
   void save_binary(const std::string& path) const;
   static Capture load_binary(const std::string& path);
 };

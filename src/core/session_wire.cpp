@@ -3,151 +3,62 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
+#include "core/bytes.hpp"
 #include "sim/error.hpp"
 
 namespace offramps::core::wire {
 namespace {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+/// Emits the 7-byte frame header for a payload of known final size and
+/// returns the writer for the payload.
+ByteWriter begin_frame(std::vector<std::uint8_t>& out, FrameType type,
+                       std::size_t payload_len) {
+  ByteWriter w(out);
+  w.u16(kFrameMagic);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(static_cast<std::uint32_t>(payload_len));
+  return w;
 }
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Emits the 7-byte frame header for a payload of known final size.
-void put_frame_header(std::vector<std::uint8_t>& out, FrameType type,
-                      std::size_t payload_len) {
-  put_u16(out, kFrameMagic);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload_len));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// Bounded cursor over one frame payload.  Returns false instead of
-/// throwing: payload damage is a resync event, not a stream abort.
-struct PayloadReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  [[nodiscard]] bool need(std::size_t n) const { return size - pos >= n; }
-  [[nodiscard]] bool exhausted() const { return pos == size; }
-
-  bool u8(std::uint8_t& out) {
-    if (!need(1)) return false;
-    out = data[pos++];
-    return true;
-  }
-  bool u32(std::uint32_t& out) {
-    if (!need(4)) return false;
-    out = get_u32(data + pos);
-    pos += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& out) {
-    if (!need(8)) return false;
-    out = get_u64(data + pos);
-    pos += 8;
-    return true;
-  }
-  bool f64(double& out) {
-    if (!need(8)) return false;
-    out = get_f64(data + pos);
-    pos += 8;
-    return true;
-  }
-  bool str(std::string& out, std::size_t cap) {
-    std::uint32_t len = 0;
-    if (!u32(len)) return false;
-    if (len > cap || !need(len)) return false;
-    out.assign(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return true;
-  }
-};
 
 constexpr std::size_t kMaxHelloString = 1024;
 
+/// Payload damage is a resync event, not a stream abort: the decoders
+/// turn the reader's Error into `false`.
 bool decode_hello(const std::uint8_t* payload, std::size_t len,
                   SessionHello& out) {
-  PayloadReader r{payload, len};
-  if (!r.u32(out.rig_index) || !r.u64(out.seed) || !r.f64(out.cube_mm) ||
-      !r.f64(out.height_mm) || !r.str(out.name, kMaxHelloString) ||
-      !r.str(out.sabotage, kMaxHelloString) ||
-      !r.str(out.chaos, kMaxHelloString)) {
+  try {
+    ByteReader r(payload, len, "session hello");
+    out.rig_index = r.u32();
+    out.seed = r.u64();
+    out.cube_mm = r.f64();
+    out.height_mm = r.f64();
+    out.name = r.str(kMaxHelloString, "name");
+    out.sabotage = r.str(kMaxHelloString, "sabotage");
+    out.chaos = r.str(kMaxHelloString, "chaos");
+    r.finish();
+    return true;
+  } catch (const Error&) {
     return false;
   }
-  return r.exhausted();
 }
 
 bool decode_end(const std::uint8_t* payload, std::size_t len,
                 SessionMeta& out) {
-  PayloadReader r{payload, len};
-  std::uint8_t finished = 0;
-  std::uint8_t stopped = 0;
-  if (!r.u8(finished) || !r.u8(stopped) || finished > 1 || stopped > 1) {
+  try {
+    ByteReader r(payload, len, "session end");
+    const std::uint8_t finished = r.u8();
+    const std::uint8_t stopped = r.u8();
+    if (finished > 1 || stopped > 1) return false;
+    out.print_finished = finished != 0;
+    out.safe_stopped = stopped != 0;
+    out.sim_seconds = r.f64();
+    for (auto& c : out.final_counts) c = r.i64();
+    r.finish();
+    return true;
+  } catch (const Error&) {
     return false;
   }
-  out.print_finished = finished != 0;
-  out.safe_stopped = stopped != 0;
-  if (!r.f64(out.sim_seconds)) return false;
-  for (auto& c : out.final_counts) {
-    std::uint64_t raw = 0;
-    if (!r.u64(raw)) return false;
-    c = static_cast<std::int64_t>(raw);
-  }
-  return r.exhausted();
 }
 
 /// Validates a candidate frame header's type and length bounds.  A header
@@ -175,50 +86,52 @@ bool plausible_frame(std::uint8_t type, std::uint32_t len) {
 }  // namespace
 
 void append_stream_header(std::vector<std::uint8_t>& out) {
-  out.insert(out.end(), kStreamMagic.begin(), kStreamMagic.end());
-  put_u16(out, kStreamVersion);
-  put_u16(out, 0);  // reserved
+  ByteWriter w(out);
+  w.bytes(kStreamMagic.data(), kStreamMagic.size());
+  w.u16(kStreamVersion);
+  w.u16(0);  // reserved
 }
 
 void append_hello(std::vector<std::uint8_t>& out, const SessionHello& hello) {
   std::vector<std::uint8_t> payload;
-  put_u32(payload, hello.rig_index);
-  put_u64(payload, hello.seed);
-  put_f64(payload, hello.cube_mm);
-  put_f64(payload, hello.height_mm);
-  put_str(payload, hello.name);
-  put_str(payload, hello.sabotage);
-  put_str(payload, hello.chaos);
+  ByteWriter p(payload);
+  p.u32(hello.rig_index);
+  p.u64(hello.seed);
+  p.f64(hello.cube_mm);
+  p.f64(hello.height_mm);
+  p.str(hello.name);
+  p.str(hello.sabotage);
+  p.str(hello.chaos);
   if (payload.size() > kMaxHelloPayload) {
     throw Error("session_wire: hello payload exceeds cap");
   }
-  put_frame_header(out, FrameType::kHello, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
+  ByteWriter w = begin_frame(out, FrameType::kHello, payload.size());
+  w.bytes(payload.data(), payload.size());
 }
 
 void append_txn(std::vector<std::uint8_t>& out, const Transaction& txn) {
-  put_frame_header(out, FrameType::kTxn, kTxnPayloadSize);
+  ByteWriter w = begin_frame(out, FrameType::kTxn, kTxnPayloadSize);
   const auto frame = txn.to_frame();
-  out.insert(out.end(), frame.begin(), frame.end());
-  put_u64(out, txn.time_ns);
+  w.bytes(frame.data(), frame.size());
+  w.u64(txn.time_ns);
 }
 
 void append_power(std::vector<std::uint8_t>& out, double t_s, double watts) {
-  put_frame_header(out, FrameType::kPower, kPowerPayloadSize);
-  put_f64(out, t_s);
-  put_f64(out, watts);
+  ByteWriter w = begin_frame(out, FrameType::kPower, kPowerPayloadSize);
+  w.f64(t_s);
+  w.f64(watts);
 }
 
 void append_sample(std::vector<std::uint8_t>& out, std::uint8_t kind,
                    double t_s, double value) {
-  put_frame_header(out, FrameType::kSample, kSamplePayloadSize);
-  put_u8(out, kind);
-  put_f64(out, t_s);
-  put_f64(out, value);
+  ByteWriter w = begin_frame(out, FrameType::kSample, kSamplePayloadSize);
+  w.u8(kind);
+  w.f64(t_s);
+  w.f64(value);
 }
 
 void append_slot(std::vector<std::uint8_t>& out) {
-  put_frame_header(out, FrameType::kSlot, 0);
+  begin_frame(out, FrameType::kSlot, 0);
 }
 
 void append_finish(std::vector<std::uint8_t>& out, const Capture& capture) {
@@ -226,35 +139,20 @@ void append_finish(std::vector<std::uint8_t>& out, const Capture& capture) {
   if (blob.size() > kMaxFinishPayload) {
     throw Error("session_wire: capture blob exceeds cap");
   }
-  put_frame_header(out, FrameType::kFinish, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
+  ByteWriter w = begin_frame(out, FrameType::kFinish, blob.size());
+  w.bytes(blob.data(), blob.size());
 }
 
 void append_end(std::vector<std::uint8_t>& out, const SessionMeta& meta) {
-  put_frame_header(out, FrameType::kEnd, kEndPayloadSize);
-  put_u8(out, meta.print_finished ? 1 : 0);
-  put_u8(out, meta.safe_stopped ? 1 : 0);
-  put_f64(out, meta.sim_seconds);
-  for (const auto c : meta.final_counts) {
-    put_u64(out, static_cast<std::uint64_t>(c));
-  }
+  ByteWriter w = begin_frame(out, FrameType::kEnd, kEndPayloadSize);
+  w.u8(meta.print_finished ? 1 : 0);
+  w.u8(meta.safe_stopped ? 1 : 0);
+  w.f64(meta.sim_seconds);
+  for (const auto c : meta.final_counts) w.i64(c);
 }
 
 void SessionRecorder::save(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("SessionRecorder::save: cannot open " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes_.data()),
-              static_cast<std::streamsize>(bytes_.size()));
-    if (!out) throw Error("SessionRecorder::save: write failed for " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw Error("SessionRecorder::save: rename to " + path + " failed: " +
-                ec.message());
-  }
+  write_file_atomic(path, bytes_, "SessionRecorder::save");
 }
 
 void FrameReader::fail(const std::string& why) {
@@ -272,7 +170,7 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
       fail("bad stream magic (not an OFSS session)");
       return 0;
     }
-    const std::uint16_t version = get_u16(buffer_.data() + 4);
+    const auto version = load_le<std::uint16_t>(buffer_.data() + 4);
     if (version != kStreamVersion) {
       fail("unsupported session version " + std::to_string(version));
       return 0;
@@ -289,14 +187,12 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
   };
 
   while (!ended_ && buffer_.size() - pos >= kFrameHeaderSize) {
-    if (get_u16(buffer_.data() + pos) != kFrameMagic) {
+    if (load_le<std::uint16_t>(buffer_.data() + pos) != kFrameMagic) {
       // Hunt for the next frame boundary, UART-receiver style.
       note_resync();
-      const std::uint8_t lo = static_cast<std::uint8_t>(kFrameMagic & 0xFF);
       std::size_t next = pos + 1;
       while (next + 1 < buffer_.size() &&
-             !(buffer_[next] == lo &&
-               buffer_[next + 1] == (kFrameMagic >> 8))) {
+             load_le<std::uint16_t>(buffer_.data() + next) != kFrameMagic) {
         ++next;
       }
       if (next + 1 >= buffer_.size()) {
@@ -308,7 +204,7 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
       continue;
     }
     const std::uint8_t type = buffer_[pos + 2];
-    const std::uint32_t len = get_u32(buffer_.data() + pos + 3);
+    const auto len = load_le<std::uint32_t>(buffer_.data() + pos + 3);
     if (!plausible_frame(type, len)) {
       // Coincidental magic inside a damaged region: step past it.
       note_resync();
@@ -331,7 +227,7 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
       case FrameType::kTxn: {
         std::array<std::uint8_t, Transaction::kFrameSize> inner{};
         std::memcpy(inner.data(), payload, inner.size());
-        const std::uint64_t time_ns = get_u64(payload + inner.size());
+        const auto time_ns = load_le<std::uint64_t>(payload + inner.size());
         const auto txn = Transaction::from_frame(inner, time_ns);
         if (!txn) {
           ++corrupt_txns_;
@@ -342,8 +238,8 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
         break;
       }
       case FrameType::kPower:
-        frame.power_t_s = get_f64(payload);
-        frame.power_watts = get_f64(payload + 8);
+        frame.power_t_s = load_le<double>(payload);
+        frame.power_watts = load_le<double>(payload + 8);
         break;
       case FrameType::kSample:
         frame.sample_kind = payload[0];
@@ -355,8 +251,8 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
           emit = false;
           break;
         }
-        frame.sample_t_s = get_f64(payload + 1);
-        frame.sample_value = get_f64(payload + 9);
+        frame.sample_t_s = load_le<double>(payload + 1);
+        frame.sample_value = load_le<double>(payload + 9);
         break;
       case FrameType::kSlot:
         break;

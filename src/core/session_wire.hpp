@@ -21,8 +21,10 @@
 //   kEnd     session epilogue: rig-level facts the capture alone cannot
 //            carry (print_finished, safe_stopped, sim_seconds, counts)
 //
-// Everything is little endian.  The reader is bounded (every length is
-// validated against a per-type cap before allocation) and incremental: a
+// Everything is little endian, written and read with core/bytes.hpp.
+// The reader is bounded (every length is validated against a per-type
+// cap before allocation; hello and end payloads go through
+// core::ByteReader, fixed frames through load_le) and incremental: a
 // corrupted frame header makes it hunt for the next magic instead of
 // dying, mirroring the UART receiver's own resync behavior, and the skip
 // is counted so a session that needed resyncs can be reported as
@@ -106,8 +108,7 @@ void append_finish(std::vector<std::uint8_t>& out, const Capture& capture);
 void append_end(std::vector<std::uint8_t>& out, const SessionMeta& meta);
 
 /// Accumulates one session's event stream in order and persists it with
-/// the repo's usual write-to-temp + atomic-rename discipline.  Throws
-/// offramps::Error on I/O failure.
+/// core::write_file_atomic.  Throws offramps::Error on I/O failure.
 class SessionRecorder {
  public:
   SessionRecorder() { append_stream_header(bytes_); }

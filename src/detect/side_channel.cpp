@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+
+#include "core/bytes.hpp"
 
 namespace offramps::detect {
 
@@ -73,22 +74,11 @@ SideReport compare_side(const plant::SideTrace& golden,
 
 std::uint64_t signature_digest(const std::vector<double>& levels,
                                double window_s) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFFull;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_f64 = [&mix](double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
-  mix_f64(window_s);
-  mix(levels.size());
-  for (const double level : levels) mix_f64(level);
-  return h;
+  core::Fnv1a f;
+  f.f64(window_s);
+  f.u64(levels.size());
+  for (const double level : levels) f.f64(level);
+  return f.value();
 }
 
 MasterSignature make_master_signature(const plant::SideTrace& golden,

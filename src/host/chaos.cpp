@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <limits>
 
+#include "core/bytes.hpp"
 #include "core/session_wire.hpp"
 #include "core/strict_parse.hpp"
 #include "host/rig.hpp"
@@ -136,11 +137,8 @@ void ChaosInjector::mangle_capture(std::vector<std::uint8_t>& bytes) const {
   // an impossible multi-GB value: the bounded from_binary() must reject
   // it *before* allocating (the satellite hardening this PR tests).
   if (bytes.size() < 12) return;
-  std::uint32_t label_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    label_len |= static_cast<std::uint32_t>(bytes[8 + i]) << (8 * i);
-  }
-  const std::size_t count_at = 12 + static_cast<std::size_t>(label_len);
+  const std::size_t count_at =
+      12 + static_cast<std::size_t>(core::load_le<std::uint32_t>(&bytes[8]));
   for (std::size_t i = count_at; i < count_at + 8 && i < bytes.size(); ++i) {
     bytes[i] = 0xFF;
   }
@@ -163,14 +161,12 @@ void ChaosInjector::mangle_session(std::vector<std::uint8_t>& bytes) const {
   std::size_t pos = core::wire::kStreamHeaderSize;
   std::uint32_t txns_seen = 0;
   while (bytes.size() - pos >= core::wire::kFrameHeaderSize) {
-    if ((bytes[pos] | (bytes[pos + 1] << 8)) != core::wire::kFrameMagic) {
+    if (core::load_le<std::uint16_t>(&bytes[pos]) !=
+        core::wire::kFrameMagic) {
       return;  // not a well-formed stream; nothing to drill
     }
     const std::uint8_t type = bytes[pos + 2];
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(bytes[pos + 3 + i]) << (8 * i);
-    }
+    const auto len = core::load_le<std::uint32_t>(&bytes[pos + 3]);
     if (bytes.size() - pos - core::wire::kFrameHeaderSize < len) return;
     if (type == static_cast<std::uint8_t>(core::wire::FrameType::kTxn)) {
       if (txns_seen++ >= spec_.after) {

@@ -13,7 +13,7 @@
 //   - every completed rig's flattened RigOutcome, so resumed campaigns
 //     skip those rigs entirely and still render the same report bytes.
 //
-// Binary format v3 (all little endian):
+// Binary format v3 (the core/bytes.hpp codec, little endian):
 //   "OFCK" magic, u16 version, u16 reserved,
 //   u64 spec digest, u32 total rigs,
 //   u32 reference count, then per reference the body svc::RefCache
@@ -25,12 +25,14 @@
 //   record (rig index, spec, supervision verdict, detector summary and
 //   the per-channel verdict rows; the report derives every per-channel
 //   count it renders from those rows).
-// Length prefixes are validated against the remaining input before any
-// allocation - the same bounded-read discipline as Capture::from_binary.
+// The reader is core::ByteReader: length prefixes are validated against
+// the remaining input before any allocation and trailing bytes are
+// rejected.
 //
-// Writes go to "<path>.tmp" then std::filesystem::rename, which POSIX
-// makes atomic within a filesystem: a reader (or a resumed process)
-// never observes a half-written checkpoint, only the old or the new one.
+// Writes go through core::write_file_atomic ("<path>.tmp", then a
+// rename POSIX makes atomic within a filesystem): a reader (or a resumed
+// process) never observes a half-written checkpoint, only the old or
+// the new one.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +68,8 @@ struct Checkpoint {
     return from_binary(bytes.data(), bytes.size());
   }
 
-  /// Atomic persist: write "<path>.tmp", fsync-free rename over `path`.
+  /// Atomic persist (core::write_file_atomic): write "<path>.tmp",
+  /// fsync-free rename over `path`.
   void save(const std::string& path) const;
   static Checkpoint load(const std::string& path);
 };

@@ -14,13 +14,12 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "analyze/analyzer.hpp"
+#include "core/bytes.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
 #include "obs/metrics.hpp"
@@ -325,11 +324,8 @@ FleetReport replay_corpus(const std::string& corpus_dir,
         item.arrival = i;
         item.label = std::filesystem::path(files[i]).stem().string();
         try {
-          std::ifstream in(files[i], std::ios::binary);
-          if (!in) throw Error("replay: cannot open " + files[i]);
-          std::vector<std::uint8_t> bytes(
-              (std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
+          std::vector<std::uint8_t> bytes =
+              core::read_file(files[i], "replay");
           for (const auto& [index, spec] : options.chaos) {
             if (index == i) {
               host::ChaosInjector(spec, 0).mangle_session(bytes);
@@ -562,14 +558,11 @@ FleetReport Daemon::serve_stdin() {
 int Daemon::stream_file(const std::string& socket_path,
                         const std::string& file) {
   std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "join: cannot open %s\n", file.c_str());
-      return 1;
-    }
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
+  try {
+    bytes = core::read_file(file, "join");
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
   }
   sockaddr_un addr{};
   if (socket_path.size() >= sizeof(addr.sun_path)) {

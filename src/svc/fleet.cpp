@@ -109,11 +109,29 @@ void append_kv(std::string& out, const char* key, bool v) {
   out += v ? "true" : "false";
 }
 
+/// Escapes arbitrary bytes (rig names, failure causes) for a JSON string,
+/// which may hold no raw control character.
 std::string json_escape(const std::string& s) {
   std::string out;
   for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
   return out;
 }
@@ -187,12 +205,14 @@ std::string FleetReport::to_json() const {
   for (std::size_t i = 0; i < rigs.size(); ++i) {
     const RigOutcome& r = rigs[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\n";
+    // The name is arbitrary text: append it through the escaper, never
+    // through the fixed snprintf buffer (a long name would truncate).
+    out += "    {\n      \"name\": \"";
+    out += json_escape(r.spec.name);
     std::snprintf(buf, sizeof(buf),
-                  "      \"name\": \"%s\",\n      \"seed\": %llu,\n"
+                  "\",\n      \"seed\": %llu,\n"
                   "      \"cube_mm\": %.6f,\n      \"height_mm\": %.6f,\n"
                   "      \"sabotage\": \"%s\",\n",
-                  json_escape(r.spec.name).c_str(),
                   static_cast<unsigned long long>(r.spec.seed),
                   r.spec.cube_mm, r.spec.height_mm,
                   r.spec.sabotage.to_string().c_str());

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,82 +14,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::array<char, 4> kMagic{'O', 'F', 'R', 'F'};
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounded reader over one cache record.
-struct Rd {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t& pos;
-
-  void need(std::size_t n) const {
-    if (size - pos < n) {
-      throw Error("truncated reference record (need " + std::to_string(n) +
-                  " bytes, have " + std::to_string(size - pos) + ")");
-    }
-  }
-  [[nodiscard]] std::size_t remaining() const { return size - pos; }
-
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v =
-        static_cast<std::uint16_t>(data[pos] | (data[pos + 1] << 8));
-    pos += 2;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data[pos + i];
-    pos += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
+constexpr std::string_view kMagic = "OFRF";
 
 /// The three side-channel traces in body order.
 template <typename Entry>
@@ -121,21 +43,7 @@ CacheCounters& cache_counters() {
 
 }  // namespace
 
-std::uint64_t reference_digest(double cube_mm, double height_mm,
-                               const host::SliceProfile& p,
-                               std::uint64_t reference_seed,
-                               const ChannelSet& channels) {
-  Fnv f;
-  f.str("offramps-reference-v2");
-  f.f64(cube_mm);
-  f.f64(height_mm);
-  f.u64(reference_seed);
-  // Each probe flag separately: a golden computed without the acoustic
-  // probe has no master signature, so it must not be addressable by a
-  // campaign that needs one.  (`steps` needs no probe and is excluded.)
-  f.u64(channels.power ? 1 : 0);
-  f.u64(channels.acoustic ? 1 : 0);
-  f.u64(channels.vibration ? 1 : 0);
+void hash_profile(core::Fnv1a& f, const host::SliceProfile& p) {
   f.f64(p.layer_height_mm);
   f.f64(p.line_width_mm);
   f.f64(p.filament_diameter_mm);
@@ -155,7 +63,25 @@ std::uint64_t reference_digest(double cube_mm, double height_mm,
   f.f64(p.prime_e_mm);
   f.u64(static_cast<std::uint64_t>(p.skirt_loops));
   f.f64(p.skirt_gap_mm);
-  return f.h;
+}
+
+std::uint64_t reference_digest(double cube_mm, double height_mm,
+                               const host::SliceProfile& p,
+                               std::uint64_t reference_seed,
+                               const ChannelSet& channels) {
+  core::Fnv1a f;
+  f.str("offramps-reference-v2");
+  f.f64(cube_mm);
+  f.f64(height_mm);
+  f.u64(reference_seed);
+  // Each probe flag separately: a golden computed without the acoustic
+  // probe has no master signature, so it must not be addressable by a
+  // campaign that needs one.  (`steps` needs no probe and is excluded.)
+  f.u64(channels.power ? 1 : 0);
+  f.u64(channels.acoustic ? 1 : 0);
+  f.u64(channels.vibration ? 1 : 0);
+  hash_profile(f, p);
+  return f.value();
 }
 
 RefCache::RefCache(RefCacheOptions options) : options_(std::move(options)) {
@@ -180,38 +106,35 @@ std::string RefCache::path_for(std::uint64_t key) const {
 void encode_reference(std::vector<std::uint8_t>& out,
                       const RefEntry& entry) {
   const auto blob = entry.golden.to_binary();
-  put_u64(out, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
+  core::ByteWriter w(out);
+  w.u64(blob.size());
+  w.bytes(blob.data(), blob.size());
   for (const plant::SideTrace* trace : traces(entry)) {
-    put_u64(out, trace->size());
+    w.u64(trace->size());
     for (const plant::SideSample& s : *trace) {
-      put_f64(out, s.t_s);
-      put_f64(out, s.value);
+      w.f64(s.t_s);
+      w.f64(s.value);
     }
   }
 }
 
-RefEntry decode_reference(const std::uint8_t* data, std::size_t size,
-                          std::size_t& pos) {
-  Rd r{data, size, pos};
-  const std::uint64_t blob_len = r.u64();
-  r.need(blob_len);
+RefEntry decode_reference(core::ByteReader& r) {
   RefEntry entry;
-  entry.golden = core::Capture::from_binary(data + pos,
-                                            static_cast<std::size_t>(blob_len));
-  pos += static_cast<std::size_t>(blob_len);
+  const std::size_t blob_len = r.count(1, "capture blob length");
+  entry.golden = core::Capture::from_binary(r.bytes(blob_len), blob_len);
   for (plant::SideTrace* trace : traces(entry)) {
-    const std::uint64_t n = r.u64();
-    // Each sample is 16 bytes; checking the aggregate before reserving
-    // keeps a lying count from allocating gigabytes.
-    if (n > r.remaining() / 16) {
-      throw Error("reference record: sample count exceeds the input");
-    }
-    trace->reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count(16, "sample count");
+    trace->reserve(n);
+    double prev_t_s = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
       plant::SideSample s;
       s.t_s = r.f64();
       s.value = r.f64();
+      // The negated test also rejects NaN.
+      if (!(s.t_s >= prev_t_s && s.t_s <= kMaxTraceSpanS)) {
+        r.fail("bad sample time " + std::to_string(s.t_s));
+      }
+      prev_t_s = s.t_s;
       trace->push_back(s);
     }
   }
@@ -221,37 +144,27 @@ RefEntry decode_reference(const std::uint8_t* data, std::size_t size,
 std::vector<std::uint8_t> RefCache::encode_entry(std::uint64_t key,
                                                  const RefEntry& entry) {
   std::vector<std::uint8_t> out;
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u16(out, kVersion);
-  put_u16(out, 0);  // reserved
-  put_u64(out, key);
+  core::ByteWriter w(out);
+  w.bytes(kMagic.data(), kMagic.size());
+  w.u16(kVersion);
+  w.u16(0);  // reserved
+  w.u64(key);
   encode_reference(out, entry);
   return out;
 }
 
 RefEntry RefCache::decode_entry(const std::uint8_t* data, std::size_t size,
                                 std::uint64_t expect_key) {
-  std::size_t pos = 0;
-  Rd r{data, size, pos};
-  r.need(4);
-  if (std::memcmp(data, kMagic.data(), 4) != 0) {
-    throw Error("RefCache: bad magic (not a reference cache entry)");
-  }
-  pos = 4;
+  core::ByteReader r(data, size, "RefCache");
+  r.magic(kMagic, "not a reference cache entry");
   const std::uint16_t version = r.u16();
   if (version != kVersion) {
-    throw Error("RefCache: unsupported entry version " +
-                std::to_string(version));
+    r.fail("unsupported entry version " + std::to_string(version));
   }
-  r.u16();  // reserved
-  const std::uint64_t key = r.u64();
-  if (key != expect_key) {
-    throw Error("RefCache: entry key does not match its address");
-  }
-  RefEntry entry = decode_reference(data, size, pos);
-  if (r.remaining() != 0) {
-    throw Error("RefCache: trailing bytes after entry");
-  }
+  (void)r.u16();  // reserved
+  if (r.u64() != expect_key) r.fail("entry key does not match its address");
+  RefEntry entry = decode_reference(r);
+  r.finish();
   return entry;
 }
 
@@ -259,15 +172,13 @@ std::optional<RefEntry> RefCache::get(std::uint64_t key) {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::string path = path_for(key);
   std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      ++stats_.misses;
-      if (obs::enabled()) cache_counters().miss->add(1);
-      return std::nullopt;
-    }
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+  try {
+    bytes = core::read_file(path, "RefCache");
+  } catch (const Error&) {
+    // No entry (or an unreadable one): a plain miss.
+    ++stats_.misses;
+    if (obs::enabled()) cache_counters().miss->add(1);
+    return std::nullopt;
   }
   try {
     RefEntry entry = decode_entry(bytes.data(), bytes.size(), key);
@@ -294,21 +205,8 @@ std::optional<RefEntry> RefCache::get(std::uint64_t key) {
 
 void RefCache::put(std::uint64_t key, const RefEntry& entry) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const std::string path = path_for(key);
-  const std::string tmp = path + ".tmp";
-  const auto bytes = encode_entry(key, entry);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("RefCache: cannot open " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw Error("RefCache: write failed for " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw Error("RefCache: rename to " + path + " failed: " + ec.message());
-  }
+  core::write_file_atomic(path_for(key), encode_entry(key, entry),
+                          "RefCache");
   enforce_budget_locked();
 }
 

@@ -8,7 +8,8 @@
 // inputs, so a farm daemon computes each reference once per content hash
 // and serves it from cache on every later campaign, replay, or session.
 //
-// On-disk record (<dir>/<16-hex-digest>.ref, little endian):
+// On-disk record (<dir>/<16-hex-digest>.ref; the core/bytes.hpp codec,
+// little endian):
 //
 //   "OFRF" magic, u16 version, u16 reserved, u64 key,
 //   then the reference body (encode_reference):
@@ -17,12 +18,13 @@
 //   u64 acoustic-sample count + per sample f64 t_s + f64 value,
 //   u64 vibration-sample count + per sample f64 t_s + f64 value
 //
-// The reader is bounded (every length prefix checked against the
-// remaining input before allocation) and paranoid: trailing garbage, a
-// version skew, or a key that disagrees with the filename all reject the
-// entry, and a rejected or unreadable entry is deleted and treated as a
-// miss - the caller recomputes, the cache never crashes a campaign.
-// Writes go to a temp file and atomically rename into place, so a
+// The reader is core::ByteReader (every length prefix checked against
+// the remaining input before allocation) and paranoid: trailing garbage,
+// a version skew, a key that disagrees with the filename, or a golden
+// sample time that is non-finite, negative, out of order or past
+// kMaxTraceSpanS all reject the entry, and a rejected entry is deleted
+// and treated as a miss - the caller recomputes, the cache never crashes
+// a campaign.  Writes go through core::write_file_atomic, so a
 // half-written entry (crash, chaos kCacheTear) can never be read back as
 // truth.  An optional byte budget is enforced LRU by file mtime (get()
 // refreshes an entry's mtime), evicting oldest-first but never the entry
@@ -35,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/capture.hpp"
 #include "host/slicer.hpp"
 #include "plant/side_channel.hpp"
@@ -53,6 +56,11 @@ namespace offramps::svc {
                                              const host::SliceProfile& profile,
                                              std::uint64_t reference_seed,
                                              const ChannelSet& channels);
+
+/// Feeds the 19 slicer-profile fields, in declaration order, to `f`.
+/// reference_digest and svc::campaign_digest both hash the profile this
+/// way; changing the order moves both digests.
+void hash_profile(core::Fnv1a& f, const host::SliceProfile& p);
 
 struct RefCacheOptions {
   std::string dir;
@@ -76,16 +84,21 @@ struct RefEntry {
   }
 };
 
+/// Latest golden sample time decode_reference accepts (one week).
+/// detect::window_means emits one mean per window up to the last sample,
+/// so this bounds a hostile trace at ~4.8 MB of means for 1 s windows; a
+/// real print's trace spans minutes.
+inline constexpr double kMaxTraceSpanS = 7 * 24 * 3600.0;
+
 /// Reference body codec, shared by the cache record and the checkpoint:
 /// u64 capture-blob length + Capture::to_binary bytes, then for power,
 /// acoustic and vibration a u64 sample count + per sample f64 t_s +
 /// f64 value.
 void encode_reference(std::vector<std::uint8_t>& out, const RefEntry& entry);
-/// Decodes one reference body starting at `data[pos]` and advances
-/// `pos` past it.  Every length prefix is checked against the bytes left
-/// before any allocation; throws offramps::Error on malformed input.
-[[nodiscard]] RefEntry decode_reference(const std::uint8_t* data,
-                                        std::size_t size, std::size_t& pos);
+/// Reads one reference body from `r`.  Throws offramps::Error on
+/// malformed input, including a sample time that is non-finite,
+/// negative, earlier than the previous sample or past kMaxTraceSpanS.
+[[nodiscard]] RefEntry decode_reference(core::ByteReader& r);
 
 class RefCache {
  public:

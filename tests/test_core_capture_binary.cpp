@@ -1,13 +1,14 @@
 // core::Capture binary serialization: the versioned, length-prefixed
 // format fleet runs use to persist and replay captures.  Round-trip
-// identity, tamper rejection (magic/version), and truncation detection
-// at every structurally interesting cut point.
+// identity, tamper rejection (magic/version, trailing bytes), and
+// truncation detection at every structurally interesting cut point.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/capture.hpp"
 #include "sim/error.hpp"
 
@@ -52,6 +53,11 @@ TEST(CaptureBinary, RoundTripIdentity) {
   expect_equal(cap, Capture::from_binary(bytes));
   // Serialization itself is deterministic.
   EXPECT_EQ(bytes, Capture::from_binary(bytes).to_binary());
+  // FNV-1a of these bytes, recorded before the format moved onto
+  // core/bytes.hpp: a codec change that moves a byte fails here.
+  offramps::core::Fnv1a fnv;
+  fnv.bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(fnv.value(), 0xf850a184dcc3bf3aull);
 }
 
 TEST(CaptureBinary, RoundTripEmptyAndAborted) {
@@ -72,6 +78,13 @@ TEST(CaptureBinary, RejectsBadMagic) {
 TEST(CaptureBinary, RejectsUnknownVersion) {
   std::vector<std::uint8_t> bytes = sample_capture().to_binary();
   bytes[4] = 0xFF;  // version u16 LE lives right after the 4-byte magic
+  EXPECT_THROW(Capture::from_binary(bytes), offramps::Error);
+}
+
+TEST(CaptureBinary, RejectsTrailingBytes) {
+  std::vector<std::uint8_t> bytes = sample_capture().to_binary();
+  bytes.push_back(0x00);
+  bytes.push_back(0x00);
   EXPECT_THROW(Capture::from_binary(bytes), offramps::Error);
 }
 

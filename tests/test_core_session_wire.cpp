@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/capture.hpp"
 #include "core/session_wire.hpp"
 #include "sim/error.hpp"
@@ -91,6 +92,12 @@ std::vector<Frame> parse_all(FrameReader& reader,
 
 TEST(SessionWire, RoundTripWholeBuffer) {
   const std::vector<std::uint8_t> bytes = sample_stream();
+  // FNV-1a of the stream, recorded before the format moved onto
+  // core/bytes.hpp: a codec change that moves a byte fails here.
+  offramps::core::Fnv1a fnv;
+  fnv.bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(fnv.value(), 0x3380db0717026756ull);
+
   FrameReader reader;
   std::size_t used = 0;
   const std::vector<Frame> frames = parse_all(reader, bytes, &used);

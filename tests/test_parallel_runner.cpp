@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "host/fault_campaign.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
@@ -31,23 +32,17 @@ gcode::Program small_cube() {
 
 /// FNV-1a over a run's capture: equal digests == equal simulations.
 std::uint64_t capture_digest(const host::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  };
+  core::Fnv1a f;
   for (const auto& txn : r.capture.transactions) {
-    mix(txn.time_ns);
-    for (const auto c : txn.counts) mix(static_cast<std::uint64_t>(c));
+    f.u64(txn.time_ns);
+    for (const auto c : txn.counts) f.u64(static_cast<std::uint64_t>(c));
   }
   for (const auto c : r.capture.final_counts) {
-    mix(static_cast<std::uint64_t>(c));
+    f.u64(static_cast<std::uint64_t>(c));
   }
-  for (const auto s : r.motor_steps) mix(static_cast<std::uint64_t>(s));
-  mix(r.events_executed);
-  return h;
+  for (const auto s : r.motor_steps) f.u64(static_cast<std::uint64_t>(s));
+  f.u64(r.events_executed);
+  return f.value();
 }
 
 TEST(ParallelRunner, RunsEveryIndexExactlyOnce) {

@@ -238,6 +238,8 @@ TEST(MasterSignature, DistillsAndVerifiesTheGoldenRecording) {
   const MasterSignature sig = make_master_signature(golden, 1.0);
   EXPECT_EQ(sig.levels.size(), window_means(golden, 1.0).size());
   EXPECT_EQ(sig.digest, signature_digest(sig.levels, sig.window_s));
+  EXPECT_EQ(signature_digest({10.0, 20.5, 30.25}, 1.0),
+            0xe961c1ea00cea717ull);
   EXPECT_FALSE(sig.empty());
 
   // The recording itself verifies clean.

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/capture.hpp"
 #include "sim/error.hpp"
 #include "svc/checkpoint.hpp"
@@ -130,6 +131,13 @@ TEST(Checkpoint, BinaryRoundTrip) {
   EXPECT_EQ(out.detector.verdict(Channel::kGoldenFree)->mismatches, 2u);
   EXPECT_EQ(out.detector.verdict(Channel::kPower)->windows_compared, 12u);
   EXPECT_EQ(out.detector.verdict(Channel::kAcoustic), nullptr);
+
+  // FNV-1a of the encoding, recorded before the format moved onto
+  // core/bytes.hpp: a codec change that moves a byte fails here.
+  const std::vector<std::uint8_t> bytes = ck.to_binary();
+  offramps::core::Fnv1a fnv;
+  fnv.bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(fnv.value(), 0xe2a1e661a4e3b658ull);
 }
 
 TEST(Checkpoint, RejectsBadMagicAndVersion) {
@@ -184,6 +192,15 @@ TEST(Checkpoint, RejectsTrailingGarbage) {
   std::vector<std::uint8_t> bytes = sample_checkpoint().to_binary();
   bytes.push_back(0x00);
   EXPECT_THROW(Checkpoint::from_binary(bytes), Error);
+}
+
+// A hostile golden trace (here a far-future power sample) would make
+// every resumed rig that arms on it emit one window mean per empty
+// second; the shared reference decoder rejects it.
+TEST(Checkpoint, RejectsHostileGoldenSampleTimes) {
+  Checkpoint ck = sample_checkpoint();
+  ck.references[0].golden_power.push_back({1e12, 13.5});
+  EXPECT_THROW(Checkpoint::from_binary(ck.to_binary()), Error);
 }
 
 TEST(Checkpoint, RejectsLyingCounts) {
@@ -256,6 +273,12 @@ TEST(CampaignDigest, SensitiveToSpecsAndOptions) {
   opt4.checkpoint_path = "/tmp/somewhere.bin";
   opt4.stop_after = 1;
   EXPECT_EQ(campaign_digest(specs, opt4), base);
+
+  // Pinned: a changed digest makes every saved checkpoint fail to
+  // resume with "spec digest mismatch".
+  EXPECT_EQ(campaign_digest(offramps::svc::Fleet::demo_specs(16, 4),
+                            FleetOptions{}),
+            0xa205caba2fb1afc4ull);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "host/chaos.hpp"
 #include "sim/error.hpp"
 #include "svc/fleet.hpp"
+#include "svc/json.hpp"
 
 namespace {
 
@@ -152,6 +153,31 @@ TEST(FleetReport, PerChannelKeysRenderFromVerdictRows) {
         "\"static_trojan_suspected\": false"}) {
     EXPECT_NE(rest.find(key), std::string::npos) << key;
   }
+}
+
+// Rig names and failure causes are arbitrary bytes (a spec file, a
+// replayed hello, exception text); the report must stay valid JSON.
+TEST(FleetReport, EscapesControlCharactersAndLongNames) {
+  FleetReport report;
+  report.rigs.resize(3);
+  report.rigs[0].spec.name = "a\nb\tc\"d\\e";
+  report.rigs[1].spec.name = std::string(1024, 'n');
+  report.rigs[2].spec.name = "x\x01y";
+  report.rigs[2].failure_cause = "cause\r\f\b";
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"x\\u0001y\""), std::string::npos);
+
+  // The parser rejects \u escapes, so round-trip only the rest.
+  report.rigs.pop_back();
+  const offramps::svc::json::Value doc =
+      offramps::svc::json::parse(report.to_json());
+  const offramps::svc::json::Value* rigs = doc.find("rigs");
+  ASSERT_NE(rigs, nullptr);
+  ASSERT_EQ(rigs->items.size(), 2u);
+  EXPECT_EQ(rigs->items[0].string_or("name", ""), "a\nb\tc\"d\\e");
+  EXPECT_EQ(rigs->items[1].string_or("name", ""), std::string(1024, 'n'));
+  EXPECT_NE(json.find("\"failure_cause\": \"cause\\r\\f\\b\""),
+            std::string::npos);
 }
 
 TEST(Fleet, SpecsFromJsonRejectsMalformed) {

@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/capture.hpp"
 #include "host/chaos.hpp"
 #include "host/slicer.hpp"
@@ -105,6 +107,11 @@ TEST(RefDigest, StableAndSensitiveToEveryInput) {
   ChannelSet no_steps = all_channels();
   no_steps.steps = false;
   EXPECT_EQ(reference_digest(8.0, 3.0, profile, 42, no_steps), base);
+
+  // Pinned: the digest names every .ref file, so a changed digest
+  // orphans every warm cache on disk.
+  EXPECT_EQ(reference_digest(8.0, 3.0, SliceProfile{}, 42, ChannelSet{}),
+            0x220856772eb482deull);
 }
 
 TEST(RefCacheCodec, RoundTripPreservesEverything) {
@@ -112,6 +119,11 @@ TEST(RefCacheCodec, RoundTripPreservesEverything) {
   const std::uint64_t key =
       reference_digest(8.0, 3.0, SliceProfile{}, 42, all_channels());
   const std::vector<std::uint8_t> blob = RefCache::encode_entry(key, entry);
+  // FNV-1a of the record, recorded before the format moved onto
+  // core/bytes.hpp: a codec change that moves a byte fails here.
+  offramps::core::Fnv1a fnv;
+  fnv.bytes(blob.data(), blob.size());
+  EXPECT_EQ(fnv.value(), 0x31807c494ea6b400ull);
 
   const RefEntry back = RefCache::decode_entry(blob.data(), blob.size(), key);
   EXPECT_EQ(back.golden.to_binary(), entry.golden.to_binary());
@@ -186,6 +198,25 @@ TEST(RefCacheCodec, RejectsEveryMalformation) {
   lying[18] = 0xFF;
   lying[19] = 0x7F;
   EXPECT_THROW(RefCache::decode_entry(lying.data(), lying.size(), key), Error);
+
+  // Golden sample times that would make detect::window_means emit one
+  // mean per empty window: non-finite, negative, a decreasing pair, and
+  // far past any print.
+  const std::vector<offramps::plant::SideTrace> hostile_traces = {
+      {{0.0, 40.0}, {std::numeric_limits<double>::quiet_NaN(), 40.0}},
+      {{-1.0, 40.0}},
+      {{0.5, 40.0}, {0.25, 40.0}},
+      {{0.0, 40.0}, {1e12, 40.0}},
+  };
+  for (const offramps::plant::SideTrace& trace : hostile_traces) {
+    RefEntry hostile = entry;
+    hostile.golden_acoustic = trace;
+    const std::vector<std::uint8_t> bytes =
+        RefCache::encode_entry(key, hostile);
+    EXPECT_THROW(RefCache::decode_entry(bytes.data(), bytes.size(), key),
+                 Error)
+        << "accepted a sample at t=" << trace.back().t_s;
+  }
 }
 
 TEST(RefCache, MissThenPutThenHit) {
