@@ -1,6 +1,7 @@
 #include "core/session_wire.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 
@@ -24,7 +25,9 @@ ByteWriter begin_frame(std::vector<std::uint8_t>& out, FrameType type,
 constexpr std::size_t kMaxHelloString = 1024;
 
 /// Payload damage is a resync event, not a stream abort: the decoders
-/// turn the reader's Error into `false`.
+/// turn the reader's Error into `false`, and so treat a hello with a
+/// non-finite object size and an end frame with a non-finite or negative
+/// sim_seconds - values the report would print as a bare "nan".
 bool decode_hello(const std::uint8_t* payload, std::size_t len,
                   SessionHello& out) {
   try {
@@ -37,7 +40,7 @@ bool decode_hello(const std::uint8_t* payload, std::size_t len,
     out.sabotage = r.str(kMaxHelloString, "sabotage");
     out.chaos = r.str(kMaxHelloString, "chaos");
     r.finish();
-    return true;
+    return std::isfinite(out.cube_mm) && std::isfinite(out.height_mm);
   } catch (const Error&) {
     return false;
   }
@@ -55,7 +58,7 @@ bool decode_end(const std::uint8_t* payload, std::size_t len,
     out.sim_seconds = r.f64();
     for (auto& c : out.final_counts) c = r.i64();
     r.finish();
-    return true;
+    return std::isfinite(out.sim_seconds) && out.sim_seconds >= 0.0;
   } catch (const Error&) {
     return false;
   }

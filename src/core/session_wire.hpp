@@ -28,8 +28,10 @@
 // corrupted frame header makes it hunt for the next magic instead of
 // dying, mirroring the UART receiver's own resync behavior, and the skip
 // is counted so a session that needed resyncs can be reported as
-// "recovered" rather than silently clean.  A stream that ends before
-// kEnd is a mid-stream disconnect.
+// "recovered" rather than silently clean.  A hello with a non-finite
+// object size and an end with a non-finite or negative sim_seconds count
+// as damage too.  A stream that ends before kEnd is a mid-stream
+// disconnect.
 #pragma once
 
 #include <array>

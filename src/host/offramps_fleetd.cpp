@@ -128,6 +128,7 @@ constexpr const char* kSpecHelp =
     "      {\"seed\": 9}\n"
     "    ]\n"
     "  }\n"
+    "cube_mm, height_mm: in (0, 210] (the printer's travel)\n"
     "sabotage: \"clean\" | \"reduce:<factor>\" | \"relocate:<n>\"\n"
     "chaos: \"none\" | \"crash\" | \"stall\" | \"corrupt\" | \"truncate\"\n"
     "       | \"powerjam\" | \"ringwedge\" | \"disconnect\" |\n"
@@ -162,8 +163,19 @@ int main(int argc, char** argv) {
 
   offramps::svc::FleetOptions options;
 
+  // The last batch-only flag given: the service modes judge sessions and
+  // neither checkpoint, supervise nor record, so these are usage errors
+  // there rather than silently ignored.
+  std::string batch_only_flag;
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--checkpoint" || arg == "--checkpoint-every" ||
+        arg == "--resume" || arg == "--stop-after" || arg == "--captures" ||
+        arg == "--no-safe-stop" || arg == "--max-attempts" ||
+        arg == "--backoff-ms") {
+      batch_only_flag = arg;
+    }
     if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
@@ -333,6 +345,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (service_mode) {
+    if (!batch_only_flag.empty()) {
+      std::fprintf(stderr, "%s does not apply to --serve or --replay\n",
+                   batch_only_flag.c_str());
+      return 2;
+    }
     if (demo_n >= 0 || !spec_path.empty()) {
       std::fputs("--serve/--replay take no fleet spec: detector and cache\n"
                  "options come from flags, rigs from their sessions\n",
@@ -435,21 +452,13 @@ int main(int argc, char** argv) {
   offramps::svc::FleetReport report;
   try {
     if (service_mode) {
-      offramps::svc::ServiceOptions service;
-      service.workers = options.workers;
-      service.detector = options.detector;
-      service.pump = options.pump;
-      service.use_oracle = options.use_oracle;
-      service.channels = options.channels;
-      service.reference_seed = options.reference_seed;
-      service.profile = options.profile;
-      service.cache_dir = options.cache_dir;
-      service.cache_max_bytes = options.cache_max_bytes;
+      // FleetOptions is-a ServiceOptions: the judging fields carry over,
+      // the batch-only ones were rejected above.
       if (!replay_dir.empty()) {
-        replay_options.service = service;
+        replay_options.service = options;
         report = offramps::svc::replay_corpus(replay_dir, replay_options);
       } else {
-        offramps::svc::Daemon daemon({service, listen_path});
+        offramps::svc::Daemon daemon({options, listen_path});
         report = daemon.serve();
       }
     } else {

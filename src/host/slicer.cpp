@@ -186,9 +186,10 @@ Program end_sequence(const SliceProfile& profile) {
 }
 
 Program slice_cube(const CubeSpec& spec, const SliceProfile& profile) {
-  if (spec.size_x_mm <= 0.0 || spec.size_y_mm <= 0.0 ||
-      spec.height_mm <= 0.0) {
-    throw Error("slice_cube: degenerate dimensions");
+  for (const double mm : {spec.size_x_mm, spec.size_y_mm, spec.height_mm}) {
+    if (!(std::isfinite(mm) && mm > 0.0)) {
+      throw Error("slice_cube: degenerate dimensions");
+    }
   }
   GcodeBuilder b(profile);
   b.append(start_sequence(profile));

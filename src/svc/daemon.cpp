@@ -18,10 +18,8 @@
 #include <memory>
 #include <mutex>
 
-#include "analyze/analyzer.hpp"
 #include "core/bytes.hpp"
 #include "host/parallel_runner.hpp"
-#include "host/rig.hpp"
 #include "obs/metrics.hpp"
 #include "sim/error.hpp"
 #include "svc/ref_cache.hpp"
@@ -37,26 +35,36 @@ namespace {
 // condition variable - so a 16-rig campaign over one object runs the
 // reference phase exactly once no matter how sessions interleave.
 
-struct Resolved {
-  gcode::Program program;
-  analyze::Oracle oracle;
-  RefEntry entry;
-};
-
 class ReferenceResolver {
  public:
   explicit ReferenceResolver(const ServiceOptions& options)
-      : options_(options) {
+      : options_(options), session_(options.session(options.channels)) {
     if (!options_.cache_dir.empty()) {
       cache_ = std::make_unique<RefCache>(
           RefCacheOptions{options_.cache_dir, options_.cache_max_bytes});
     }
   }
 
+  /// Every session is judged like the live campaign.
+  [[nodiscard]] const SessionOptions& session_options() const {
+    return session_;
+  }
+
+  /// A session's reference callback: resolves here and arms exactly like
+  /// Fleet does (Reference::refs).  Side channels need no switch - a
+  /// disabled group is never instantiated, and an empty golden trace
+  /// leaves its channel unarmed.
+  RigSession::ResolveRefs refs() {
+    return [this](const core::wire::SessionHello& hello) {
+      return resolve(hello.cube_mm, hello.height_mm)
+          .refs(options_.use_oracle);
+    };
+  }
+
   /// Returns the references for one object geometry; throws
   /// offramps::Error when the reference cannot be produced (and replays
   /// that error to every waiter of the same digest).
-  const Resolved& resolve(double cube_mm, double height_mm) {
+  const Reference& resolve(double cube_mm, double height_mm) {
     const std::uint64_t key =
         reference_digest(cube_mm, height_mm, options_.profile,
                          options_.reference_seed, options_.channels);
@@ -77,7 +85,7 @@ class ReferenceResolver {
       }
     }
     try {
-      Resolved r = compute(cube_mm, height_mm, key);
+      Reference r = compute(cube_mm, height_mm, key);
       std::lock_guard<std::mutex> lk(mu_);
       slot->data = std::move(r);
       slot->done = true;
@@ -98,18 +106,11 @@ class ReferenceResolver {
     bool done = false;
     bool failed = false;
     std::string error;
-    Resolved data;
+    Reference data;
   };
 
-  Resolved compute(double cube_mm, double height_mm, std::uint64_t key) {
-    Resolved r;
-    const host::CubeSpec cube{.size_x_mm = cube_mm,
-                              .size_y_mm = cube_mm,
-                              .height_mm = height_mm,
-                              .center_x_mm = 110.0,
-                              .center_y_mm = 100.0};
-    r.program = host::slice_cube(cube, options_.profile);
-    r.oracle = analyze::analyze_program(r.program, fw::Config{}).oracle;
+  Reference compute(double cube_mm, double height_mm, std::uint64_t key) {
+    Reference r = Reference::slice(cube_mm, height_mm, options_.profile);
     if (cache_) {
       if (auto hit = cache_->get(key)) {
         r.entry = std::move(*hit);
@@ -121,39 +122,18 @@ class ReferenceResolver {
       obs::Registry::instance().counter("svc.ref.simulations").add(1);
     }
 #endif
-    host::RigOptions ro;
-    ro.firmware.jitter_seed = options_.reference_seed;
-    attach_probes(ro, options_.channels, options_.reference_seed);
-    host::Rig rig(ro);
-    host::RunResult res = rig.run(r.program);
-    if (!res.finished) throw Error("reference print did not finish");
-    r.entry = {std::move(res.capture), std::move(res.power_trace),
-               std::move(res.acoustic_trace), std::move(res.vibration_trace)};
+    r.print(options_, options_.channels, SupervisorOptions{}, "reference");
     if (cache_) cache_->put(key, r.entry);
     return r;
   }
 
   ServiceOptions options_;
+  SessionOptions session_;
   std::unique_ptr<RefCache> cache_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::uint64_t, std::unique_ptr<Slot>> slots_;
 };
-
-/// Binds a resolver into the per-session callback, arming the detector
-/// exactly like Fleet does: the static oracle only when the campaign
-/// uses it and it armed.  Side channels need no switch here - a
-/// disabled group is never instantiated, and an empty golden trace
-/// leaves its channel unarmed.
-RigSession::ResolveRefs make_refs_fn(ReferenceResolver& resolver,
-                                     const ServiceOptions& options) {
-  const bool use_oracle = options.use_oracle;
-  return [&resolver, use_oracle](const core::wire::SessionHello& hello) {
-    const Resolved& r = resolver.resolve(hello.cube_mm, hello.height_mm);
-    return r.entry.refs(use_oracle && r.oracle.counters_armed ? &r.oracle
-                                                              : nullptr);
-  };
-}
 
 // ---------------------------------------------------------------------
 // Report assembly.  Arrival order is wall-clock nondeterministic (socket
@@ -193,12 +173,6 @@ FleetReport assemble_report(std::vector<SessionResult> results) {
   return report;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       t0)
-      .count();
-}
-
 #if OFFRAMPS_OBS_ENABLED
 struct DaemonStats {
   obs::Counter* joins;
@@ -232,14 +206,6 @@ void register_service_metrics() {
   obs::Registry::instance().counter("svc.cache.rejected");
   daemon_stats();
 #endif
-}
-
-SessionOptions session_options(const ServiceOptions& options) {
-  SessionOptions s;
-  s.detector = options.detector;
-  s.detector.channels = options.channels;
-  s.windows_per_slot = options.pump.windows_per_slot;
-  return s;
 }
 
 void fill_result(SessionResult& item, RigSession& session) {
@@ -314,8 +280,6 @@ FleetReport replay_corpus(const std::string& corpus_dir,
 
   host::ParallelRunner pool(options.service.workers);
   ReferenceResolver resolver(options.service);
-  const SessionOptions sopts = session_options(options.service);
-  const auto refs_fn = make_refs_fn(resolver, options.service);
 
   std::vector<SessionResult> results =
       pool.map<SessionResult>(files.size(), [&](std::size_t i) {
@@ -331,7 +295,7 @@ FleetReport replay_corpus(const std::string& corpus_dir,
               host::ChaosInjector(spec, 0).mangle_session(bytes);
             }
           }
-          RigSession session(sopts, refs_fn);
+          RigSession session(resolver.session_options(), resolver.refs());
           session.feed(bytes.data(), bytes.size());
           session.close();
           fill_result(item, session);
@@ -342,7 +306,7 @@ FleetReport replay_corpus(const std::string& corpus_dir,
           item.outcome.attempts = 0;
           item.outcome.failure_cause = std::string("replay: ") + e.what();
         }
-        item.seconds = seconds_since(t0);
+        item.seconds = obs::us_since(t0) / 1e6;
         return item;
       });
   return assemble_report(std::move(results));
@@ -397,8 +361,6 @@ FleetReport Daemon::serve_socket() {
 
   host::ParallelRunner pool(options_.service.workers);
   ReferenceResolver resolver(options_.service);
-  const SessionOptions sopts = session_options(options_.service);
-  const auto refs_fn = make_refs_fn(resolver, options_.service);
 
   std::mutex results_mu;
   std::vector<SessionResult> results;
@@ -423,7 +385,7 @@ FleetReport Daemon::serve_socket() {
     item.arrival = seq;
     item.label = "conn-" + std::to_string(seq);
     {
-      RigSession session(sopts, refs_fn);
+      RigSession session(resolver.session_options(), resolver.refs());
       std::vector<std::uint8_t> buf(1 << 16);
       while (!session.done()) {
         const ssize_t n = ::read(fd, buf.data(), buf.size());
@@ -442,7 +404,7 @@ FleetReport Daemon::serve_socket() {
                                                               : 'C';
     [[maybe_unused]] const ssize_t sent =
         ::send(fd, &ack, 1, MSG_NOSIGNAL);  // best effort
-    item.seconds = seconds_since(t0);
+    item.seconds = obs::us_since(t0) / 1e6;
 #if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       daemon_stats().leaves->add(1);
@@ -493,8 +455,6 @@ FleetReport Daemon::serve_stdin() {
   SignalGuard signals;  // no wake pipe: the EINTR return from read()
                         // is the wake-up in pipe mode
   ReferenceResolver resolver(options_.service);
-  const SessionOptions sopts = session_options(options_.service);
-  const auto refs_fn = make_refs_fn(resolver, options_.service);
 
   std::vector<SessionResult> results;
   std::size_t seq = 0;
@@ -508,7 +468,7 @@ FleetReport Daemon::serve_stdin() {
     item.arrival = seq++;
     item.label = "pipe-" + std::to_string(item.arrival);
     fill_result(item, *session);
-    item.seconds = seconds_since(t0);
+    item.seconds = obs::us_since(t0) / 1e6;
 #if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       daemon_stats().leaves->add(1);
@@ -536,7 +496,8 @@ FleetReport Daemon::serve_stdin() {
     std::size_t off = 0;
     while (off < got) {
       if (!session) {
-        session = std::make_unique<RigSession>(sopts, refs_fn);
+        session = std::make_unique<RigSession>(resolver.session_options(),
+                                               resolver.refs());
         t0 = std::chrono::steady_clock::now();
 #if OFFRAMPS_OBS_ENABLED
         if (obs::enabled()) daemon_stats().joins->add(1);

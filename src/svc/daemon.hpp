@@ -11,13 +11,22 @@
 // fills the kernel socket buffer and stalls the producer - it never
 // drops.  SIGTERM (or SIGINT, or stdin EOF) drains in-flight rigs and
 // yields the usual deterministic FleetReport, rigs ordered by their
-// hello's campaign index so the report is byte-identical to the live
-// campaign the streams were recorded from.
+// hello's campaign index.
+//
+// What a replay reproduces: a session re-runs the detector calls its live
+// attempt made (both go through svc::DetectorFeed), so a rig the live
+// campaign judged on its first attempt replays to its report entry byte
+// for byte.  A session carries no supervision record, though: a rig the
+// live supervisor retried replays as "ok" after 1 attempt with no failure
+// cause, and a degraded attempt's stream (count channels only) replays
+// with the campaign's full set of channel rows.  Carrying that record
+// would change the wire format.
 //
 // Golden references resolve through a shared ReferenceResolver: one
-// compute per content digest per process, backed by the on-disk
-// svc::RefCache when a cache directory is configured - so a farm daemon
-// simulates each reference at most once, ever.
+// compute per content digest per process - the fleet's own slice and
+// golden print (svc::Reference) - backed by the on-disk svc::RefCache
+// when a cache directory is configured, so a farm daemon simulates each
+// reference at most once, ever.
 //
 // replay_corpus() is the offline flavor: re-run detector verdicts from
 // `--captures`-saved session files without simulating anything,
@@ -32,31 +41,10 @@
 #include <vector>
 
 #include "host/chaos.hpp"
-#include "host/slicer.hpp"
 #include "svc/fleet.hpp"
 #include "svc/session.hpp"
 
 namespace offramps::svc {
-
-/// Options shared by the daemon and replay: how sessions are judged and
-/// how references are obtained.  Detector/pump tuning must match the
-/// campaign the streams came from for byte-identical reports.
-struct ServiceOptions {
-  /// Worker threads; 0 = host::ParallelRunner::default_workers().
-  std::size_t workers = 0;
-  OnlineDetectorOptions detector{};
-  PumpOptions pump{};
-  bool use_oracle = true;
-  /// Enabled side channels; mirrored into the per-session detector and
-  /// part of the reference digest, exactly like FleetOptions::channels.
-  ChannelSet channels{};
-  std::uint64_t reference_seed = 42;
-  host::SliceProfile profile{};
-  /// When set, golden references are served from / persisted to this
-  /// svc::RefCache directory.
-  std::string cache_dir;
-  std::uint64_t cache_max_bytes = 0;
-};
 
 struct ReplayOptions {
   ServiceOptions service{};

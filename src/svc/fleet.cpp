@@ -4,9 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "analyze/analyzer.hpp"
@@ -20,7 +22,7 @@
 #include "core/session_wire.hpp"
 #include "svc/checkpoint.hpp"
 #include "svc/json.hpp"
-#include "svc/ref_cache.hpp"
+#include "svc/session.hpp"
 
 namespace offramps::svc {
 
@@ -136,6 +138,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Appends printf("%.6f", v), sized for any finite double.
+void append_fixed(std::string& out, double v) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  out += buf;
+}
+
 /// An optional integer member of a fleet spec.  Absent (or not a
 /// number) keeps `fallback`; a value that is not a finite integer in
 /// [min, T's maximum] throws, naming the key - a config typo must not
@@ -209,15 +218,18 @@ std::string FleetReport::to_json() const {
     // through the fixed snprintf buffer (a long name would truncate).
     out += "    {\n      \"name\": \"";
     out += json_escape(r.spec.name);
-    std::snprintf(buf, sizeof(buf),
-                  "\",\n      \"seed\": %llu,\n"
-                  "      \"cube_mm\": %.6f,\n      \"height_mm\": %.6f,\n"
-                  "      \"sabotage\": \"%s\",\n",
-                  static_cast<unsigned long long>(r.spec.seed),
-                  r.spec.cube_mm, r.spec.height_mm,
-                  r.spec.sabotage.to_string().c_str());
+    std::snprintf(buf, sizeof(buf), "\",\n      \"seed\": %llu,\n",
+                  static_cast<unsigned long long>(r.spec.seed));
     out += buf;
-    out += "      \"chaos\": \"";
+    // Sizes from a session hello are any finite double: each gets a
+    // buffer of its own (%.6f of DBL_MAX is 316 characters).
+    out += "      \"cube_mm\": ";
+    append_fixed(out, r.spec.cube_mm);
+    out += ",\n      \"height_mm\": ";
+    append_fixed(out, r.spec.height_mm);
+    out += ",\n      \"sabotage\": \"";
+    out += r.spec.sabotage.to_string();
+    out += "\",\n      \"chaos\": \"";
     out += r.spec.chaos.to_string();
     out += "\",\n      \"status\": \"";
     out += rig_status_name(r.status);
@@ -397,14 +409,52 @@ void attach_probes(host::RigOptions& ro, const ChannelSet& channels,
   }
 }
 
-namespace {
+void check_object(double cube_mm, double height_mm) {
+  const auto& travel = fw::Config{}.axis_length_mm;
+  const auto check = [](const char* key, double mm, double limit) {
+    if (!(std::isfinite(mm) && mm > 0.0 && mm <= limit)) {
+      throw Error(std::string("object: \"") + key + "\" must be in (0, " +
+                  std::to_string(static_cast<int>(limit)) + "] mm");
+    }
+  };
+  check("cube_mm", cube_mm, std::min(travel[0], travel[1]));
+  check("height_mm", height_mm, travel[2]);
+}
 
-/// Per-object reference data shared by every rig printing that object.
-struct Reference {
-  gcode::Program program;       // clean sliced program
-  analyze::Oracle oracle;
-  RefEntry entry;               // golden capture + side-channel traces
-};
+Reference Reference::slice(double cube_mm, double height_mm,
+                           const host::SliceProfile& profile) {
+  Reference ref;
+  ref.program = host::slice_cube({.size_x_mm = cube_mm,
+                                  .size_y_mm = cube_mm,
+                                  .height_mm = height_mm,
+                                  .center_x_mm = 110.0,
+                                  .center_y_mm = 100.0},
+                                 profile);
+  ref.oracle = analyze::analyze_program(ref.program, fw::Config{}).oracle;
+  return ref;
+}
+
+void Reference::print(const ServiceOptions& options, const ChannelSet& probes,
+                      const SupervisorOptions& watchdog,
+                      const std::string& phase) {
+  host::RigOptions ro;
+  ro.firmware.jitter_seed = options.reference_seed;
+  attach_probes(ro, probes, options.reference_seed);
+  host::Rig rig(ro);
+  std::uint64_t txns = 0;
+  rig.board().fpga().uart().on_transaction(
+      [&txns](const core::Transaction&) { ++txns; });
+  StallWatchdog dog(
+      rig.scheduler(), watchdog, [&txns] { return txns; },
+      [&rig] { return rig.firmware().state() == fw::FwState::kRunning; },
+      phase);
+  host::RunResult res = rig.run(program);
+  if (!res.finished) throw Error("fleet: reference print did not finish");
+  entry = {std::move(res.capture), std::move(res.power_trace),
+           std::move(res.acoustic_trace), std::move(res.vibration_trace)};
+}
+
+namespace {
 
 gcode::Program sabotaged_program(const gcode::Program& clean,
                                  const Sabotage& s) {
@@ -419,6 +469,296 @@ gcode::Program sabotaged_program(const gcode::Program& clean,
   return clean;
 }
 
+/// The checkpoint a campaign resumes from (empty when not resuming).  A
+/// digest mismatch is a hard error - resuming with edited specs or
+/// options would silently skew results.
+Checkpoint resume_point(const std::string& path, std::uint64_t digest,
+                        std::size_t rigs, std::size_t objects) {
+  if (path.empty()) return {};
+  Checkpoint ck = Checkpoint::load(path);
+  if (ck.spec_digest != digest) {
+    throw Error(
+        "checkpoint: spec digest mismatch - this checkpoint was written "
+        "by a different campaign (specs or options changed)");
+  }
+  if (ck.total_rigs != rigs) {
+    throw Error("checkpoint: rig count mismatch with the fleet spec");
+  }
+  if (ck.references.size() > objects) {
+    throw Error("checkpoint: more references than the fleet has objects");
+  }
+  return ck;
+}
+
+/// Object `i`'s reference.  The slice and oracle are cheap and always
+/// recomputed; the golden print comes from the resumed checkpoint's
+/// `snapshots`, else the cache, else one print supervised like a rig
+/// (retry on throw, sim-clocked stall watchdog), whose verdict lands in
+/// `guard`.
+Reference reference_phase(const FleetOptions& options,
+                          const Supervisor& supervisor, RefCache* cache,
+                          std::size_t i, std::pair<double, double> object,
+                          std::vector<RefEntry>& snapshots,
+                          GuardOutcome& guard) {
+  Reference ref = Reference::slice(object.first, object.second,
+                                   options.profile);
+  guard = GuardOutcome{RigStatus::kOk, 0, {}};
+  // An empty snapshot is a reference the checkpointed run lost.
+  if (i < snapshots.size() && !snapshots[i].golden.empty()) {
+    ref.entry = std::move(snapshots[i]);
+    return ref;
+  }
+  const std::uint64_t key =
+      reference_digest(object.first, object.second, options.profile,
+                       options.reference_seed, options.channels);
+  std::optional<RefEntry> hit;
+  if (cache != nullptr) hit = cache->get(key);
+  if (hit) {
+    ref.entry = std::move(*hit);
+  } else {
+#if OFFRAMPS_OBS_ENABLED
+    if (obs::enabled()) {
+      obs::Registry::instance().counter("svc.ref.simulations").add(1);
+    }
+#endif
+    // Key space: references live above the rig indices so backoff
+    // jitter never correlates a reference with a same-index rig.
+    guard = supervisor.run_guarded(
+        (1ull << 32) + i, [&](const AttemptContext& ctx) {
+          // Degraded attempt: count channels only, no probes.
+          ref.print(options,
+                    ctx.degraded ? options.channels.counts_only()
+                                 : options.channels,
+                    options.supervisor, "reference/" + std::to_string(i));
+        });
+    if (guard.status == RigStatus::kLost) return ref;
+    // Persist only full-fidelity references: a degraded attempt ran
+    // without its probes, and caching empty side-channel traces would
+    // silently disarm those channels for every future campaign that
+    // hits this key.
+    if (cache != nullptr && guard.status != RigStatus::kDegraded) {
+      cache->put(key, ref.entry);
+    }
+  }
+  if (!options.save_captures_dir.empty()) {
+    ref.entry.golden.save_binary(options.save_captures_dir + "/golden-" +
+                                 std::to_string(i) + ".bin");
+  }
+  return ref;
+}
+
+/// One supervised attempt at rig `index`: it prints under its detector
+/// feed with its chaos order applied and, when the campaign saves
+/// captures, records the feed's calls as its session stream.  Only an
+/// attempt that completes saves; a failed one throws first.
+RigOutcome run_attempt(const FleetOptions& options, std::uint32_t index,
+                       const RigSpec& spec, const Reference& ref,
+                       const AttemptContext& ctx) {
+  host::ChaosInjector injector(spec.chaos, ctx.attempt);
+  const bool record = !options.save_captures_dir.empty();
+  core::wire::SessionRecorder rec;
+  if (record) {
+    rec.hello({.rig_index = index,
+               .seed = spec.seed,
+               .cube_mm = spec.cube_mm,
+               .height_mm = spec.height_mm,
+               .name = spec.name,
+               .sabotage = spec.sabotage.to_string(),
+               .chaos = spec.chaos.to_string()});
+  }
+  // Degrade ladder: the final attempt falls back to the step-count
+  // subset alone (the Supervisor's count-channels fallback), never to
+  // more than the campaign asked for.
+  const ChannelSet live =
+      ctx.degraded ? options.channels.counts_only().intersect(options.channels)
+                   : options.channels;
+  DetectorFeed feed(options.session(live), ref.refs(options.use_oracle),
+                    record ? &rec : nullptr);
+  const OnlineDetector& detector = feed.detector();
+
+  host::RigOptions ro;
+  ro.firmware.jitter_seed = spec.seed;
+  attach_probes(ro, live, spec.seed);
+  // Safe-stopped rigs need no long post-kill physics observation.
+  ro.post_kill_observation_s = 5.0;
+  host::Rig rig(ro);
+  if (options.safe_stop) {
+    feed.on_alarm([&rig](const OnlineReport& r) {
+      if (rig.firmware().state() == fw::FwState::kRunning) {
+        rig.firmware().kill(std::string("fleet safe-stop: ") +
+                            channel_name(r.first_channel) + " alarm");
+      }
+    });
+  }
+
+  // Producer: the board's UART tap, through the chaos stall gate (a
+  // wedged producer tap).
+  auto& uart = rig.board().fpga().uart();
+  uart.on_transaction([&feed, &injector](const core::Transaction& txn) {
+    if (injector.pass_transaction()) feed.txn(txn);
+  });
+  // Consumer: every pump period the probes' fresh samples stream into the
+  // feed, then - unless chaos wedged the consumer, which the ring's
+  // lossless backpressure absorbs (NOT a fault) - one slot of windows
+  // drains.  A jammed power probe fails the attempt.  The first slot is
+  // scheduled before the chaos crash and the watchdog: same-tick events
+  // run in schedule order.
+  std::vector<std::size_t> consumed(rig.probes().size(), 0);
+  std::size_t slots_run = 0;
+  std::function<void()> service;
+  const auto schedule_service = [&] {
+    rig.scheduler().schedule_in(options.pump.period,
+                                [&service] { service(); });
+  };
+  service = [&] {
+    ++slots_run;
+#if OFFRAMPS_OBS_ENABLED
+    if (obs::enabled()) {
+      static obs::Counter& slots =
+          obs::Registry::instance().counter("svc.pump.slots");
+      slots.add(1);
+    }
+#endif
+    for (std::size_t p = 0; p < consumed.size(); ++p) {
+      const plant::SideProbe& probe = *rig.probes()[p];
+      if (probe.kind() == SampleKind::kPower && injector.jam_power()) {
+        throw Error("chaos: power side-channel probe jammed");
+      }
+      for (; consumed[p] < probe.trace().size(); ++consumed[p]) {
+        const plant::SideSample& s = probe.trace()[consumed[p]];
+        feed.sample(probe.kind(), s.t_s, s.value);
+      }
+    }
+    if (!injector.wedge_pump(slots_run)) feed.slot();
+    schedule_service();
+  };
+  schedule_service();
+  uart.on_finalize(
+      [&feed](const core::Capture& capture) { feed.finish(capture); });
+  injector.arm(rig);  // kCrash: scheduled mid-print throw
+  const auto accepted = [&detector] {
+    return detector.windows_processed() + detector.queued();
+  };
+  StallWatchdog dog(
+      rig.scheduler(), options.supervisor,
+      [&accepted] { return static_cast<std::uint64_t>(accepted()); },
+      [&rig] { return rig.firmware().state() == fw::FwState::kRunning; },
+      "rig/" + spec.name);
+
+  host::RunResult res = rig.run(sabotaged_program(ref.program, spec.sabotage));
+  if (injector.active()) {
+    // Corrupt/truncate chaos mangles the serialized capture; the bounded
+    // from_binary() must reject it (attempt failure).  For other kinds
+    // this round trip is the identity.
+    std::vector<std::uint8_t> wire = res.capture.to_binary();
+    injector.mangle_capture(wire);
+    res.capture = core::Capture::from_binary(wire);
+  }
+  // Stream integrity: a finished print whose detector accepted fewer
+  // transactions than the capture carries means the tap wedged too late
+  // for the watchdog - still an attempt failure.
+  if (res.finished && accepted() < res.capture.size()) {
+    throw Error("fleet: stream integrity: detector accepted " +
+                std::to_string(accepted()) + " of " +
+                std::to_string(res.capture.size()) +
+                " transactions (capture tap wedged)");
+  }
+
+  RigOutcome out;
+  out.spec = spec;
+  out.print_finished = res.finished;
+  out.kill_reason = res.kill_reason;
+  out.safe_stopped =
+      res.killed && res.kill_reason.rfind("fleet safe-stop", 0) == 0;
+  out.sim_seconds = res.sim_seconds;
+  out.final_counts = res.capture.final_counts;
+  out.detector = detector.report();
+  if (record) {
+    rec.end({out.print_finished, out.safe_stopped, out.sim_seconds,
+             out.final_counts});
+    const std::string stem =
+        options.save_captures_dir + "/" + sanitize(spec.name);
+    res.capture.save_binary(stem + ".bin");
+    rec.save(stem + ".ofs");
+  }
+  return out;
+}
+
+/// One rig under the supervisor's retry/quarantine loop, or quarantined
+/// without simulating when its object's reference was lost.  A lost rig
+/// keeps only its spec and verdict, no partial attempt state.
+RigOutcome supervise_rig(const FleetOptions& options,
+                         const Supervisor& supervisor, std::size_t i,
+                         const RigSpec& spec, const Reference& ref,
+                         const GuardOutcome& ref_guard) {
+  RigOutcome out;
+  GuardOutcome guard{RigStatus::kLost, 0,
+                     "reference lost: " + ref_guard.failure_cause};
+  if (ref_guard.status != RigStatus::kLost) {
+    guard = supervisor.run_guarded(i, [&](const AttemptContext& ctx) {
+      out = run_attempt(options, static_cast<std::uint32_t>(i), spec, ref,
+                        ctx);
+    });
+  }
+  if (guard.status == RigStatus::kLost) out = RigOutcome{};
+  out.spec = spec;
+  out.status = guard.status;
+  out.attempts = guard.attempts;
+  out.failure_cause = guard.failure_cause;
+  return out;
+}
+
+/// Campaign checkpoint writer.  The references go to disk before any rig
+/// runs (a kill during the rig phase must not cost the golden prints);
+/// each completed rig is then inserted in spec order - so the bytes do
+/// not depend on the worker count - and saved every `checkpoint_every`
+/// completions.  Inert when the campaign does not checkpoint.
+class CheckpointWriter {
+ public:
+  CheckpointWriter(const FleetOptions& options, std::uint64_t digest,
+                   const std::vector<Reference>& refs,
+                   const std::vector<std::optional<RigOutcome>>& prior)
+      : path_(options.checkpoint_path), every_(options.checkpoint_every) {
+    if (path_.empty()) return;
+    ck_.spec_digest = digest;
+    ck_.total_rigs = static_cast<std::uint32_t>(prior.size());
+    // A lost reference's entry is empty: a resume re-runs it.
+    for (const Reference& ref : refs) ck_.references.push_back(ref.entry);
+    for (std::size_t i = 0; i < prior.size(); ++i) {
+      if (prior[i]) ck_.done.emplace_back(static_cast<std::uint32_t>(i),
+                                          *prior[i]);
+    }
+    ck_.save(path_);
+  }
+
+  /// Thread-safe: called by the pool's workers as rigs complete.
+  void record(std::size_t i, const RigOutcome& out) {
+    if (path_.empty()) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto at = std::lower_bound(
+        ck_.done.begin(), ck_.done.end(), i,
+        [](const auto& entry, std::size_t index) {
+          return entry.first < index;
+        });
+    ck_.done.emplace(at, static_cast<std::uint32_t>(i), out);
+    if (++unsaved_ >= every_) flush();
+  }
+
+  /// Saves the completions since the last save, if any.
+  void flush() {
+    if (path_.empty() || unsaved_ == 0) return;
+    unsaved_ = 0;
+    ck_.save(path_);
+  }
+
+ private:
+  std::string path_;
+  std::size_t every_;
+  Checkpoint ck_;
+  std::mutex mu_;
+  std::size_t unsaved_ = 0;
+};
+
 }  // namespace
 
 FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
@@ -428,11 +768,11 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   // Reference cache: opened once per campaign; its counters (and the
   // simulation counter it suppresses) register eagerly so a fully-warm
   // run still exports "svc.ref.simulations": 0 for the acceptance grep.
-  std::unique_ptr<RefCache> ref_cache;
-  if (!options_.cache_dir.empty()) {
-    ref_cache = std::make_unique<RefCache>(
-        RefCacheOptions{options_.cache_dir, options_.cache_max_bytes});
-  }
+  const auto cache =
+      options_.cache_dir.empty()
+          ? nullptr
+          : std::make_unique<RefCache>(RefCacheOptions{
+                options_.cache_dir, options_.cache_max_bytes});
 #if OFFRAMPS_OBS_ENABLED
   if (obs::enabled()) {
     obs::Registry::instance().counter("svc.ref.simulations");
@@ -445,7 +785,6 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     if (fleet[i].name.empty()) fleet[i].name = "rig-" + std::to_string(i);
   }
-
   // Distinct objects, in first-seen order (deterministic grouping).
   std::vector<std::pair<double, double>> objects;
   std::vector<std::size_t> object_of(fleet.size());
@@ -458,428 +797,70 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   }
 
   const std::uint64_t digest = campaign_digest(fleet, options_);
+  Checkpoint resumed = resume_point(options_.resume_path, digest,
+                                    fleet.size(), objects.size());
+  std::vector<std::optional<RigOutcome>> prior(fleet.size());
+  for (auto& [index, outcome] : resumed.done) prior[index] = std::move(outcome);
 
-  // Resume: pull prior outcomes and golden references out of the
-  // checkpoint.  A digest mismatch is a hard error - resuming with
-  // edited specs or options would silently skew results.
-  std::vector<char> already_done(fleet.size(), 0);
-  std::vector<RigOutcome> prior(fleet.size());
-  std::vector<RefEntry> ref_snapshots(objects.size());
-  std::vector<char> have_snapshot(objects.size(), 0);
-  if (!options_.resume_path.empty()) {
-    Checkpoint ck = Checkpoint::load(options_.resume_path);
-    if (ck.spec_digest != digest) {
-      throw Error(
-          "checkpoint: spec digest mismatch - this checkpoint was written "
-          "by a different campaign (specs or options changed)");
-    }
-    if (ck.total_rigs != fleet.size()) {
-      throw Error("checkpoint: rig count mismatch with the fleet spec");
-    }
-    if (ck.references.size() > objects.size()) {
-      throw Error("checkpoint: more references than the fleet has objects");
-    }
-    for (std::size_t j = 0; j < ck.references.size(); ++j) {
-      if (ck.references[j].golden.empty()) continue;  // degraded/lost ref
-      ref_snapshots[j] = std::move(ck.references[j]);
-      have_snapshot[j] = 1;
-    }
-    for (auto& [index, outcome] : ck.done) {
-      already_done[index] = 1;
-      prior[index] = std::move(outcome);
-    }
-  }
-
-  // Per-job wall-clock, written by worker threads into index-addressed
-  // slots (no sharing) and merged in index order afterwards, so the
-  // timings list is deterministic even though the values are wall-clock.
+  // Reference phase.  Per-job wall-clock is written by worker threads
+  // into index-addressed slots and merged in index order afterwards, so
+  // the timings list is deterministic even though the values are not.
   std::vector<double> ref_seconds(objects.size(), 0.0);
-  std::vector<double> rig_seconds(fleet.size(), 0.0);
-  const auto seconds_since =
-      [](std::chrono::steady_clock::time_point t0) {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-      };
-
-  // Reference phase: slice + oracle + one golden print per object, each
-  // print supervised (retry on throw, sim-clocked stall watchdog).  On
-  // resume the golden references come from the checkpoint and only the
-  // cheap deterministic slice + oracle are recomputed.
   std::vector<GuardOutcome> ref_guards(objects.size());
-  std::vector<Reference> refs = pool.map<Reference>(
-      objects.size(), [&](std::size_t i) {
+  const std::vector<Reference> refs =
+      pool.map<Reference>(objects.size(), [&](std::size_t i) {
         const obs::Span span("reference/" + std::to_string(i), "fleet");
-        const auto job_t0 = std::chrono::steady_clock::now();
-        Reference ref;
-        const host::CubeSpec cube{.size_x_mm = objects[i].first,
-                                  .size_y_mm = objects[i].first,
-                                  .height_mm = objects[i].second,
-                                  .center_x_mm = 110.0,
-                                  .center_y_mm = 100.0};
-        ref.program = host::slice_cube(cube, options_.profile);
-        ref.oracle =
-            analyze::analyze_program(ref.program, fw::Config{}).oracle;
-
-        if (have_snapshot[i]) {
-          ref.entry = std::move(ref_snapshots[i]);
-          ref_guards[i] = GuardOutcome{RigStatus::kOk, 0, {}};
-          ref_seconds[i] = seconds_since(job_t0);
-          return ref;
-        }
-
-        // Content-addressed cache: a hit replaces the golden print
-        // entirely (the slice + oracle above are cheap and always
-        // recomputed; only the simulation is worth persisting).
-        const std::uint64_t ref_key = reference_digest(
-            objects[i].first, objects[i].second, options_.profile,
-            options_.reference_seed, options_.channels);
-        if (ref_cache) {
-          if (auto hit = ref_cache->get(ref_key)) {
-            ref.entry = std::move(*hit);
-            ref_guards[i] = GuardOutcome{RigStatus::kOk, 0, {}};
-            if (!options_.save_captures_dir.empty()) {
-              ref.entry.golden.save_binary(options_.save_captures_dir +
-                                           "/golden-" + std::to_string(i) +
-                                           ".bin");
-            }
-            ref_seconds[i] = seconds_since(job_t0);
-            return ref;
-          }
-        }
-#if OFFRAMPS_OBS_ENABLED
-        if (obs::enabled()) {
-          obs::Registry::instance().counter("svc.ref.simulations").add(1);
-        }
-#endif
-
-        // Key space: references live above the rig indices so backoff
-        // jitter never correlates a reference with a same-index rig.
-        ref_guards[i] = supervisor.run_guarded(
-            (1ull << 32) + i, [&](const AttemptContext& ctx) {
-              host::RigOptions ro;
-              ro.firmware.jitter_seed = options_.reference_seed;
-              // Degraded attempt: count channels only, no probes.
-              const ChannelSet probes = ctx.degraded
-                                            ? options_.channels.counts_only()
-                                            : options_.channels;
-              attach_probes(ro, probes, options_.reference_seed);
-              host::Rig rig(ro);
-              std::uint64_t txns = 0;
-              rig.board().fpga().uart().on_transaction(
-                  [&txns](const core::Transaction&) { ++txns; });
-              StallWatchdog dog(
-                  rig.scheduler(), options_.supervisor,
-                  [&txns] { return txns; },
-                  [&rig] {
-                    return rig.firmware().state() == fw::FwState::kRunning;
-                  },
-                  "reference/" + std::to_string(i));
-              host::RunResult res = rig.run(ref.program);
-              if (!res.finished) {
-                throw Error("fleet: reference print did not finish");
-              }
-              ref.entry = {std::move(res.capture), std::move(res.power_trace),
-                           std::move(res.acoustic_trace),
-                           std::move(res.vibration_trace)};
-            });
-        if (ref_guards[i].status == RigStatus::kLost) {
-          ref.entry = RefEntry{};
-        } else {
-          // Persist only full-fidelity references: a degraded attempt
-          // ran without its probes, and caching empty side-channel
-          // traces would silently disarm those channels for every
-          // future campaign that hits this key.
-          if (ref_cache && (ref_guards[i].status == RigStatus::kOk ||
-                            ref_guards[i].status == RigStatus::kRecovered)) {
-            ref_cache->put(ref_key, ref.entry);
-          }
-          if (!options_.save_captures_dir.empty()) {
-            ref.entry.golden.save_binary(options_.save_captures_dir +
-                                         "/golden-" + std::to_string(i) +
-                                         ".bin");
-          }
-        }
-        ref_seconds[i] = seconds_since(job_t0);
+        const auto t0 = std::chrono::steady_clock::now();
+        Reference ref =
+            reference_phase(options_, supervisor, cache.get(), i, objects[i],
+                            resumed.references, ref_guards[i]);
+        ref_seconds[i] = obs::us_since(t0) / 1e6;
         return ref;
       });
 
-  // Checkpoint writer.  One Checkpoint object is reused across saves
-  // (references are filled once); rig completions append under the lock.
-  Checkpoint ck_out;
-  std::mutex ck_mu;
-  std::size_t completed_since_save = 0;
-  const bool checkpointing = !options_.checkpoint_path.empty();
-  if (checkpointing) {
-    ck_out.spec_digest = digest;
-    ck_out.total_rigs = static_cast<std::uint32_t>(fleet.size());
-    ck_out.references.resize(objects.size());
-    for (std::size_t j = 0; j < objects.size(); ++j) {
-      if (ref_guards[j].status == RigStatus::kLost) continue;
-      ck_out.references[j] = refs[j].entry;
-    }
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      if (already_done[i]) {
-        ck_out.done.emplace_back(static_cast<std::uint32_t>(i), prior[i]);
-      }
-    }
-    // Persist the reference work immediately: a kill during the rig
-    // phase must not cost the golden prints.
-    ck_out.save(options_.checkpoint_path);
-  }
+  CheckpointWriter checkpoint(options_, digest, refs, prior);
 
   // Rigs still owed a verdict, in spec order.  stop_after truncates the
   // list deterministically (a checkpoint-kill drill for tests: the first
   // N pending rigs complete, the rest report kPending).
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    if (!already_done[i]) pending.push_back(i);
+    if (!prior[i]) pending.push_back(i);
   }
-  bool stopped_early = false;
-  if (options_.stop_after > 0 && options_.stop_after < pending.size()) {
-    pending.resize(options_.stop_after);
-    stopped_early = true;
-  }
+  const bool stopped_early =
+      options_.stop_after > 0 && options_.stop_after < pending.size();
+  if (stopped_early) pending.resize(options_.stop_after);
 
-  // Fleet phase: every pending rig prints under its own online detector,
-  // inside the supervisor's retry/quarantine loop, with its chaos order
-  // (if any) applied per attempt.
-  std::vector<RigOutcome> fresh = pool.map<RigOutcome>(
-      pending.size(), [&](std::size_t k) {
-    const std::size_t i = pending[k];
-    const RigSpec& spec = fleet[i];
-    const obs::Span span("rig/" + spec.name, "fleet");
-    const auto job_t0 = std::chrono::steady_clock::now();
-    const std::size_t obj = object_of[i];
-    const Reference& ref = refs[obj];
-
-    RigOutcome out;
-    out.spec = spec;
-    if (ref_guards[obj].status == RigStatus::kLost) {
-      // No golden reference to compare against: quarantine without
-      // simulating.
-      out.status = RigStatus::kLost;
-      out.attempts = 0;
-      out.failure_cause =
-          "reference lost: " + ref_guards[obj].failure_cause;
-    } else {
-      const GuardOutcome guard = supervisor.run_guarded(i, [&](
-          const AttemptContext& ctx) {
-        host::ChaosInjector injector(spec.chaos, ctx.attempt);
-        RigOutcome attempt_out;
-        attempt_out.spec = spec;
-
-        // Session recording: every detector call of this attempt, in
-        // exact call order (txn after the stall gate, power before the
-        // slot's poll, poll only when the wedge gate passes), so a
-        // daemon --replay of the stream reproduces the verdict byte for
-        // byte without the simulator.  Only the attempt that completes
-        // reaches save(); failed attempts throw out of run_guarded
-        // first.
-        const bool record = !options_.save_captures_dir.empty();
-        core::wire::SessionRecorder rec;
-        if (record) {
-          rec.hello({.rig_index = static_cast<std::uint32_t>(i),
-                     .seed = spec.seed,
-                     .cube_mm = spec.cube_mm,
-                     .height_mm = spec.height_mm,
-                     .name = spec.name,
-                     .sabotage = spec.sabotage.to_string(),
-                     .chaos = spec.chaos.to_string()});
-        }
-
-        // Degrade ladder: the final attempt falls back to the step-count
-        // subset alone (the Supervisor's count-channels fallback), never
-        // to more than the campaign asked for.
-        const ChannelSet live =
-            ctx.degraded
-                ? options_.channels.counts_only().intersect(options_.channels)
-                : options_.channels;
-
-        OnlineDetectorOptions det_opts = options_.detector;
-        det_opts.channels = live;
-        const analyze::Oracle* oracle =
-            options_.use_oracle && ref.oracle.counters_armed ? &ref.oracle
-                                                             : nullptr;
-        OnlineDetector detector(det_opts, ref.entry.refs(oracle));
-
-        host::RigOptions ro;
-        ro.firmware.jitter_seed = spec.seed;
-        attach_probes(ro, live, spec.seed);
-        // Safe-stopped rigs need no long post-kill physics observation.
-        ro.post_kill_observation_s = 5.0;
-        host::Rig rig(ro);
-
-        if (options_.safe_stop) {
-          detector.on_alarm([&rig](const OnlineReport& r) {
-            if (rig.firmware().state() == fw::FwState::kRunning) {
-              rig.firmware().kill(std::string("fleet safe-stop: ") +
-                                  channel_name(r.first_channel) + " alarm");
-            }
-          });
-        }
-
-        // Producer: the board's UART tap feeds the detector's ring,
-        // through the chaos stall gate (a wedged producer tap).
-        rig.board().fpga().uart().on_transaction(
-            [&detector, &injector, &rec, record](
-                const core::Transaction& txn) {
-              if (injector.pass_transaction()) {
-                if (record) rec.txn(txn);
-                detector.submit(txn);
-              }
-            });
-
-        // Consumer: clock-slaved pump, plus live side-channel streaming.
-        // The chaos ring-wedge gate stops the pump draining; the ring's
-        // lossless backpressure must absorb that, so it is NOT a fault.
-        Pump pump(rig.scheduler(), detector, options_.pump);
-        // The kSlot marker is recorded from inside the gate - after the
-        // sample hook ran, only when the poll actually happens - so the
-        // replayed submit-samples-then-poll order matches the live one.
-        pump.set_gate([&injector, &pump, &rec, record] {
-          const bool go = !injector.wedge_pump(pump.slots_run());
-          if (go && record) rec.slot();
-          return go;
-        });
-        std::vector<std::size_t> consumed(rig.probes().size(), 0);
-        pump.on_slot([&rig, &detector, &consumed, &injector, &rec, record] {
-          for (std::size_t p = 0; p < consumed.size(); ++p) {
-            const plant::SideProbe& probe = *rig.probes()[p];
-            const SampleKind kind = probe.kind();
-            if (kind == SampleKind::kPower && injector.jam_power()) {
-              throw Error("chaos: power side-channel probe jammed");
-            }
-            const plant::SideTrace& trace = probe.trace();
-            for (; consumed[p] < trace.size(); ++consumed[p]) {
-              const plant::SideSample& s = trace[consumed[p]];
-              if (record) {
-                // Power keeps its dedicated frame so pre-multi-modal
-                // corpora stay replayable; the rest ride kSample.
-                if (kind == SampleKind::kPower) {
-                  rec.power(s.t_s, s.value);
-                } else {
-                  rec.sample(static_cast<std::uint8_t>(kind), s.t_s,
-                             s.value);
-                }
-              }
-              detector.submit_sample(kind, s.t_s, s.value);
-            }
-          }
-        });
-
-        // End of stream: the UART's finalize tap hands the frozen
-        // capture to the detector for the end-of-print checks.
-        rig.board().fpga().uart().on_finalize(
-            [&detector, &rec, record](const core::Capture& capture) {
-              if (record) rec.finish(capture);
-              detector.finish(capture);
-            });
-
-        injector.arm(rig);  // kCrash: scheduled mid-print throw
-        StallWatchdog dog(
-            rig.scheduler(), options_.supervisor,
-            [&detector] {
-              return static_cast<std::uint64_t>(
-                  detector.windows_processed() + detector.queued());
-            },
-            [&rig] {
-              return rig.firmware().state() == fw::FwState::kRunning;
-            },
-            "rig/" + spec.name);
-
-        const gcode::Program program =
-            sabotaged_program(ref.program, spec.sabotage);
-        host::RunResult res = rig.run(program);
-
-        if (injector.active()) {
-          // Corrupt/truncate chaos mangles the serialized capture; the
-          // bounded from_binary() must reject it (attempt failure).  For
-          // other kinds this round trip is the identity.
-          std::vector<std::uint8_t> wire = res.capture.to_binary();
-          injector.mangle_capture(wire);
-          res.capture = core::Capture::from_binary(wire);
-        }
-        // Stream integrity: a finished print whose detector accepted
-        // fewer transactions than the capture carries means the tap
-        // wedged too late for the watchdog - still an attempt failure.
-        const std::size_t accepted =
-            detector.windows_processed() + detector.queued();
-        if (res.finished && accepted < res.capture.size()) {
-          throw Error("fleet: stream integrity: detector accepted " +
-                      std::to_string(accepted) + " of " +
-                      std::to_string(res.capture.size()) +
-                      " transactions (capture tap wedged)");
-        }
-
-        attempt_out.print_finished = res.finished;
-        attempt_out.kill_reason = res.kill_reason;
-        attempt_out.safe_stopped =
-            res.killed && res.kill_reason.rfind("fleet safe-stop", 0) == 0;
-        attempt_out.sim_seconds = res.sim_seconds;
-        attempt_out.final_counts = res.capture.final_counts;
-        attempt_out.detector = detector.report();
-        if (record) {
-          rec.end({attempt_out.print_finished, attempt_out.safe_stopped,
-                   attempt_out.sim_seconds, attempt_out.final_counts});
-          res.capture.save_binary(options_.save_captures_dir + "/" +
-                                  sanitize(spec.name) + ".bin");
-          rec.save(options_.save_captures_dir + "/" + sanitize(spec.name) +
-                   ".ofs");
-        }
-        out = std::move(attempt_out);
+  // Fleet phase: every pending rig prints under its own detector, inside
+  // the supervisor's retry/quarantine loop.
+  std::vector<double> rig_seconds(fleet.size(), 0.0);
+  std::vector<RigOutcome> fresh =
+      pool.map<RigOutcome>(pending.size(), [&](std::size_t k) {
+        const std::size_t i = pending[k];
+        const obs::Span span("rig/" + fleet[i].name, "fleet");
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::size_t obj = object_of[i];
+        RigOutcome out = supervise_rig(options_, supervisor, i, fleet[i],
+                                       refs[obj], ref_guards[obj]);
+        rig_seconds[i] = obs::us_since(t0) / 1e6;
+        checkpoint.record(i, out);
+        return out;
       });
-      out.status = guard.status;
-      out.attempts = guard.attempts;
-      out.failure_cause = guard.failure_cause;
-      if (guard.status == RigStatus::kLost) {
-        // Quarantined: drop any partial attempt state so the record is
-        // a clean default + verdict.
-        RigOutcome lost;
-        lost.spec = spec;
-        lost.status = RigStatus::kLost;
-        lost.attempts = guard.attempts;
-        lost.failure_cause = guard.failure_cause;
-        out = std::move(lost);
-      }
-    }
-    rig_seconds[i] = seconds_since(job_t0);
-
-    if (checkpointing) {
-      const std::lock_guard<std::mutex> lock(ck_mu);
-      ck_out.done.emplace_back(static_cast<std::uint32_t>(i), out);
-      if (++completed_since_save >= options_.checkpoint_every) {
-        completed_since_save = 0;
-        ck_out.save(options_.checkpoint_path);
-      }
-    }
-    return out;
-  });
+  checkpoint.flush();  // the tail short of checkpoint_every
 
   // Assemble: prior (resumed) outcomes, this process's outcomes, and
   // kPending placeholders for rigs behind a stop_after cut.
   FleetReport report;
+  report.complete = !stopped_early;
   report.rigs.resize(fleet.size());
-  std::vector<char> covered = already_done;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    if (already_done[i]) report.rigs[i] = std::move(prior[i]);
+    report.rigs[i].spec = fleet[i];
+    report.rigs[i].status = RigStatus::kPending;
+    report.rigs[i].attempts = 0;
+    if (prior[i]) report.rigs[i] = std::move(*prior[i]);
   }
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    covered[pending[k]] = 1;
     report.rigs[pending[k]] = std::move(fresh[k]);
-  }
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    if (covered[i]) continue;
-    RigOutcome p;
-    p.spec = fleet[i];
-    p.status = RigStatus::kPending;
-    p.attempts = 0;
-    report.rigs[i] = std::move(p);
-  }
-  report.complete = !stopped_early;
-
-  if (checkpointing && completed_since_save > 0) {
-    ck_out.save(options_.checkpoint_path);  // tail < checkpoint_every
   }
 
   // Deterministic order: references by object index, then the rigs
@@ -892,8 +873,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
         {"reference/" + std::to_string(i), ref_seconds[i]});
   }
   for (const std::size_t i : pending) {
-    report.timings.push_back(
-        {"rig/" + report.rigs[i].spec.name, rig_seconds[i]});
+    report.timings.push_back({"rig/" + fleet[i].name, rig_seconds[i]});
   }
   return report;
 }
@@ -987,6 +967,7 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
     spec.seed = spec_integer<std::uint64_t>(r, "seed", 1000 + specs.size());
     spec.cube_mm = r.number_or("cube_mm", spec.cube_mm);
     spec.height_mm = r.number_or("height_mm", spec.height_mm);
+    check_object(spec.cube_mm, spec.height_mm);
     spec.sabotage = parse_sabotage(r.string_or("sabotage", ""));
     spec.chaos = host::parse_chaos(r.string_or("chaos", ""));
     specs.push_back(std::move(spec));

@@ -5,7 +5,9 @@
 // rigs - each with its own seed, object, and (optionally) implanted
 // Flaw3D Trojan - over the host::ParallelRunner pool, with one
 // svc::OnlineDetector per rig consuming that rig's capture stream live
-// through its ring buffer via a clock-slaved svc::Pump.
+// through its ring buffer.  The rig reaches its detector only through a
+// svc::DetectorFeed, fed by the UART tap and by a service slot on the
+// rig's own clock - the same door a replayed session goes through.
 //
 // Run shape:
 //
@@ -36,7 +38,7 @@
 #include "host/chaos.hpp"
 #include "host/slicer.hpp"
 #include "svc/online_detector.hpp"
-#include "svc/pump.hpp"
+#include "svc/ref_cache.hpp"
 #include "svc/supervisor.hpp"
 
 namespace offramps::host {
@@ -80,16 +82,35 @@ struct RigSpec {
   host::ChaosSpec chaos{};
 };
 
-/// Fleet-wide configuration.
-struct FleetOptions {
+/// The live consumer's service rate: every `period` of sim time a rig's
+/// service slot streams its probes' fresh samples into the detector feed
+/// and drains up to `windows_per_slot` windows.  Slowing it (small
+/// budget, long period) is how tests provoke ring backpressure.
+struct PumpOptions {
+  sim::Tick period = sim::ms(100);
+  std::size_t windows_per_slot = 4;
+};
+
+/// How a svc::DetectorFeed judges one rig's stream.
+struct SessionOptions {
+  /// Detector tuning; a replay must use the live campaign's for
+  /// byte-identity (ring capacity shapes high-water/stall counts).
+  OnlineDetectorOptions detector{};
+  /// Windows drained per slot - the live PumpOptions::windows_per_slot.
+  std::size_t windows_per_slot = 4;
+};
+
+/// How rigs are judged and how their golden references are obtained:
+/// shared by the batch fleet (FleetOptions derives from it), the daemon
+/// and replay.  A replay must use the live campaign's values for a
+/// byte-identical report.
+struct ServiceOptions {
   /// Worker threads; 0 = host::ParallelRunner::default_workers().
   std::size_t workers = 0;
   /// Per-rig detector tuning (channels, margins, ring capacity).
   OnlineDetectorOptions detector{};
-  /// Per-rig consumer pump (service period, windows per slot).
+  /// Per-rig consumer rate (service period, windows per slot).
   PumpOptions pump{};
-  /// Kill a rig's firmware the moment its detector alarms mid-print.
-  bool safe_stop = true;
   /// Arm the static-oracle channel (end-of-print tight-margin check and
   /// g-code line attribution for alarms).
   bool use_oracle = true;
@@ -101,22 +122,68 @@ struct FleetOptions {
   ChannelSet channels{};
   /// Fixed jitter seed of the reference prints.
   std::uint64_t reference_seed = 42;
-  /// Slicer profile shared by every object in the fleet.
+  /// Slicer profile shared by every object.
   host::SliceProfile profile{};
+  /// When set, golden references are served from / persisted to this
+  /// svc::RefCache directory (content-addressed by object + slicer
+  /// profile + reference seed + channels), so repeated campaigns skip the
+  /// reference simulations entirely.  Orchestration plumbing: it does not
+  /// enter the campaign digest and cannot change report bytes.
+  std::string cache_dir;
+  /// RefCache LRU size bound in bytes (0 = unbounded).
+  std::uint64_t cache_max_bytes = 0;
+
+  /// The feed options of a rig judged on the `live` channels.
+  [[nodiscard]] SessionOptions session(const ChannelSet& live) const {
+    SessionOptions s{detector, pump.windows_per_slot};
+    s.detector.channels = live;
+    return s;
+  }
+};
+
+/// Checks a printed object's size before anything slices it: `cube_mm`
+/// (the footprint) and `height_mm` must be finite, > 0 and within the
+/// printer's travel (fw::Config{}.axis_length_mm: X and Y bound the
+/// footprint, Z the height).  Throws offramps::Error naming the key.
+void check_object(double cube_mm, double height_mm);
+
+/// One object's reference material, shared by every rig printing it: the
+/// clean sliced program, its static oracle and the golden print.  The
+/// batch fleet and the daemon's reference resolver both build it here.
+struct Reference {
+  gcode::Program program;
+  analyze::Oracle oracle;
+  RefEntry entry;  // golden capture + side-channel traces
+
+  /// Slices the cube and computes its static oracle; `entry` stays empty.
+  static Reference slice(double cube_mm, double height_mm,
+                         const host::SliceProfile& profile);
+
+  /// The golden print: one rig at the reference seed with a probe per
+  /// channel in `probes`, under a StallWatchdog tuned by `watchdog` and
+  /// named `phase`.  Fills `entry` once the print finished; throws
+  /// offramps::Error, leaving `entry` as it was, when it stalls or does
+  /// not finish.
+  void print(const ServiceOptions& options, const ChannelSet& probes,
+             const SupervisorOptions& watchdog, const std::string& phase);
+
+  /// The detector references: the static oracle only when the campaign
+  /// uses it and it armed.
+  [[nodiscard]] ChannelRefs refs(bool use_oracle) const {
+    return entry.refs(use_oracle && oracle.counters_armed ? &oracle
+                                                          : nullptr);
+  }
+};
+
+/// The batch campaign: the judging options plus its own.
+struct FleetOptions : ServiceOptions {
+  /// Kill a rig's firmware the moment its detector alarms mid-print.
+  bool safe_stop = true;
   /// When set, persist each object's golden capture and each rig's
   /// observed capture as .bin files (core::Capture::save_binary) there,
   /// plus each rig's detector-feed session stream as a .ofs file
   /// (core::wire) replayable by svc::replay_corpus.
   std::string save_captures_dir;
-  /// When set, golden references are served from / persisted to this
-  /// svc::RefCache directory (content-addressed by object + slicer
-  /// profile + reference seed), so repeated campaigns skip the
-  /// reference simulations entirely.  Like save_captures_dir, this is
-  /// orchestration plumbing: it does not enter the campaign digest and
-  /// cannot change report bytes.
-  std::string cache_dir;
-  /// RefCache LRU size bound in bytes (0 = unbounded).
-  std::uint64_t cache_max_bytes = 0;
   /// Per-phase retry/watchdog/quarantine policy.
   SupervisorOptions supervisor{};
   /// When set, write a campaign checkpoint (completed rig verdicts plus
@@ -216,7 +283,8 @@ class Fleet {
   ///       {"name": "a", "seed": 7, "cube_mm": 8, "height_mm": 3,
   ///        "sabotage": "reduce:0.85"}, ... ] }
   /// Unknown keys are ignored; rig defaults are RigSpec's.  Throws
-  /// offramps::Error on malformed JSON or a malformed sabotage string.
+  /// offramps::Error on malformed JSON, a malformed sabotage string or
+  /// an object size check_object() rejects.
   static std::vector<RigSpec> specs_from_json(const std::string& text,
                                               FleetOptions& options);
 

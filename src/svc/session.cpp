@@ -7,11 +7,8 @@
 namespace offramps::svc {
 
 RigSession::RigSession(SessionOptions options, ResolveRefs resolve)
-    : options_(std::move(options)), resolve_(std::move(resolve)) {
-  if (options_.windows_per_slot == 0) {
-    throw Error("RigSession: windows_per_slot must be > 0");
-  }
-}
+    : options_(DetectorFeed::checked(options)),
+      resolve_(std::move(resolve)) {}
 
 void RigSession::fail(const std::string& why) {
   if (failed_) return;
@@ -35,27 +32,29 @@ void RigSession::on_frame(const core::wire::Frame& frame) {
         }
         hello_ = frame.hello;
         has_hello_ = true;
+        // A hostile size must not reach the slicer (or a 300-digit report
+        // line): the session is lost before anything resolves.
+        check_object(hello_.cube_mm, hello_.height_mm);
         const SessionRefs refs = resolve_(hello_);
         if (refs.golden == nullptr) {
           fail("session: no golden reference for object");
           return;
         }
-        detector_ = std::make_unique<OnlineDetector>(options_.detector, refs);
+        feed_.emplace(options_, refs);
         break;
       }
       case FrameType::kTxn:
-        detector_->submit(frame.txn);
+        feed_->txn(frame.txn);
         break;
       case FrameType::kPower:
-        detector_->submit_sample(SampleKind::kPower, frame.power_t_s,
-                                 frame.power_watts);
+        feed_->sample(SampleKind::kPower, frame.power_t_s, frame.power_watts);
         break;
       case FrameType::kSample:
-        detector_->submit_sample(static_cast<SampleKind>(frame.sample_kind),
-                                 frame.sample_t_s, frame.sample_value);
+        feed_->sample(static_cast<SampleKind>(frame.sample_kind),
+                      frame.sample_t_s, frame.sample_value);
         break;
       case FrameType::kSlot:
-        detector_->poll(options_.windows_per_slot);
+        feed_->slot();
         break;
       case FrameType::kFinish: {
         if (saw_finish_) {
@@ -67,7 +66,7 @@ void RigSession::on_frame(const core::wire::Frame& frame) {
         const core::Capture capture = core::Capture::from_binary(
             frame.finish.data(), frame.finish.size());
         saw_finish_ = true;
-        detector_->finish(capture);
+        feed_->finish(capture);
         break;
       }
       case FrameType::kEnd:
@@ -121,7 +120,7 @@ RigOutcome RigSession::outcome() const {
     return out;
   }
 
-  out.detector = detector_->report();
+  out.detector = feed_->detector().report();
   out.print_finished = meta_.print_finished;
   out.safe_stopped = meta_.safe_stopped;
   out.sim_seconds = meta_.sim_seconds;

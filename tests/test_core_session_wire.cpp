@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -281,6 +282,42 @@ TEST(SessionWire, InnerCrcDamageDropsJustThatTransaction) {
   EXPECT_EQ(reader.corrupt_txns(), 1u);
   EXPECT_EQ(reader.resyncs(), 0u) << "outer framing was intact";
   EXPECT_EQ(txns, 3u);
+}
+
+// A hello with a non-finite object size, or an end whose sim_seconds is
+// non-finite or negative, would print a bare "nan" into the report: the
+// reader drops either frame as damage, like a failed inner CRC.
+TEST(SessionWire, NonFiniteSizesAndEndTimesAreDamage) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double cube_mm, height_mm, sim_seconds;
+    FrameType survivor;
+  };
+  for (const Case& c : {Case{nan, 1.5, 1.0, FrameType::kEnd},
+                        Case{6.0, -inf, 1.0, FrameType::kEnd},
+                        Case{6.0, 1.5, nan, FrameType::kHello},
+                        Case{6.0, 1.5, inf, FrameType::kHello},
+                        Case{6.0, 1.5, -0.5, FrameType::kHello}}) {
+    SessionRecorder rec;
+    rec.hello({.rig_index = 0,
+               .seed = 1,
+               .cube_mm = c.cube_mm,
+               .height_mm = c.height_mm,
+               .name = "r",
+               .sabotage = "clean",
+               .chaos = "none"});
+    rec.end({.print_finished = true,
+             .safe_stopped = false,
+             .sim_seconds = c.sim_seconds,
+             .final_counts = {}});
+    FrameReader reader;
+    const std::vector<Frame> frames = parse_all(reader, rec.bytes());
+    ASSERT_EQ(frames.size(), 1u) << c.cube_mm << " " << c.sim_seconds;
+    EXPECT_EQ(frames[0].type, c.survivor);
+    EXPECT_EQ(reader.resyncs(), 1u);
+    EXPECT_EQ(reader.ended(), c.survivor == FrameType::kEnd);
+  }
 }
 
 TEST(SessionWire, LyingLengthPrefixIsBoundedNotAllocated) {

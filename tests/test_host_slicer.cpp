@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "gcode/stats.hpp"
@@ -120,6 +121,17 @@ TEST(SliceCube, DegenerateSpecThrows) {
   CubeSpec bad{.size_x_mm = 0, .size_y_mm = 10, .height_mm = 2,
                .center_x_mm = 100, .center_y_mm = 90};
   EXPECT_THROW(slice_cube(bad, p), offramps::Error);
+  // Non-finite sizes never reach the layer count's cast to an integer.
+  for (const double mm : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), -1.0}) {
+    for (double CubeSpec::*dim :
+         {&CubeSpec::size_x_mm, &CubeSpec::size_y_mm, &CubeSpec::height_mm}) {
+      CubeSpec cube{.size_x_mm = 10, .size_y_mm = 10, .height_mm = 2,
+                    .center_x_mm = 100, .center_y_mm = 90};
+      cube.*dim = mm;
+      EXPECT_THROW(slice_cube(cube, p), offramps::Error) << mm;
+    }
+  }
 }
 
 TEST(SliceSquare, SingleWallHasNoInfill) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "host/chaos.hpp"
 #include "sim/error.hpp"
 #include "svc/fleet.hpp"
@@ -200,6 +201,25 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
         std::string("\"reference_seed\": -42"),
         std::string("\"cache_max_mb\": -1")}) {
     const std::string text = "{ " + bad + ", \"rigs\": [{}] }";
+    try {
+      FleetOptions o;
+      Fleet::specs_from_json(text, o);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const offramps::Error& e) {
+      const std::string key = bad.substr(0, bad.find(':'));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  // Object sizes: non-positive or beyond the printer's travel are spec
+  // errors naming the key.  1e300 used to reach the slicer's cast to an
+  // integer layer count, 1e6 to slice for minutes before any supervision.
+  for (const std::string& bad :
+       {std::string("\"cube_mm\": 1e6"), std::string("\"cube_mm\": 0"),
+        std::string("\"cube_mm\": -8"), std::string("\"cube_mm\": 1e300"),
+        std::string("\"height_mm\": 1e300"),
+        std::string("\"height_mm\": 211")}) {
+    const std::string text = "{ \"rigs\": [{" + bad + "}] }";
     try {
       FleetOptions o;
       Fleet::specs_from_json(text, o);
@@ -414,6 +434,33 @@ TEST(FleetCheckpoint, StopResumeReproducesFullReportByteForByte) {
   }
   EXPECT_TRUE(timed_c3);
   std::filesystem::remove(ck);
+}
+
+// A checkpoint lists completed rigs in spec order whatever order they
+// complete in, so its bytes do not depend on the worker count.  Rig 0
+// prints the tallest object, so at 4 workers it completes last.
+TEST(FleetCheckpoint, BytesIndependentOfWorkerCount) {
+  std::vector<RigSpec> specs(4);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = "w-" + std::to_string(i);
+    specs[i].seed = 900 + i;
+    specs[i].cube_mm = 6.0;
+    specs[i].height_mm = 1.0;
+  }
+  specs[0].height_mm = 3.0;
+  std::vector<std::vector<std::uint8_t>> bytes;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const std::string ck = ::testing::TempDir() + "/fleet-workers-" +
+                           std::to_string(workers) + "-ck.bin";
+    std::filesystem::remove(ck);
+    FleetOptions options;
+    options.workers = workers;
+    options.checkpoint_path = ck;
+    (void)Fleet(options).run(specs);
+    bytes.push_back(offramps::core::read_file(ck, "test"));
+    std::filesystem::remove(ck);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 TEST(FleetCheckpoint, ResumeRejectsEditedSpecs) {

@@ -62,10 +62,12 @@ std::uint64_t fnv1a_file(const std::filesystem::path& path) {
 }
 
 /// FNV-1a of every artifact recording() writes, recorded before the
-/// side-channel pipeline was merged into one probe/channel family.  The
+/// side-channel pipeline was merged into one probe/channel family (rp-3's
+/// before the live attempt and the replay shared one detector feed).  The
 /// report renders only counts, so these are what catch a probe sample
-/// that moves by one bit, a feed loop that reorders samples, or a
-/// reference codec that changes a byte.
+/// that moves by one bit, a feed loop that reorders samples, a wedged
+/// consumer whose slots are recorded in another order, or a reference
+/// codec that changes a byte.
 constexpr std::uint64_t kRefEntryFnv = 0xf9eda85340879f4bull;
 const std::map<std::string, std::uint64_t>& capture_fnvs() {
   static const std::map<std::string, std::uint64_t> fnvs = {
@@ -76,15 +78,18 @@ const std::map<std::string, std::uint64_t>& capture_fnvs() {
       {"rp-1.ofs", 0x464a758b8f5e0b74ull},
       {"rp-2.bin", 0x79ab72122e63f185ull},
       {"rp-2.ofs", 0xf5974c445778438cull},
+      {"rp-3.bin", 0x45dd396b4d237f3eull},
+      {"rp-3.ofs", 0x967fe5ffb23efbe3ull},
   };
   return fnvs;
 }
 
-/// Three small rigs sharing one object, one of them sabotaged - enough
-/// to cover both verdicts in replay while keeping the one live
-/// simulation this suite pays for quick.
+/// Four small rigs sharing one object, one of them sabotaged and one
+/// with a wedged consumer - enough to cover both verdicts and the ring's
+/// backpressure path in replay while keeping the one live simulation
+/// this suite pays for quick.
 std::vector<RigSpec> recorded_fleet() {
-  std::vector<RigSpec> specs(3);
+  std::vector<RigSpec> specs(4);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].name = "rp-" + std::to_string(i);
     specs[i].seed = 700 + i;
@@ -92,6 +97,7 @@ std::vector<RigSpec> recorded_fleet() {
     specs[i].height_mm = 1.5;
   }
   specs[1].sabotage = parse_sabotage("reduce:0.5");
+  specs[3].chaos = parse_chaos("ringwedge");
   return specs;
 }
 
@@ -102,15 +108,8 @@ FleetOptions recorded_options() {
 }
 
 ServiceOptions service_options(const std::string& cache_dir = "") {
-  const FleetOptions fleet = recorded_options();
-  ServiceOptions service;
+  ServiceOptions service = recorded_options();
   service.workers = 1;
-  service.detector = fleet.detector;
-  service.pump = fleet.pump;
-  service.use_oracle = fleet.use_oracle;
-  service.channels = fleet.channels;
-  service.reference_seed = fleet.reference_seed;
-  service.profile = fleet.profile;
   service.cache_dir = cache_dir;
   return service;
 }
@@ -145,7 +144,7 @@ TEST(RefCacheCampaign, ColdRunPopulatesOneEntryPerObject) {
     ++entries;
     EXPECT_EQ(fnv1a_file(e.path()), kRefEntryFnv);
   }
-  // All three rigs print the same object: one digest, one entry.
+  // All four rigs print the same object: one digest, one entry.
   EXPECT_EQ(entries, 1u);
 }
 
@@ -185,7 +184,10 @@ TEST(Replay, ReproducesLiveReportByteForByte) {
   EXPECT_EQ(report.to_json(), rec.live_json)
       << "replay must reproduce every verdict without simulating";
   EXPECT_EQ(report.alarmed(), 1u);
-  EXPECT_EQ(report.count(RigStatus::kOk), 3u);
+  EXPECT_EQ(report.count(RigStatus::kOk), 4u);
+  // The wedged consumer leaned on the ring's lossless backpressure, and
+  // the replay stalled exactly where the live rig did.
+  EXPECT_GT(report.rigs[3].detector.backpressure_stalls, 0u);
 
   // The recorded sessions and captures themselves, byte for byte.
   std::map<std::string, std::uint64_t> fnvs;
@@ -215,15 +217,15 @@ TEST(Replay, ChaosDrillsLandOnTheLadder) {
   const Recording& rec = recording();
   ReplayOptions options;
   options.service = service_options(rec.cache_dir);
-  // Corpus files sort by name: rp-0, rp-1, rp-2.  Drop a transaction
-  // from rp-0's stream and cut rp-2's short.
+  // Corpus files sort by name: rp-0, rp-1, rp-2, rp-3.  Drop a
+  // transaction from rp-0's stream and cut rp-2's short.
   auto corrupt = parse_chaos("framecorrupt");
   corrupt.after = 3;
   options.chaos.emplace_back(0, corrupt);
   options.chaos.emplace_back(2, parse_chaos("disconnect"));
 
   const FleetReport report = replay_corpus(rec.captures_dir, options);
-  ASSERT_EQ(report.rigs.size(), 3u);
+  ASSERT_EQ(report.rigs.size(), 4u);
   EXPECT_EQ(report.rigs[0].status, RigStatus::kRecovered);
   EXPECT_NE(report.rigs[0].failure_cause.find("corrupt transaction"),
             std::string::npos)

@@ -19,6 +19,7 @@
 #include "host/chaos.hpp"
 #include "sim/error.hpp"
 #include "svc/fleet.hpp"
+#include "svc/json.hpp"
 #include "svc/session.hpp"
 
 namespace {
@@ -32,6 +33,7 @@ using offramps::core::wire::SessionRecorder;
 using offramps::host::ChaosInjector;
 using offramps::host::parse_chaos;
 using offramps::plant::SideTrace;
+using offramps::svc::FleetReport;
 using offramps::svc::RigOutcome;
 using offramps::svc::RigSession;
 using offramps::svc::RigStatus;
@@ -319,6 +321,50 @@ TEST(RigSession, SabotagedStreamAlarmsButStaysOk) {
   EXPECT_EQ(out.status, RigStatus::kOk);
   EXPECT_TRUE(out.detector.alarmed)
       << "halved extrusion against the golden must trip the compare channel";
+}
+
+// A hello naming an object the printer cannot hold - or one whose size
+// would not fit a fixed report buffer - loses the session before anything
+// resolves (or slices) a reference, and the report still renders valid
+// JSON with the size in full.
+TEST(RigSession, OutOfRangeObjectIsLostBeforeResolving) {
+  struct Case {
+    double cube_mm, height_mm;
+    const char* key;
+  };
+  for (const Case& c : {Case{1e300, 3.0, "cube_mm"}, Case{1e6, 3.0, "cube_mm"},
+                        Case{0.0, 3.0, "cube_mm"}, Case{8.0, 1e300, "height_mm"},
+                        Case{8.0, -1.0, "height_mm"}}) {
+    SessionRecorder rec;
+    SessionHello hello = clean_hello();
+    hello.cube_mm = c.cube_mm;
+    hello.height_mm = c.height_mm;
+    rec.hello(hello);
+    rec.end(SessionMeta{});
+    const std::vector<std::uint8_t>& bytes = rec.bytes();
+
+    bool resolved = false;
+    RigSession session(quiet_options(), [&resolved](const SessionHello&) {
+      resolved = true;
+      return SessionRefs{};
+    });
+    session.feed(bytes.data(), bytes.size());
+    session.close();
+    const RigOutcome out = session.outcome();
+    EXPECT_FALSE(resolved) << c.key;
+    EXPECT_EQ(out.status, RigStatus::kLost);
+    EXPECT_NE(out.failure_cause.find(c.key), std::string::npos)
+        << out.failure_cause;
+
+    FleetReport report;
+    report.rigs.push_back(out);
+    const offramps::svc::json::Value doc =
+        offramps::svc::json::parse(report.to_json());
+    const offramps::svc::json::Value& rig = doc.find("rigs")->items.at(0);
+    EXPECT_EQ(rig.number_or("cube_mm", 0.0), c.cube_mm);
+    EXPECT_EQ(rig.number_or("height_mm", 0.0), c.height_mm);
+    EXPECT_EQ(rig.string_or("sabotage", ""), "clean");
+  }
 }
 
 TEST(RigSession, ZeroWindowsPerSlotIsRejected) {
