@@ -201,13 +201,16 @@ void report_event_throughput() {
 }
 
 int main(int argc, char** argv) {
+  // Google Benchmark owns this harness's flags (--benchmark_*); anything
+  // it does not recognize is a usage error before any work runs.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   report_prop_delays();
   report_signal_envelope();
   report_link_budget();
   report_equivalence();
   report_event_throughput();
   bench::heading("Host-side simulation cost (google-benchmark)");
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

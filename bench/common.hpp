@@ -11,12 +11,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/strict_parse.hpp"
+#include "core/cli.hpp"
 #include "detect/compare.hpp"
 #include "gcode/stats.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
+#include "obs/json.hpp"
 
 // Sanitizer instrumentation slows hot paths 2-20x and not uniformly, so
 // perf thresholds measured on plain builds are meaningless under it.
@@ -94,29 +95,17 @@ class Stopwatch {
 
 /// Worker count for a harness run: `--jobs N` / `-j N` on the command
 /// line wins, else OFFRAMPS_JOBS / hardware concurrency via
-/// ParallelRunner::default_workers().  Unrelated argv entries are left
-/// for the caller.  Values must be whole positive integers ("8x" used to
-/// silently run as 8); a malformed value warns and falls through to the
-/// default, matching the OFFRAMPS_JOBS contract.
+/// ParallelRunner::default_workers().  Any other argument, or a value
+/// that is not a whole number in [1, 1000000], exits 2 before the
+/// harness runs.
 inline std::size_t parse_jobs(int argc, char** argv) {
-  const auto strict = [](const char* text) -> std::size_t {
-    const auto v = core::parse_long(text);
-    if (v && *v >= 1) return static_cast<std::size_t>(*v);
-    std::fprintf(stderr,
-                 "--jobs '%s' is not a positive integer; using default\n",
-                 text);
-    return host::ParallelRunner::default_workers();
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if ((a == "--jobs" || a == "-j") && i + 1 < argc) {
-      return strict(argv[i + 1]);
-    }
-    if (a.rfind("--jobs=", 0) == 0) {
-      return strict(a.c_str() + 7);
-    }
-  }
-  return host::ParallelRunner::default_workers();
+  std::size_t jobs = 0;
+  core::cli::Parser args;
+  args.count("--jobs", jobs, 1, 1'000'000).alias("-j");
+  args.parse_or_exit(argc, argv, 1,
+                     "options: --jobs N, -j N  worker threads (default: "
+                     "OFFRAMPS_JOBS or cores)\n");
+  return jobs != 0 ? jobs : host::ParallelRunner::default_workers();
 }
 
 /// Accumulates key/value pairs and writes `BENCH_<name>.json` so CI and
@@ -132,15 +121,15 @@ class BenchJson {
   }
 
   void add(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, quote(value));
+    std::string quoted;
+    obs::append_json_string(quoted, value);
+    entries_.emplace_back(key, std::move(quoted));
   }
   void add(const std::string& key, const char* value) {
     add(key, std::string(value));
   }
   void add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    entries_.emplace_back(key, buf);
+    entries_.emplace_back(key, obs::format_general(value));
   }
   void add(const std::string& key, std::uint64_t value) {
     entries_.emplace_back(key, std::to_string(value));
@@ -153,38 +142,29 @@ class BenchJson {
   }
 
   /// Writes BENCH_<name>.json in the working directory and reports the
-  /// path on stdout.  Returns false (after perror) if the file cannot be
-  /// written; harnesses treat that as non-fatal.
+  /// path on stdout.  Returns false (after printing why) if the file
+  /// cannot be written; harnesses treat that as non-fatal.
   bool write() const {
     const std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::perror(("BenchJson: " + path).c_str());
+    std::string doc = "{\n";
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      doc += "  ";
+      obs::append_json_string(doc, entries_[i].first);
+      doc += ": " + entries_[i].second +
+             (i + 1 < entries_.size() ? ",\n" : "\n");
+    }
+    doc += "}\n";
+    try {
+      core::cli::write_text(path, doc, "BenchJson");
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return false;
     }
-    std::fputs("{\n", f);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      std::fprintf(f, "  %s: %s%s\n", quote(entries_[i].first).c_str(),
-                   entries_[i].second.c_str(),
-                   i + 1 < entries_.size() ? "," : "");
-    }
-    std::fputs("}\n", f);
-    std::fclose(f);
     std::printf("[bench] wrote %s\n", path.c_str());
     return true;
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
-  }
-
   std::string name_;
   std::vector<std::pair<std::string, std::string>> entries_;
 };

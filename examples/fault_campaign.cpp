@@ -17,11 +17,9 @@
 // offramps_fleetd): 0 = campaign ran and self-checks passed,
 // 1 = self-check findings or report write failure, 2 = usage error.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
-#include "core/strict_parse.hpp"
+#include "core/cli.hpp"
 #include "host/fault_campaign.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/slicer.hpp"
@@ -43,48 +41,26 @@ constexpr const char* kUsage =
     "(never emitted here) - the same contract as offramps_fleetd and\n"
     "offramps_lint\n";
 
-std::size_t parse_jobs_or_die(const char* text) {
-  const auto v = offramps::core::parse_long(text);
-  if (!v || *v < 1) {
-    std::fprintf(stderr, "bad --jobs value '%s'\n", text);
-    std::fputs(kUsage, stderr);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(*v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace offramps;
 
-  const char* out_path = "fault_campaign.json";
-  std::size_t jobs = host::ParallelRunner::default_workers();
+  std::string out_path = "fault_campaign.json";
+  std::size_t jobs = 0;  // 0: OFFRAMPS_JOBS, else the cores
+  bool help = false;
   bool metrics = false;
   std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--metrics") == 0) {
-      metrics = true;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if ((std::strcmp(argv[i], "--jobs") == 0 ||
-                std::strcmp(argv[i], "-j") == 0) &&
-               i + 1 < argc) {
-      jobs = parse_jobs_or_die(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = parse_jobs_or_die(argv[i] + 7);
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else {
-      out_path = argv[i];
-    }
+  core::cli::Parser args;
+  args.flag("--help", help).alias("-h")
+      .count("--jobs", jobs, 1, 1'000'000).alias("-j")
+      .flag("--metrics", metrics)
+      .text("--trace-out", trace_path)
+      .text("report.json", out_path);
+  args.parse_or_exit(argc, argv, 1, kUsage);
+  if (help) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
 
   if (metrics) obs::set_enabled(true);
@@ -141,13 +117,13 @@ int main(int argc, char** argv) {
               report.count(host::CellOutcome::kFalseAlarm),
               report.clean_transactions);
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
+  try {
+    core::cli::write_text(out_path, report.to_json(), "fault_campaign");
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  out << report.to_json();
-  std::printf("report written to %s\n", out_path);
+  std::printf("report written to %s\n", out_path.c_str());
 
   // Self-check mirroring the acceptance criteria: zero-intensity cells
   // must classify clean (no false alarms), and UART bit-flip cells must

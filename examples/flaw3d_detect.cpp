@@ -4,10 +4,11 @@
 //
 // Usage: flaw3d_detect [reduction_factor]
 //   e.g. flaw3d_detect 0.9
+// A factor outside (0, 1], or any other argument, exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "core/cli.hpp"
 #include "detect/compare.hpp"
 #include "gcode/flaw3d.hpp"
 #include "gcode/stats.hpp"
@@ -18,11 +19,11 @@ using namespace offramps;
 
 int main(int argc, char** argv) {
   double factor = 0.9;
-  if (argc > 1) factor = std::atof(argv[1]);
-  if (factor <= 0.0 || factor > 1.0) {
-    std::fprintf(stderr, "reduction factor must be in (0, 1]\n");
-    return 2;
-  }
+  core::cli::Parser args;
+  args.positive("FACTOR", factor, 1.0);
+  args.parse_or_exit(argc, argv, 1,
+                     "usage: flaw3d_detect [FACTOR]  (reduction factor in "
+                     "(0, 1], default 0.9)\n");
 
   host::SliceProfile profile;
   host::CubeSpec cube{.size_x_mm = 10, .size_y_mm = 10, .height_mm = 3,

@@ -11,14 +11,14 @@
 // to stdout, so mutations compose with shell pipelines:
 //
 //   gcode_tool demo | gcode_tool reduce 0.5 | gcode_tool stats
+//
+// Exit codes: 0 done, 1 malformed g-code, 2 usage error (an unknown mode
+// or argument, a FACTOR outside (0, 1], an N below 1, an unreadable
+// file).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 
+#include "core/cli.hpp"
 #include "gcode/flaw3d.hpp"
 #include "gcode/parser.hpp"
 #include "gcode/stats.hpp"
@@ -31,21 +31,12 @@ using namespace offramps;
 
 namespace {
 
-std::string read_input(int argc, char** argv, int file_arg) {
-  if (argc > file_arg) {
-    std::ifstream in(argv[file_arg]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[file_arg]);
-      std::exit(2);
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }
-  std::ostringstream ss;
-  ss << std::cin.rdbuf();
-  return ss.str();
-}
+constexpr const char* kUsage =
+    "usage: gcode_tool {stats [FILE] | reduce FACTOR [FILE] |\n"
+    "                   relocate N [FILE] | demo}\n"
+    "  FACTOR  Flaw3D reduction factor in (0, 1]\n"
+    "  N       Flaw3D relocation: dump every N moves, N >= 1\n"
+    "  FILE    g-code input ('-' or absent = stdin)\n";
 
 int cmd_stats(const gcode::Program& program) {
   const gcode::Statistics s = gcode::analyze(program);
@@ -86,64 +77,59 @@ int cmd_stats_with_estimate(const gcode::Program& program) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s {stats|reduce FACTOR|relocate N|demo} [file]\n",
-                 argv[0]);
+  const std::string mode = argc > 1 ? argv[1] : "";
+  if (mode != "stats" && mode != "reduce" && mode != "relocate" &&
+      mode != "demo") {
+    std::fprintf(stderr, "unknown mode '%s'\n%s", mode.c_str(), kUsage);
     return 2;
   }
-  const std::string mode = argv[1];
+  double factor = 0.0;
+  std::uint32_t every_n = 0;
+  std::string path = "-";
+  core::cli::Parser args;
+  if (mode == "reduce") args.positive("FACTOR", factor, 1.0).required();
+  if (mode == "relocate") args.count("N", every_n, 1).required();
+  if (mode != "demo") args.text("FILE", path);
+  args.parse_or_exit(argc, argv, 2, kUsage);
+
+  if (mode == "demo") {
+    host::SliceProfile profile;
+    host::CubeSpec cube{.size_x_mm = 15, .size_y_mm = 15, .height_mm = 5,
+                        .center_x_mm = 110, .center_y_mm = 100};
+    std::fputs(gcode::write_program(host::slice_cube(cube, profile)).c_str(),
+               stdout);
+    return 0;
+  }
+  std::string text;
   try {
-    if (mode == "demo") {
-      host::SliceProfile profile;
-      host::CubeSpec cube{.size_x_mm = 15, .size_y_mm = 15,
-                          .height_mm = 5, .center_x_mm = 110,
-                          .center_y_mm = 100};
-      std::fputs(gcode::write_program(host::slice_cube(cube, profile))
-                     .c_str(),
-                 stdout);
-      return 0;
-    }
-    if (mode == "stats") {
-      return cmd_stats_with_estimate(
-          gcode::parse_program(read_input(argc, argv, 2)));
-    }
+    text = core::cli::read_text(path, "gcode_tool");
+  } catch (const offramps::Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  try {
+    const gcode::Program program = gcode::parse_program(text);
+    if (mode == "stats") return cmd_stats_with_estimate(program);
+    gcode::flaw3d::MutationReport report;
+    const gcode::Program mutated =
+        mode == "reduce"
+            ? gcode::flaw3d::apply_reduction(program, {.factor = factor},
+                                             &report)
+            : gcode::flaw3d::apply_relocation(
+                  program, {.every_n_moves = every_n, .take_fraction = 0.15},
+                  &report);
+    std::fputs(gcode::write_program(mutated).c_str(), stdout);
     if (mode == "reduce") {
-      if (argc < 3) {
-        std::fprintf(stderr, "reduce needs a factor\n");
-        return 2;
-      }
-      const double factor = std::atof(argv[2]);
-      gcode::flaw3d::MutationReport report;
-      const auto mutated = gcode::flaw3d::apply_reduction(
-          gcode::parse_program(read_input(argc, argv, 3)),
-          {.factor = factor}, &report);
-      std::fputs(gcode::write_program(mutated).c_str(), stdout);
       std::fprintf(stderr, "reduced %llu moves: %.1f mm -> %.1f mm\n",
                    static_cast<unsigned long long>(report.moves_modified),
                    report.e_in_mm, report.e_out_mm);
-      return 0;
-    }
-    if (mode == "relocate") {
-      if (argc < 3) {
-        std::fprintf(stderr, "relocate needs a move count\n");
-        return 2;
-      }
-      const auto n = static_cast<std::uint32_t>(std::atoi(argv[2]));
-      gcode::flaw3d::MutationReport report;
-      const auto mutated = gcode::flaw3d::apply_relocation(
-          gcode::parse_program(read_input(argc, argv, 3)),
-          {.every_n_moves = n, .take_fraction = 0.15}, &report);
-      std::fputs(gcode::write_program(mutated).c_str(), stdout);
+    } else {
       std::fprintf(stderr, "inserted %llu relocation dumps\n",
-                   static_cast<unsigned long long>(
-                       report.commands_inserted));
-      return 0;
+                   static_cast<unsigned long long>(report.commands_inserted));
     }
+    return 0;
   } catch (const offramps::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-  return 2;
 }

@@ -6,15 +6,10 @@
 //   offramps_cli goldenfree --capture A.csv
 //   offramps_cli reconstruct --capture A.csv [--layer N]
 //
-// print/attack options:
-//   --object cube|square|cylinder   (default cube)
-//   --size MM --height MM           (default 10 x 3)
-//   --seed N                        firmware time-noise seed
-//   --route mitm|record|direct      board jumpers (default mitm)
-//   --reduce FACTOR                 Flaw3D-mutate the g-code first
-//   --trojan T1..T10                arm one fabric Trojan (attack needs it)
-//   --capture FILE                  write the capture CSV
-//   --vcd FILE                      write a waveform of the print start
+// print/attack print an object (default a 10 x 3 mm cube, seed 1, MITM
+// route), optionally Flaw3D-mutated (--reduce) or under one fabric
+// Trojan (--trojan), and write its capture CSV (--capture) and a
+// waveform of the print start (--vcd); kUsage lists every flag.
 //
 // Example session (a firmware-level attack, visible in the capture):
 //   offramps_cli print  --capture golden.csv --seed 1
@@ -25,18 +20,18 @@
 // as the paper notes - happen downstream of the taps, so their captures
 // compare clean; inspect the printed part metrics instead.
 //
+// Every valued flag is spelled `--flag VALUE` or `--flag=VALUE`.
+//
 // Exit codes: 0 clean/completed, 1 Trojan likely, print killed or run
-// error, 2 usage error.  A flag the mode does not read, or an unknown
-// mode, route, object or trojan, is a usage error reported before the
-// simulation starts.
+// error (a --capture or --vcd path that cannot be written included),
+// 2 usage error.  A flag the mode does not read, a missing, malformed or
+// out-of-range value, or an unknown mode, route, object or trojan, is a
+// usage error reported before the simulation starts.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <set>
-#include <sstream>
 #include <string>
 
+#include "core/cli.hpp"
 #include "detect/golden_free.hpp"
 #include "detect/reconstruct.hpp"
 #include "gcode/flaw3d.hpp"
@@ -48,81 +43,43 @@ using namespace offramps;
 
 namespace {
 
-using Flags = std::map<std::string, std::string>;
+constexpr const char* kUsage =
+    "usage: offramps_cli MODE [--flag VALUE | --flag=VALUE]...\n"
+    "  print|attack  [--object cube|square|cylinder] [--size MM]\n"
+    "                [--height MM] [--seed N] [--route mitm|record|direct]\n"
+    "                [--reduce FACTOR] [--trojan T1..T10] [--capture FILE]\n"
+    "                [--vcd FILE]           (attack needs --trojan)\n"
+    "  detect        --golden FILE --suspect FILE [--margin PCT] [--slack N]\n"
+    "  goldenfree    --capture FILE\n"
+    "  reconstruct   --capture FILE [--layer N]\n";
 
-/// Parses `--key [value]` pairs; any key outside `known` is a usage error.
-Flags parse_flags(int argc, char** argv, int first,
-                  const std::set<std::string>& known) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", key.c_str());
-      std::exit(2);
-    }
-    key = key.substr(2);
-    if (known.count(key) == 0) {
-      std::string names;
-      for (const std::string& k : known) names += " --" + k;
-      std::fprintf(stderr, "unknown flag '--%s' (this mode takes:%s)\n",
-                   key.c_str(), names.c_str());
-      std::exit(2);
-    }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "1";
-    }
-  }
-  return flags;
-}
-
-std::string flag(const Flags& f, const std::string& key,
-                 const std::string& fallback) {
-  const auto it = f.find(key);
-  return it == f.end() ? fallback : it->second;
-}
-
-gcode::Program build_object(const Flags& flags) {
-  const std::string object = flag(flags, "object", "cube");
-  const double size = std::atof(flag(flags, "size", "10").c_str());
-  const double height = std::atof(flag(flags, "height", "3").c_str());
-  host::SliceProfile profile;
-  if (object == "cube") {
-    return host::slice_cube({.size_x_mm = size, .size_y_mm = size,
-                             .height_mm = height, .center_x_mm = 110,
-                             .center_y_mm = 100},
-                            profile);
-  }
-  if (object == "square") {
-    return host::slice_square({.size_mm = size, .height_mm = height,
-                               .center_x_mm = 110, .center_y_mm = 100},
-                              profile);
-  }
-  if (object == "cylinder") {
-    return host::slice_cylinder_arcs({.diameter_mm = size,
-                                      .height_mm = height, .facets = 0,
-                                      .center_x_mm = 110,
-                                      .center_y_mm = 100},
-                                     profile);
-  }
-  std::fprintf(stderr, "unknown object '%s'\n", object.c_str());
-  std::exit(2);
-}
+/// Every flag any mode reads, at its default.
+struct Args {
+  std::string object = "cube";
+  double size_mm = 10.0;
+  double height_mm = 3.0;
+  std::uint64_t seed = 1;
+  core::RouteMode route = core::RouteMode::kFpgaMitm;
+  double reduce = 1.0;
+  core::TrojanSuiteConfig trojans;
+  std::string capture;
+  std::string vcd;
+  std::string golden;
+  std::string suspect;
+  double margin_pct = 5.0;
+  std::uint32_t slack = 0;
+  std::size_t layer = 0;
+};
 
 core::RouteMode parse_route(const std::string& route) {
   if (route == "mitm") return core::RouteMode::kFpgaMitm;
   if (route == "record") return core::RouteMode::kFpgaRecord;
   if (route == "direct") return core::RouteMode::kDirect;
-  std::fprintf(stderr, "unknown route '%s' (mitm|record|direct)\n",
-               route.c_str());
-  std::exit(2);
+  throw Error("want mitm|record|direct");
 }
 
-core::TrojanSuiteConfig build_trojans(const Flags& flags) {
+core::TrojanSuiteConfig parse_trojan(const std::string& t) {
   core::TrojanSuiteConfig cfg;
-  const std::string t = flag(flags, "trojan", "");
-  if (t.empty()) return cfg;
   if (t == "T1") cfg.t1 = core::T1Config{};
   else if (t == "T2") cfg.t2 = core::T2Config{};
   else if (t == "T3") cfg.t3 = core::T3Config{};
@@ -133,41 +90,80 @@ core::TrojanSuiteConfig build_trojans(const Flags& flags) {
   else if (t == "T8") cfg.t8 = core::T8Config{};
   else if (t == "T9") cfg.t9 = core::T9Config{};
   else if (t == "T10") cfg.t10 = core::T10Config{};
-  else {
-    std::fprintf(stderr, "unknown trojan '%s' (T1..T10)\n", t.c_str());
-    std::exit(2);
-  }
+  else throw Error("want T1..T10");
   return cfg;
 }
 
-core::Capture load_capture(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return core::Capture::from_csv(ss.str(), path);
+/// The print and attack flags; attack must arm a Trojan.
+void print_flags(core::cli::Parser& p, Args& a, bool attack) {
+  p.value("--object",
+          [&a](const std::string& v) {
+            if (v != "cube" && v != "square" && v != "cylinder") {
+              throw Error("want cube|square|cylinder");
+            }
+            a.object = v;
+          })
+      .positive("--size", a.size_mm, 210.0)
+      .positive("--height", a.height_mm, 210.0)
+      .count("--seed", a.seed, 0)
+      .value("--route",
+             [&a](const std::string& v) { a.route = parse_route(v); })
+      .positive("--reduce", a.reduce, 1.0)
+      .text("--capture", a.capture)
+      .text("--vcd", a.vcd);
+  p.value("--trojan",
+          [&a](const std::string& v) { a.trojans = parse_trojan(v); });
+  if (attack) p.required();
 }
 
+gcode::Program build_object(const Args& a) {
+  host::SliceProfile profile;
+  if (a.object == "square") {
+    return host::slice_square({.size_mm = a.size_mm, .height_mm = a.height_mm,
+                               .center_x_mm = 110, .center_y_mm = 100},
+                              profile);
+  }
+  if (a.object == "cylinder") {
+    return host::slice_cylinder_arcs({.diameter_mm = a.size_mm,
+                                      .height_mm = a.height_mm, .facets = 0,
+                                      .center_x_mm = 110,
+                                      .center_y_mm = 100},
+                                     profile);
+  }
+  return host::slice_cube({.size_x_mm = a.size_mm, .size_y_mm = a.size_mm,
+                           .height_mm = a.height_mm, .center_x_mm = 110,
+                           .center_y_mm = 100},
+                          profile);
+}
+
+/// Reads a capture CSV; an unreadable file is a usage error (exit 2).
+core::Capture load_capture(const std::string& path) {
+  std::string text;
+  try {
+    text = core::cli::read_text(path, "offramps_cli");
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+  return core::Capture::from_csv(text, path);
+}
+
+/// Writes a whole file; a path that cannot be written throws (exit 1).
 void save_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
+  core::cli::write_text(path, text, "offramps_cli");
   std::fprintf(stderr, "wrote %s (%zu bytes)\n", path.c_str(),
                text.size());
 }
 
-int run_print(const Flags& flags) {
+int run_print(const Args& a, const core::cli::Parser& flags) {
   host::RigOptions options;
-  options.firmware.jitter_seed =
-      static_cast<std::uint64_t>(std::atoll(flag(flags, "seed", "1").c_str()));
-  options.route = parse_route(flag(flags, "route", "mitm"));
-  options.trojans = build_trojans(flags);
+  options.firmware.jitter_seed = a.seed;
+  options.route = a.route;
+  options.trojans = a.trojans;
   host::Rig rig(options);
 
   std::unique_ptr<sim::VcdRecorder> vcd;
-  if (flags.count("vcd") != 0) {
+  if (flags.given("--vcd")) {
     vcd = std::make_unique<sim::VcdRecorder>(rig.scheduler());
     for (const auto axis : sim::kAllAxes) {
       vcd->add(rig.board().arduino_side().step(axis));
@@ -176,12 +172,10 @@ int run_print(const Flags& flags) {
     vcd->add(rig.board().arduino_side().wire(sim::Pin::kHotendHeat));
   }
 
-  gcode::Program program = build_object(flags);
-  if (flags.count("reduce") != 0) {
-    program = gcode::flaw3d::apply_reduction(
-        program, {.factor = std::atof(flags.at("reduce").c_str())});
-    std::fprintf(stderr, "g-code mutated: Flaw3D reduction x%s\n",
-                 flags.at("reduce").c_str());
+  gcode::Program program = build_object(a);
+  if (flags.given("--reduce")) {
+    program = gcode::flaw3d::apply_reduction(program, {.factor = a.reduce});
+    std::fprintf(stderr, "g-code mutated: Flaw3D reduction x%g\n", a.reduce);
   }
   const host::RunResult r = rig.run(program);
   std::printf("outcome:      %s\n",
@@ -213,64 +207,39 @@ int run_print(const Flags& flags) {
                   r.motor_dropped_steps[0] + r.motor_dropped_steps[1] +
                   r.motor_dropped_steps[2] + r.motor_dropped_steps[3]));
 
-  if (flags.count("capture") != 0) {
-    save_text(flags.at("capture"), r.capture.to_csv());
-  }
-  if (vcd) save_text(flags.at("vcd"), vcd->render());
+  if (flags.given("--capture")) save_text(a.capture, r.capture.to_csv());
+  if (vcd) save_text(a.vcd, vcd->render());
   return r.finished ? 0 : 1;
 }
 
-int run_attack(const Flags& flags) {
-  if (flags.count("trojan") == 0) {
-    std::fprintf(stderr, "attack needs --trojan T1..T10\n");
-    return 2;
-  }
-  return run_print(flags);
-}
-
-int run_detect(const Flags& flags) {
-  if (flags.count("golden") == 0 || flags.count("suspect") == 0) {
-    std::fprintf(stderr, "detect needs --golden and --suspect\n");
-    return 2;
-  }
-  const core::Capture golden = load_capture(flags.at("golden"));
-  const core::Capture suspect = load_capture(flags.at("suspect"));
+int run_detect(const Args& a, const core::cli::Parser&) {
+  const core::Capture golden = load_capture(a.golden);
+  const core::Capture suspect = load_capture(a.suspect);
   detect::CompareOptions options;
-  options.margin_pct = std::atof(flag(flags, "margin", "5").c_str());
-  options.window_slack = static_cast<std::uint32_t>(
-      std::atoi(flag(flags, "slack", "0").c_str()));
+  options.margin_pct = a.margin_pct;
+  options.window_slack = a.slack;
   const detect::Report report = detect::compare(golden, suspect, options);
   std::fputs(report.to_string().c_str(), stdout);
   return report.trojan_likely ? 1 : 0;
 }
 
-int run_goldenfree(const Flags& flags) {
-  if (flags.count("capture") == 0) {
-    std::fprintf(stderr, "goldenfree needs --capture\n");
-    return 2;
-  }
+int run_goldenfree(const Args& a, const core::cli::Parser&) {
   const detect::GoldenFreeReport report =
-      detect::analyze_golden_free(load_capture(flags.at("capture")));
+      detect::analyze_golden_free(load_capture(a.capture));
   std::fputs(report.to_string().c_str(), stdout);
   return report.trojan_likely ? 1 : 0;
 }
 
-int run_reconstruct(const Flags& flags) {
-  if (flags.count("capture") == 0) {
-    std::fprintf(stderr, "reconstruct needs --capture\n");
-    return 2;
-  }
+int run_reconstruct(const Args& a, const core::cli::Parser& flags) {
   const detect::ReconstructedPart part =
-      detect::reconstruct_part(load_capture(flags.at("capture")));
+      detect::reconstruct_part(load_capture(a.capture));
   std::printf("%zu layers, %.2f mm tall, footprint %.1f x %.1f mm, "
               "%.1f mm filament\n",
               part.layers.size(), part.height_mm, part.bbox_width_mm,
               part.bbox_depth_mm, part.total_filament_mm);
   if (!part.layers.empty()) {
-    const auto layer = static_cast<std::size_t>(std::atoll(
-        flag(flags, "layer",
-             std::to_string(part.layers.size() / 2))
-            .c_str()));
+    const std::size_t layer =
+        flags.given("--layer") ? a.layer : part.layers.size() / 2;
     std::printf("layer %zu:\n%s", layer,
                 part.ascii_layer(layer, 48).c_str());
   }
@@ -278,49 +247,50 @@ int run_reconstruct(const Flags& flags) {
 }
 
 struct Mode {
-  std::string name;
-  int (*run)(const Flags&);
-  std::set<std::string> flags;  // every --flag the mode reads
+  const char* name;
+  int (*run)(const Args&, const core::cli::Parser&);
+  void (*flags)(core::cli::Parser&, Args&);  // every flag the mode reads
 };
 
-const Mode* find_mode(const std::string& name) {
-  static const std::set<std::string> kPrintFlags = {
-      "object", "size",   "height",  "seed", "route",
-      "reduce", "trojan", "capture", "vcd"};
-  static const Mode kModes[] = {
-      {"print", run_print, kPrintFlags},
-      {"attack", run_attack, kPrintFlags},
-      {"detect", run_detect, {"golden", "suspect", "margin", "slack"}},
-      {"goldenfree", run_goldenfree, {"capture"}},
-      {"reconstruct", run_reconstruct, {"capture", "layer"}},
-  };
-  for (const Mode& mode : kModes) {
-    if (mode.name == name) return &mode;
-  }
-  return nullptr;
-}
+constexpr Mode kModes[] = {
+    {"print", run_print,
+     [](core::cli::Parser& p, Args& a) { print_flags(p, a, false); }},
+    {"attack", run_print,
+     [](core::cli::Parser& p, Args& a) { print_flags(p, a, true); }},
+    {"detect", run_detect,
+     [](core::cli::Parser& p, Args& a) {
+       p.text("--golden", a.golden).required()
+           .text("--suspect", a.suspect).required()
+           .number("--margin", a.margin_pct, 0.0, 100.0)
+           .count("--slack", a.slack, 0);
+     }},
+    {"goldenfree", run_goldenfree,
+     [](core::cli::Parser& p, Args& a) {
+       p.text("--capture", a.capture).required();
+     }},
+    {"reconstruct", run_reconstruct,
+     [](core::cli::Parser& p, Args& a) {
+       p.text("--capture", a.capture).required().count("--layer", a.layer, 0);
+     }},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(
-        stderr,
-        "usage: %s {print|attack|detect|goldenfree|reconstruct} "
-        "[--flags]\n",
-        argv[0]);
-    return 2;
+  const std::string name = argc > 1 ? argv[1] : "";
+  for (const Mode& mode : kModes) {
+    if (name != mode.name) continue;
+    Args args;
+    core::cli::Parser flags;
+    mode.flags(flags, args);
+    flags.parse_or_exit(argc, argv, 2, kUsage);
+    try {
+      return mode.run(args, flags);
+    } catch (const offramps::Error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
-  const Mode* mode = find_mode(argv[1]);
-  if (mode == nullptr) {
-    std::fprintf(stderr, "unknown mode '%s'\n", argv[1]);
-    return 2;
-  }
-  const Flags flags = parse_flags(argc, argv, 2, mode->flags);
-  try {
-    return mode->run(flags);
-  } catch (const offramps::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  std::fprintf(stderr, "unknown mode '%s'\n%s", name.c_str(), kUsage);
+  return 2;
 }

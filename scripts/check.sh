@@ -33,7 +33,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
   cmake --build --preset fuzz -j "${jobs}"
   for target in fuzz_gcode_parser fuzz_capture_binary fuzz_svc_json \
                 fuzz_session_wire fuzz_ref_cache fuzz_checkpoint \
-                fuzz_bytes_reader; do
+                fuzz_bytes_reader fuzz_cli_args; do
     corpus="tests/fuzz_corpus/${target#fuzz_}"
     case "${target}" in
       fuzz_gcode_parser)   corpus=tests/fuzz_corpus/gcode ;;
@@ -43,6 +43,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
       fuzz_ref_cache)      corpus=tests/fuzz_corpus/refcache ;;
       fuzz_checkpoint)     corpus=tests/fuzz_corpus/checkpoint ;;
       fuzz_bytes_reader)   corpus=tests/fuzz_corpus/bytes ;;
+      fuzz_cli_args)       corpus=tests/fuzz_corpus/cli_args ;;
     esac
     echo "==> ${target}: corpus replay + ${budget}s mutation run"
     "./build-fuzz/fuzz/${target}" --time "${budget}" "${corpus}"
@@ -64,8 +65,13 @@ if [[ "${quick}" -eq 0 ]]; then
   echo "==> tests"
   ctest --preset default -j "${jobs}"
 else
-  # Quick mode still smoke-checks the fleet service end to end (unit
-  # tests, detector edge cases, and the three CLI exit-code contracts).
+  # Quick mode still checks every CLI's contract: the flag parser's
+  # unit tests and each tool's exact exit code on an unknown flag, a
+  # missing value and a malformed or out-of-range value.
+  echo "==> cli suite (ctest -L cli)"
+  ctest --preset default -L cli -j "${jobs}"
+  # ...and smoke-checks the fleet service end to end (unit tests,
+  # detector edge cases, and the fleet CLI exit-code contracts).
   echo "==> fleet suite (ctest -L fleet)"
   ctest --preset default -L fleet -j "${jobs}"
   # ...and the observability layer: obs unit tests, strict-parse CLI

@@ -5,30 +5,9 @@
 #include <cstdio>
 
 #include "analyze/pass.hpp"
+#include "obs/json.hpp"
 
 namespace offramps::analyze {
-namespace {
-
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 const char* segment_kind_name(SegmentKind k) {
   switch (k) {
@@ -120,13 +99,13 @@ std::string AnalysisResult::to_json() const {
                   "    {\"code\": \"%s\", \"pass\": \"%s\", "
                   "\"severity\": \"%s\", "
                   "\"command\": %zu, \"value\": %.6f, \"bound\": %.6f, "
-                  "\"message\": \"",
+                  "\"message\": ",
                   finding_code_name(f.code), f.pass.c_str(),
                   severity_name(f.severity), f.command_index, f.value,
                   f.bound);
     out += buf;
-    json_escape(out, f.message);
-    out += "\"}";
+    obs::append_json_string(out, f.message);
+    out += "}";
   }
   out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;

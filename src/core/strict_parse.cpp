@@ -21,14 +21,7 @@ std::optional<double> parse_double(std::string_view text) {
 }
 
 std::optional<long long> parse_long(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  long long value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value, 10);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
+  return parse_int<long long>(text);
 }
 
 }  // namespace offramps::core

@@ -11,7 +11,8 @@
 // (the tool-suite contract: usage error, exit 2).
 #pragma once
 
-#include <cstdint>
+#include <charconv>
+#include <concepts>
 #include <optional>
 #include <string_view>
 
@@ -21,6 +22,19 @@ namespace offramps::core {
 /// ("0.5", "-1e-3"); empty input, surrounding whitespace, trailing
 /// garbage, inf and nan all yield nullopt.
 std::optional<double> parse_double(std::string_view text);
+
+/// Parses `text` as a base-10 T, whole-string, no locale.  A value T
+/// cannot hold (a sign on an unsigned T, overflow) is nullopt, never a
+/// wrapped value.
+template <std::integral T>
+std::optional<T> parse_int(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, 10);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// Parses `text` as a base-10 signed integer, whole-string, no locale.
 std::optional<long long> parse_long(std::string_view text);

@@ -70,20 +70,19 @@ Report compare(const core::Capture& golden, const core::Capture& observed,
     }
     // Slack matching: the observed window passes if ANY golden window
     // within +/- slack matches it; otherwise report the mismatches of
-    // the best (fewest-violations) candidate.
-    const auto slack = static_cast<std::int64_t>(options.window_slack);
+    // the best (fewest-violations) candidate.  Only the candidates that
+    // exist are visited, so a huge slack costs one pass over the golden.
+    const std::size_t slack = options.window_slack;
+    const std::size_t last =
+        std::min(golden.transactions.size() - 1, i + slack);
     std::vector<Mismatch> best;
     bool matched = false;
-    for (std::int64_t s = -slack; s <= slack && !matched; ++s) {
-      const std::int64_t gi = static_cast<std::int64_t>(i) + s;
-      if (gi < 0 ||
-          gi >= static_cast<std::int64_t>(golden.transactions.size())) {
-        continue;
-      }
+    for (std::size_t gi = i > slack ? i - slack : 0; gi <= last && !matched;
+         ++gi) {
       std::vector<Mismatch> candidate;
-      if (!compare_transaction(
-              golden.transactions[static_cast<std::size_t>(gi)],
-              observed.transactions[i], options, candidate)) {
+      if (!compare_transaction(golden.transactions[gi],
+                               observed.transactions[i], options,
+                               candidate)) {
         matched = true;
       } else if (best.empty() || candidate.size() < best.size()) {
         best = std::move(candidate);

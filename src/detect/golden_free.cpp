@@ -59,19 +59,6 @@ const char* rule_name(Rule r) {
   return "unknown";
 }
 
-const char* rule_code(Rule r) {
-  switch (r) {
-    case Rule::kKinematics: return "kinematics";
-    case Rule::kBuildVolume: return "build-volume";
-    case Rule::kNegativeExtrusion: return "negative-extrusion";
-    case Rule::kDensityLow: return "density-low";
-    case Rule::kDensityHigh: return "density-high";
-    case Rule::kBlobDump: return "blob-dump";
-    case Rule::kLayerHeight: return "layer-height";
-  }
-  return "unknown";
-}
-
 std::size_t GoldenFreeReport::count(Rule r) const {
   return static_cast<std::size_t>(
       std::count_if(violations.begin(), violations.end(),
@@ -99,34 +86,6 @@ std::string GoldenFreeReport::to_string(std::size_t max_lines) const {
   out += buf;
   out += trojan_likely ? "Trojan likely (golden-free)!\n"
                        : "No Trojan suspected (golden-free).\n";
-  return out;
-}
-
-std::string GoldenFreeReport::to_json() const {
-  std::string out = "{\n  \"trojan_likely\": ";
-  out += trojan_likely ? "true" : "false";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                ",\n  \"windows_checked\": %zu,\n"
-                "  \"printing_windows\": %zu",
-                windows_checked, printing_windows);
-  out += buf;
-  out += ",\n  \"violations\": [";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    const Violation& v = violations[i];
-    out += i == 0 ? "\n" : ",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"rule\": \"%s\", \"index\": %u, "
-                  "\"value\": %.6f, \"bound\": %.6f, \"detail\": \"",
-                  rule_code(v.rule), v.index, v.value, v.bound);
-    out += buf;
-    for (const char c : v.detail) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += "\"}";
-  }
-  out += violations.empty() ? "]\n}" : "\n  ]\n}";
   return out;
 }
 

@@ -72,8 +72,6 @@ enum class Rule : std::uint8_t {
 };
 
 const char* rule_name(Rule r);
-/// Stable machine-readable rule code ("blob-dump", ...) for JSON output.
-const char* rule_code(Rule r);
 
 /// One violated invariant.
 struct Violation {
@@ -93,10 +91,6 @@ struct GoldenFreeReport {
 
   [[nodiscard]] std::size_t count(Rule r) const;
   [[nodiscard]] std::string to_string(std::size_t max_lines = 8) const;
-  /// Machine-readable rendering, in the static analyzer's JSON
-  /// conventions (snake_case keys, stable rule codes), so the fleet
-  /// report can embed this channel next to the others.
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Incremental golden-free checker: feed transactions as they arrive and

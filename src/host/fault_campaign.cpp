@@ -1,8 +1,8 @@
 #include "host/fault_campaign.hpp"
 
 #include <cmath>
-#include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/error.hpp"
 
@@ -26,37 +26,12 @@ std::size_t CampaignReport::count(CellOutcome o) const {
   return n;
 }
 
-namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::string CampaignReport::to_json() const {
   std::string out = "{\n  \"program\": ";
-  append_json_string(out, program_label);
+  obs::append_json_string(out, program_label);
   out += ",\n  \"clean\": {\"transactions\": ";
   out += std::to_string(clean_transactions);
-  out += ", \"filament_mm\": " + fmt_double(clean_filament_mm) + "},\n";
+  out += ", \"filament_mm\": " + obs::format_general(clean_filament_mm) + "},\n";
   out += "  \"summary\": {";
   const CellOutcome kAll[] = {CellOutcome::kClean, CellOutcome::kFailSafe,
                               CellOutcome::kSilentCorruption,
@@ -73,14 +48,14 @@ std::string CampaignReport::to_json() const {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
     out += "    {\"kind\": ";
-    append_json_string(out, sim::fault_kind_name(c.fault.kind));
+    obs::append_json_string(out, sim::fault_kind_name(c.fault.kind));
     out += ", \"target\": ";
-    append_json_string(out, c.fault.target);
-    out += ", \"intensity\": " + fmt_double(c.fault.intensity);
-    out += ", \"window_s\": [" + fmt_double(sim::to_seconds(c.fault.start)) +
-           ", " + fmt_double(sim::to_seconds(c.fault.stop)) + "]";
+    obs::append_json_string(out, c.fault.target);
+    out += ", \"intensity\": " + obs::format_general(c.fault.intensity);
+    out += ", \"window_s\": [" + obs::format_general(sim::to_seconds(c.fault.start)) +
+           ", " + obs::format_general(sim::to_seconds(c.fault.stop)) + "]";
     out += ", \"outcome\": ";
-    append_json_string(out, cell_outcome_name(c.outcome));
+    obs::append_json_string(out, cell_outcome_name(c.outcome));
     out += ", \"finished\": ";
     out += c.finished ? "true" : "false";
     out += ", \"killed\": ";
@@ -88,12 +63,12 @@ std::string CampaignReport::to_json() const {
     out += ", \"alarmed\": ";
     out += c.alarmed ? "true" : "false";
     out += ", \"kill_reason\": ";
-    append_json_string(out, c.kill_reason);
-    out += ", \"deviation\": " + fmt_double(c.deviation);
+    obs::append_json_string(out, c.kill_reason);
+    out += ", \"deviation\": " + obs::format_general(c.deviation);
     out += ", \"transactions\": " + std::to_string(c.capture_transactions);
     out += ", \"crc_rejected\": " + std::to_string(c.crc_rejected);
     out += ", \"fault_events\": " + std::to_string(c.fault_events);
-    out += ", \"sim_seconds\": " + fmt_double(c.sim_seconds);
+    out += ", \"sim_seconds\": " + obs::format_general(c.sim_seconds);
     out += i + 1 < cells.size() ? "},\n" : "}\n";
   }
   out += "  ]\n}\n";

@@ -30,15 +30,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "host/chaos.hpp"
-
-#include "core/strict_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svc/daemon.hpp"
@@ -134,190 +131,95 @@ constexpr const char* kSpecHelp =
     "       | \"powerjam\" | \"ringwedge\" | \"disconnect\" |\n"
     "       \"framecorrupt\" | \"cachetear\", optionally \":<attempts>\"\n";
 
-long parse_count(const char* text, long min_value) {
-  const auto v = offramps::core::parse_long(text);
-  if (!v || *v < min_value || *v > 1'000'000) return -1;
-  return static_cast<long>(*v);
-}
+/// The flags only a batch campaign reads: --serve and --replay judge
+/// sessions and neither checkpoint, supervise nor record.
+constexpr const char* kBatchOnly[] = {
+    "--checkpoint", "--checkpoint-every", "--resume", "--stop-after",
+    "--captures", "--no-safe-stop", "--max-attempts", "--backoff-ms"};
+
+/// Ceiling of every count flag: far past any real campaign.
+constexpr std::size_t kMaxCount = 1'000'000;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string spec_path;
-  std::string out_path;
+  bool help = false;
+  bool spec_help = false;
+  std::size_t demo_n = 0;
+  std::size_t sabotage_k = 0;
+  std::size_t jobs = 0;
   bool json_stdout = false;
-  long demo_n = -1;
-  long sabotage_k = 0;
-  long jobs = 0;
-  bool metrics = false;
-  std::string trace_path;
-  // (rig index, chaos text) pairs, applied after the specs are built
-  // (batch mode) or to corpus file indices (--replay).
-  std::vector<std::pair<std::size_t, std::string>> chaos_args;
+  std::string out_path;
+  std::size_t cache_max_mb = 0;
   bool serve = false;
   std::string listen_path;
   std::string join_sock;
   std::string replay_dir;
+  // (rig index, chaos spec) pairs, applied after the specs are built
+  // (batch mode) or to corpus file indices (--replay).
+  std::vector<std::pair<std::size_t, offramps::host::ChaosSpec>> chaos;
+  bool metrics = false;
+  std::string trace_path;
   // Positional args: the spec file in batch mode, .ofs files for --join.
   std::vector<std::string> positional;
-
   offramps::svc::FleetOptions options;
 
-  // The last batch-only flag given: the service modes judge sessions and
-  // neither checkpoint, supervise nor record, so these are usage errors
-  // there rather than silently ignored.
-  std::string batch_only_flag;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--checkpoint" || arg == "--checkpoint-every" ||
-        arg == "--resume" || arg == "--stop-after" || arg == "--captures" ||
-        arg == "--no-safe-stop" || arg == "--max-attempts" ||
-        arg == "--backoff-ms") {
-      batch_only_flag = arg;
-    }
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-    if (arg == "--spec-help") {
-      std::fputs(kSpecHelp, stdout);
-      return 0;
-    }
-    if (arg == "--json") {
-      json_stdout = true;
-    } else if (arg == "--no-safe-stop") {
-      options.safe_stop = false;
-    } else if (arg == "--metrics") {
-      metrics = true;
-    } else if (arg == "--serve") {
-      serve = true;
-    } else if (arg == "--demo" || arg == "--sabotage" || arg == "--jobs" ||
-               arg == "-j" || arg == "--out" || arg == "--captures" ||
-               arg == "--cache" || arg == "--cache-max-mb" ||
-               arg == "--channels" ||
-               arg == "--listen" || arg == "--join" || arg == "--replay" ||
-               arg == "--trace-out" || arg == "--chaos" ||
-               arg == "--max-attempts" || arg == "--backoff-ms" ||
-               arg == "--checkpoint" || arg == "--checkpoint-every" ||
-               arg == "--resume" || arg == "--stop-after") {
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s wants a value\n", arg.c_str());
-        std::fputs(kUsage, stderr);
-        return 2;
-      }
-      if (arg == "--demo") {
-        demo_n = parse_count(argv[i], 1);
-        if (demo_n < 0) {
-          std::fprintf(stderr, "bad --demo count '%s'\n", argv[i]);
-          return 2;
-        }
-      } else if (arg == "--sabotage") {
-        sabotage_k = parse_count(argv[i], 0);
-        if (sabotage_k < 0) {
-          std::fprintf(stderr, "bad --sabotage count '%s'\n", argv[i]);
-          return 2;
-        }
-      } else if (arg == "--out") {
-        out_path = argv[i];
-      } else if (arg == "--trace-out") {
-        trace_path = argv[i];
-      } else if (arg == "--captures") {
-        options.save_captures_dir = argv[i];
-      } else if (arg == "--cache") {
-        options.cache_dir = argv[i];
-      } else if (arg == "--cache-max-mb") {
-        const long n = parse_count(argv[i], 0);
-        if (n < 0) {
-          std::fprintf(stderr, "bad --cache-max-mb '%s'\n", argv[i]);
-          return 2;
-        }
-        options.cache_max_bytes =
-            static_cast<std::uint64_t>(n) * 1024 * 1024;
-      } else if (arg == "--channels") {
-        try {
-          options.channels = offramps::svc::ChannelSet::parse(argv[i]);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "bad --channels '%s': %s\n", argv[i],
-                       e.what());
-          return 2;
-        }
-      } else if (arg == "--listen") {
-        listen_path = argv[i];
-      } else if (arg == "--join") {
-        join_sock = argv[i];
-      } else if (arg == "--replay") {
-        replay_dir = argv[i];
-      } else if (arg == "--chaos") {
-        const std::string v = argv[i];
-        const auto eq = v.find('=');
-        const long idx =
-            eq == std::string::npos
-                ? -1
-                : parse_count(v.substr(0, eq).c_str(), 0);
-        if (idx < 0) {
-          std::fprintf(stderr, "bad --chaos '%s' (want I=SPEC)\n", v.c_str());
-          return 2;
-        }
-        chaos_args.emplace_back(static_cast<std::size_t>(idx),
-                                v.substr(eq + 1));
-      } else if (arg == "--max-attempts") {
-        const long n = parse_count(argv[i], 1);
-        if (n < 0) {
-          std::fprintf(stderr, "bad --max-attempts '%s'\n", argv[i]);
-          return 2;
-        }
-        options.supervisor.max_attempts = static_cast<std::uint32_t>(n);
-      } else if (arg == "--backoff-ms") {
-        const long n = parse_count(argv[i], 0);
-        if (n < 0) {
-          std::fprintf(stderr, "bad --backoff-ms '%s'\n", argv[i]);
-          return 2;
-        }
-        options.supervisor.backoff_base_ms = static_cast<std::uint64_t>(n);
-      } else if (arg == "--checkpoint") {
-        options.checkpoint_path = argv[i];
-      } else if (arg == "--checkpoint-every") {
-        const long n = parse_count(argv[i], 1);
-        if (n < 0) {
-          std::fprintf(stderr, "bad --checkpoint-every '%s'\n", argv[i]);
-          return 2;
-        }
-        options.checkpoint_every = static_cast<std::size_t>(n);
-      } else if (arg == "--resume") {
-        options.resume_path = argv[i];
-      } else if (arg == "--stop-after") {
-        const long n = parse_count(argv[i], 1);
-        if (n < 0) {
-          std::fprintf(stderr, "bad --stop-after '%s'\n", argv[i]);
-          return 2;
-        }
-        options.stop_after = static_cast<std::size_t>(n);
-      } else {
-        jobs = parse_count(argv[i], 1);
-        if (jobs < 0) {
-          std::fprintf(stderr, "bad %s value '%s'\n", arg.c_str(), argv[i]);
-          return 2;
-        }
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = parse_count(arg.c_str() + 7, 1);
-      if (jobs < 0) {
-        std::fprintf(stderr, "bad --jobs value '%s'\n", arg.c_str());
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else {
-      positional.push_back(arg);
-    }
+  offramps::core::cli::Parser args;
+  args.flag("--help", help).alias("-h")
+      .flag("--spec-help", spec_help)
+      .count("--demo", demo_n, 1, kMaxCount)
+      .count("--sabotage", sabotage_k, 0, kMaxCount)
+      .count("--jobs", jobs, 1, kMaxCount).alias("-j")
+      .flag("--json", json_stdout)
+      .text("--out", out_path)
+      .text("--captures", options.save_captures_dir)
+      .text("--cache", options.cache_dir)
+      .count("--cache-max-mb", cache_max_mb, 0, kMaxCount)
+      .value("--channels",
+             [&options](const std::string& v) {
+               options.channels = offramps::svc::ChannelSet::parse(v);
+             })
+      .flag("--serve", serve)
+      .text("--listen", listen_path)
+      .text("--join", join_sock)
+      .text("--replay", replay_dir)
+      .flag("--no-safe-stop", options.safe_stop, false)
+      .value("--chaos",
+             [&chaos](const std::string& v) {
+               const std::size_t eq = v.find('=');
+               const auto index = offramps::core::parse_int<std::size_t>(
+                   std::string_view(v).substr(0, eq));
+               if (eq == std::string::npos || !index) {
+                 throw offramps::Error("want I=SPEC");
+               }
+               chaos.emplace_back(
+                   *index, offramps::host::parse_chaos(v.substr(eq + 1)));
+             })
+      .repeatable()
+      .count("--max-attempts", options.supervisor.max_attempts, 1, kMaxCount)
+      .count("--backoff-ms", options.supervisor.backoff_base_ms, 0, kMaxCount)
+      .text("--checkpoint", options.checkpoint_path)
+      .count("--checkpoint-every", options.checkpoint_every, 1, kMaxCount)
+      .text("--resume", options.resume_path)
+      .count("--stop-after", options.stop_after, 1, kMaxCount)
+      .flag("--metrics", metrics)
+      .text("--trace-out", trace_path)
+      .list("FILE", positional);
+  args.parse_or_exit(argc, argv, 1, kUsage);
+  if (help) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
+  if (spec_help) {
+    std::fputs(kSpecHelp, stdout);
+    return 0;
+  }
+  const bool demo = args.given("--demo");
+  options.cache_max_bytes = std::uint64_t{cache_max_mb} * 1024 * 1024;
 
   // Join client: stream each positional session file at the daemon.
   if (!join_sock.empty()) {
-    if (serve || !replay_dir.empty() || demo_n >= 0 || positional.empty()) {
+    if (serve || !replay_dir.empty() || demo || positional.empty()) {
       std::fputs("--join SOCK wants only .ofs session files\n", stderr);
       std::fputs(kUsage, stderr);
       return 2;
@@ -330,10 +232,11 @@ int main(int argc, char** argv) {
   }
 
   if (positional.size() > 1) {
-    std::fputs(kUsage, stderr);
+    std::fprintf(stderr, "unexpected argument '%s'\n%s", positional[1].c_str(),
+                 kUsage);
     return 2;
   }
-  if (!positional.empty()) spec_path = positional.front();
+  const std::string spec_path = positional.empty() ? "" : positional.front();
 
   const bool service_mode = serve || !replay_dir.empty();
   if (!listen_path.empty() && !serve) {
@@ -345,82 +248,62 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (service_mode) {
-    if (!batch_only_flag.empty()) {
-      std::fprintf(stderr, "%s does not apply to --serve or --replay\n",
-                   batch_only_flag.c_str());
-      return 2;
+    for (const char* flag : kBatchOnly) {
+      if (args.given(flag)) {
+        std::fprintf(stderr, "%s does not apply to --serve or --replay\n",
+                     flag);
+        return 2;
+      }
     }
-    if (demo_n >= 0 || !spec_path.empty()) {
+    if (demo || !spec_path.empty()) {
       std::fputs("--serve/--replay take no fleet spec: detector and cache\n"
                  "options come from flags, rigs from their sessions\n",
                  stderr);
       return 2;
     }
-  } else if ((demo_n >= 0) == !spec_path.empty()) {
+    if (serve && !chaos.empty()) {
+      std::fputs("--chaos does not apply to --serve\n", stderr);
+      return 2;
+    }
+  } else if (demo == !spec_path.empty()) {
     std::fputs("give exactly one of --demo N, a SPEC.json file, --serve,\n"
                "--replay DIR, or --join SOCK FILES...\n",
                stderr);
     std::fputs(kUsage, stderr);
     return 2;
   }
-  if (sabotage_k > 0 && demo_n < 0) {
+  if (sabotage_k > 0 && !demo) {
     std::fputs("--sabotage only applies to --demo fleets\n", stderr);
     return 2;
   }
 
   std::vector<offramps::svc::RigSpec> specs;
   offramps::svc::ReplayOptions replay_options;
-  try {
-    if (!replay_dir.empty()) {
-      // --chaos indexes the sorted corpus files here, not rig specs.
-      for (const auto& [index, text] : chaos_args) {
-        replay_options.chaos.emplace_back(index,
-                                          offramps::host::parse_chaos(text));
-      }
-    } else if (serve) {
-      if (!chaos_args.empty()) {
-        std::fputs("--chaos does not apply to --serve\n", stderr);
+  if (!replay_dir.empty()) {
+    // --chaos indexes the sorted corpus files here, not rig specs.
+    replay_options.chaos = chaos;
+  } else if (!serve) {
+    try {
+      specs = demo ? offramps::svc::Fleet::demo_specs(demo_n, sabotage_k)
+                   : offramps::svc::Fleet::specs_from_json(
+                         offramps::core::cli::read_text(spec_path,
+                                                        "offramps_fleetd"),
+                         options);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "fleet spec error: %s\n", e.what());
+      return 2;
+    }
+    for (const auto& [index, spec] : chaos) {
+      if (index >= specs.size()) {
+        std::fprintf(stderr, "--chaos rig index %zu out of range (%zu rigs)\n",
+                     index, specs.size());
         return 2;
       }
-    } else if (demo_n >= 0) {
-      specs = offramps::svc::Fleet::demo_specs(
-          static_cast<std::size_t>(demo_n),
-          static_cast<std::size_t>(sabotage_k));
-    } else {
-      std::string text;
-      if (spec_path == "-") {
-        std::ostringstream ss;
-        ss << std::cin.rdbuf();
-        text = ss.str();
-      } else {
-        std::ifstream in(spec_path, std::ios::binary);
-        if (!in) {
-          std::fprintf(stderr, "cannot open '%s'\n", spec_path.c_str());
-          return 2;
-        }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        text = ss.str();
-      }
-      specs = offramps::svc::Fleet::specs_from_json(text, options);
+      specs[index].chaos = spec;
     }
-    if (!service_mode) {
-      for (const auto& [index, text] : chaos_args) {
-        if (index >= specs.size()) {
-          std::fprintf(stderr,
-                       "--chaos rig index %zu out of range (%zu rigs)\n",
-                       index, specs.size());
-          return 2;
-        }
-        specs[index].chaos = offramps::host::parse_chaos(text);
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fleet spec error: %s\n", e.what());
-    return 2;
   }
 
-  if (jobs > 0) options.workers = static_cast<std::size_t>(jobs);
+  if (jobs > 0) options.workers = jobs;
   if (!options.save_captures_dir.empty()) {
     // Fail fast, before hours of simulation: the captures dir must exist
     // (or be creatable) AND be writable right now.
@@ -498,10 +381,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!out_path.empty()) {
-    std::ofstream out(out_path, std::ios::binary);
-    out << report_json << '\n';
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
+    try {
+      offramps::core::cli::write_text(out_path, report_json + '\n',
+                                      "offramps_fleetd");
+    } catch (const offramps::Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
     std::fprintf(stdout, "[fleetd] wrote %s\n", out_path.c_str());

@@ -19,17 +19,13 @@
 // Exit codes: 0 = clean, 1 = findings at warning severity or above,
 // 2 = usage or parse error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyze/analyzer.hpp"
 #include "analyze/pass.hpp"
+#include "core/cli.hpp"
 #include "gcode/flaw3d.hpp"
 #include "gcode/parser.hpp"
 #include "host/slicer.hpp"
@@ -65,22 +61,16 @@ offramps::gcode::Program demo_program() {
   return offramps::host::slice_cube(cube, profile);
 }
 
+/// Reads and parses a g-code file ('-' = stdin); nullopt and `error` on
+/// failure.
 std::optional<offramps::gcode::Program> load_program(const std::string& path,
                                                      std::string& error) {
   std::string text;
-  if (path == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    text = ss.str();
-  } else {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      error = "cannot open '" + path + "'";
-      return std::nullopt;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    text = ss.str();
+  try {
+    text = offramps::core::cli::read_text(path, "offramps_lint");
+  } catch (const offramps::Error& e) {
+    error = e.what();
+    return std::nullopt;
   }
   try {
     return offramps::gcode::parse_program(text);
@@ -108,73 +98,59 @@ bool split_pass_list(const std::string& arg, std::vector<std::string>& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool help = false;
   bool json = false;
+  bool list_passes = false;
   std::string baseline_path;
-  std::string input_path;
-  std::string demo_spec;
+  std::string input_path = "-";
+  offramps::svc::Sabotage demo;
   offramps::analyze::AnalyzeOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--list-passes") {
-      for (const auto& info :
-           offramps::analyze::PassRegistry::global().list()) {
-        std::fprintf(stdout, "%-18s %s\n", info.id.c_str(),
-                     info.description.c_str());
-      }
-      return 0;
-    } else if (arg == "--passes") {
-      if (++i >= argc || !split_pass_list(argv[i], options.passes)) {
-        std::fputs(kUsage, stderr);
-        return 2;
-      }
-    } else if (arg == "--severity") {
-      if (++i >= argc) {
-        std::fputs(kUsage, stderr);
-        return 2;
-      }
-      const std::string spec = argv[i];
-      const std::size_t eq = spec.find('=');
-      offramps::analyze::Severity severity{};
-      if (eq == std::string::npos || eq == 0 ||
-          !offramps::analyze::severity_from_name(spec.substr(eq + 1),
-                                                 severity)) {
-        std::fprintf(stderr,
-                     "--severity wants PASS=note|warning|error, got '%s'\n",
-                     spec.c_str());
-        std::fputs(kUsage, stderr);
-        return 2;
-      }
-      options.pass_severity.emplace_back(spec.substr(0, eq), severity);
-    } else if (arg == "--baseline") {
-      if (++i >= argc) {
-        std::fputs(kUsage, stderr);
-        return 2;
-      }
-      baseline_path = argv[i];
-    } else if (arg == "--demo") {
-      if (++i >= argc) {
-        std::fputs(kUsage, stderr);
-        return 2;
-      }
-      demo_spec = argv[i];
-    } else if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      std::fputs(kUsage, stderr);
-      return 2;
-    } else if (input_path.empty()) {
-      input_path = arg;
-    } else {
-      std::fputs(kUsage, stderr);
-      return 2;
-    }
+  offramps::core::cli::Parser args;
+  args.flag("--help", help).alias("-h")
+      .flag("--json", json)
+      .flag("--list-passes", list_passes)
+      .value("--passes",
+             [&options](const std::string& v) {
+               if (!split_pass_list(v, options.passes)) {
+                 throw offramps::Error("want a comma-separated pass list");
+               }
+             })
+      .value("--severity",
+             [&options](const std::string& v) {
+               const std::size_t eq = v.find('=');
+               offramps::analyze::Severity severity{};
+               if (eq == std::string::npos || eq == 0 ||
+                   !offramps::analyze::severity_from_name(v.substr(eq + 1),
+                                                          severity)) {
+                 throw offramps::Error("want PASS=note|warning|error");
+               }
+               options.pass_severity.emplace_back(v.substr(0, eq), severity);
+             })
+      .repeatable()
+      .text("--baseline", baseline_path)
+      // One grammar for sabotage specs everywhere: svc::parse_sabotage
+      // is strict (whole-string, locale-independent numbers), so
+      // "reduce:0.5junk" is a usage error instead of linting as 0.5.
+      .value("--demo",
+             [&demo](const std::string& v) {
+               demo = offramps::svc::parse_sabotage(v);
+             })
+      .text("FILE", input_path);
+  args.parse_or_exit(argc, argv, 1, kUsage);
+  if (help) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
-  if (!demo_spec.empty() && (!input_path.empty() || !baseline_path.empty())) {
+  if (list_passes) {
+    for (const auto& info : offramps::analyze::PassRegistry::global().list()) {
+      std::fprintf(stdout, "%-18s %s\n", info.id.c_str(),
+                   info.description.c_str());
+    }
+    return 0;
+  }
+  if (args.given("--demo") &&
+      (args.given("FILE") || args.given("--baseline"))) {
     std::fputs("--demo does not combine with FILE or --baseline\n", stderr);
     return 2;
   }
@@ -182,38 +158,26 @@ int main(int argc, char** argv) {
   offramps::gcode::Program program;
   std::optional<offramps::gcode::Program> baseline;
 
-  if (!demo_spec.empty()) {
-    // One grammar for sabotage specs everywhere: svc::parse_sabotage is
-    // strict (whole-string, locale-independent numbers), so
-    // "reduce:0.5junk" is a usage error here instead of silently linting
-    // as 0.5 the way std::atof used to.
-    offramps::svc::Sabotage sabotage;
-    try {
-      sabotage = offramps::svc::parse_sabotage(demo_spec);
-    } catch (const offramps::Error& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::fputs(kUsage, stderr);
-      return 2;
-    }
+  if (args.given("--demo")) {
     const offramps::gcode::Program clean = demo_program();
-    switch (sabotage.kind) {
+    switch (demo.kind) {
       case offramps::svc::Sabotage::Kind::kNone:
         program = clean;
         break;
       case offramps::svc::Sabotage::Kind::kReduction:
         program = offramps::gcode::flaw3d::apply_reduction(
-            clean, {.factor = sabotage.factor});
+            clean, {.factor = demo.factor});
         baseline = clean;
         break;
       case offramps::svc::Sabotage::Kind::kRelocation:
         program = offramps::gcode::flaw3d::apply_relocation(
-            clean, {.every_n_moves = sabotage.every_n});
+            clean, {.every_n_moves = demo.every_n});
         baseline = clean;
         break;
     }
   } else {
     std::string error;
-    auto loaded = load_program(input_path.empty() ? "-" : input_path, error);
+    auto loaded = load_program(input_path, error);
     if (!loaded) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 2;

@@ -1,10 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
+
+#include "obs/json.hpp"
 
 namespace offramps::obs {
 
@@ -122,26 +123,6 @@ Histogram& Registry::histogram(const std::string& name,
   return *slot;
 }
 
-namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string Registry::to_json() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
@@ -150,14 +131,16 @@ std::string Registry::to_json() const {
   for (const auto& [name, c] : im.counters) {
     out += first ? "" : ", ";
     first = false;
-    out += quote(name) + ": " + std::to_string(c->value());
+    append_json_string(out, name);
+    out += ": " + std::to_string(c->value());
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, g] : im.gauges) {
     out += first ? "" : ", ";
     first = false;
-    out += quote(name) + ": {\"value\": " + std::to_string(g->value()) +
+    append_json_string(out, name);
+    out += ": {\"value\": " + std::to_string(g->value()) +
            ", \"max\": " + std::to_string(g->max()) + "}";
   }
   out += "}, \"histograms\": {";
@@ -165,12 +148,13 @@ std::string Registry::to_json() const {
   for (const auto& [name, h] : im.histograms) {
     out += first ? "" : ", ";
     first = false;
-    out += quote(name) + ": {\"count\": " + std::to_string(h->count()) +
-           ", \"sum\": " + fmt(h->sum()) + ", \"bounds\": [";
+    append_json_string(out, name);
+    out += ": {\"count\": " + std::to_string(h->count()) +
+           ", \"sum\": " + format_general(h->sum()) + ", \"bounds\": [";
     const auto& bounds = h->bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       out += i == 0 ? "" : ", ";
-      out += fmt(bounds[i]);
+      out += format_general(bounds[i]);
     }
     out += "], \"counts\": [";
     const auto counts = h->counts();

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace offramps::obs {
 
 namespace {
@@ -37,21 +39,6 @@ std::uint32_t current_tid() {
   thread_local std::uint32_t tid =
       next.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control chars have no place in span names
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -123,9 +110,9 @@ std::string TraceSession::to_json() {
   char buf[96];
   for (const TraceEvent& ev : s.events) {
     out += ",\n{\"name\": ";
-    append_escaped(out, ev.name);
+    append_json_string(out, ev.name);
     out += ", \"cat\": ";
-    append_escaped(out, ev.cat);
+    append_json_string(out, ev.cat);
     std::snprintf(buf, sizeof(buf),
                   ", \"ph\": \"X\", \"ts\": %lld, \"dur\": %lld, "
                   "\"pid\": 1, \"tid\": %u}",

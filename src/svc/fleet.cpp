@@ -16,6 +16,7 @@
 #include "gcode/flaw3d.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/error.hpp"
@@ -61,13 +62,13 @@ Sabotage parse_sabotage(const std::string& text) {
     return s;
   }
   if (head == "relocate") {
-    const auto n = core::parse_long(arg);
-    if (!n || *n < 1 || *n > 0xFFFFFFFFll) {
+    const auto n = core::parse_int<std::uint32_t>(arg);
+    if (!n || *n < 1) {
       throw Error("sabotage: relocate wants a positive move count: \"" +
                   text + "\"");
     }
     s.kind = Sabotage::Kind::kRelocation;
-    s.every_n = static_cast<std::uint32_t>(*n);
+    s.every_n = *n;
     return s;
   }
   throw Error(
@@ -109,40 +110,6 @@ void append_kv(std::string& out, const char* key, bool v) {
   out += key;
   out += "\": ";
   out += v ? "true" : "false";
-}
-
-/// Escapes arbitrary bytes (rig names, failure causes) for a JSON string,
-/// which may hold no raw control character.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Appends printf("%.6f", v), sized for any finite double.
-void append_fixed(std::string& out, double v) {
-  char buf[400];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  out += buf;
 }
 
 /// An optional integer member of a fleet spec.  Absent (or not a
@@ -216,17 +183,15 @@ std::string FleetReport::to_json() const {
     out += i == 0 ? "\n" : ",\n";
     // The name is arbitrary text: append it through the escaper, never
     // through the fixed snprintf buffer (a long name would truncate).
-    out += "    {\n      \"name\": \"";
-    out += json_escape(r.spec.name);
-    std::snprintf(buf, sizeof(buf), "\",\n      \"seed\": %llu,\n",
+    out += "    {\n      \"name\": ";
+    obs::append_json_string(out, r.spec.name);
+    std::snprintf(buf, sizeof(buf), ",\n      \"seed\": %llu,\n",
                   static_cast<unsigned long long>(r.spec.seed));
     out += buf;
     // Sizes from a session hello are any finite double: each gets a
     // buffer of its own (%.6f of DBL_MAX is 316 characters).
-    out += "      \"cube_mm\": ";
-    append_fixed(out, r.spec.cube_mm);
-    out += ",\n      \"height_mm\": ";
-    append_fixed(out, r.spec.height_mm);
+    out += "      \"cube_mm\": " + obs::format_fixed(r.spec.cube_mm);
+    out += ",\n      \"height_mm\": " + obs::format_fixed(r.spec.height_mm);
     out += ",\n      \"sabotage\": \"";
     out += r.spec.sabotage.to_string();
     out += "\",\n      \"chaos\": \"";
@@ -238,9 +203,9 @@ std::string FleetReport::to_json() const {
     out += buf;
     // failure_cause carries arbitrary exception text - append it through
     // the escaper, never through a fixed snprintf buffer.
-    out += "      \"failure_cause\": \"";
-    out += json_escape(r.failure_cause);
-    out += "\",\n";
+    out += "      \"failure_cause\": ";
+    obs::append_json_string(out, r.failure_cause);
+    out += ",\n";
     out += "      ";
     append_kv(out, "alarmed", r.detector.alarmed);
     out += ",\n      ";
@@ -342,14 +307,11 @@ std::string FleetReport::to_json_with_metrics(
 }
 
 std::string FleetReport::metrics_json() const {
-  char buf[64];
   std::string out = "{\n    \"phases\": {";
   for (std::size_t i = 0; i < timings.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "      \"";
-    out += json_escape(timings[i].name);
-    std::snprintf(buf, sizeof(buf), "\": %.6f", timings[i].seconds);
-    out += buf;
+    out += i == 0 ? "\n      " : ",\n      ";
+    obs::append_json_string(out, timings[i].name);
+    out += ": " + obs::format_fixed(timings[i].seconds);
   }
   out += timings.empty() ? "}" : "\n    }";
   out += ",\n    \"registry\": ";

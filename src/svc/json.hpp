@@ -1,10 +1,11 @@
 // Minimal JSON reader for the fleet service's configuration surface.
 //
 // The fleet daemon takes its rig matrix as a JSON spec file; this is the
-// self-contained parser for it (the repository's JSON *writers* stay
-// hand-rolled snprintf renderers - only configuration input needs a
-// reader).  Full JSON value model, recursive descent, UTF-8 passed
-// through verbatim, \uXXXX escapes rejected rather than mis-decoded.
+// self-contained parser for it (the writers keep each document's layout
+// at its call site and escape every string through obs/json.hpp's
+// append_json_string - only configuration input needs a reader).  Full
+// JSON value model, recursive descent, UTF-8 passed through verbatim,
+// \uXXXX escapes rejected rather than mis-decoded.
 // Throws offramps::Error with a byte offset on malformed input.
 #pragma once
 

@@ -147,6 +147,41 @@ TEST(Compare, ColumnNames) {
   EXPECT_STREQ(column_name(9), "?");
 }
 
+// A slack past the capture's ends visits only the golden windows that
+// exist, so UINT32_MAX reports exactly what slack = golden size does, in
+// about the same time (the TIMEOUT in tests/CMakeLists.txt holds it to
+// that: stepping through all 2^33 offsets per window takes minutes).
+TEST(Compare, HugeSlackMatchesSlackOfTheWholeCapture) {
+  core::Capture golden;
+  core::Capture observed;
+  for (std::int32_t i = 0; i < 40; ++i) {
+    core::Transaction g;
+    g.index = static_cast<std::uint32_t>(i);
+    g.counts = {1000 * (i + 1), 500 * (i % 7 + 1), 40, 800 * (i + 1)};
+    golden.transactions.push_back(g);
+    core::Transaction o = g;
+    // One window in five matches no golden window at all, so the
+    // fewest-violations candidate is reported.
+    if (i % 5 == 0) o.counts[3] += 300 + 17 * i;
+    observed.transactions.push_back(o);
+  }
+  CompareOptions whole;
+  whole.window_slack = static_cast<std::uint32_t>(golden.transactions.size());
+  CompareOptions huge;
+  huge.window_slack = UINT32_MAX;
+  const Report a = compare(golden, observed, whole);
+  const Report b = compare(golden, observed, huge);
+  ASSERT_GT(a.mismatch_count(), 0u);
+  ASSERT_EQ(a.mismatch_count(), b.mismatch_count());
+  for (std::size_t k = 0; k < a.mismatches.size(); ++k) {
+    EXPECT_EQ(a.mismatches[k].index, b.mismatches[k].index);
+    EXPECT_EQ(a.mismatches[k].column, b.mismatches[k].column);
+    EXPECT_EQ(a.mismatches[k].golden, b.mismatches[k].golden);
+    EXPECT_EQ(a.mismatches[k].observed, b.mismatches[k].observed);
+  }
+  EXPECT_EQ(a.to_string(1000), b.to_string(1000));
+}
+
 // Property sweep: deviations strictly above the margin are flagged, at or
 // below are not (boundary behaviour of the margin test).
 class MarginSweep : public ::testing::TestWithParam<double> {};

@@ -5,9 +5,12 @@
 // report).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
@@ -224,11 +227,58 @@ TEST_F(ObsTest, TraceNamesAreEscaped) {
   obs::TraceSession::start();
   {
     obs::Span span("quote\"back\\slash", "test");
+    obs::Span newline("line\nbreak", "test");
   }
   obs::TraceSession::stop();
   const std::string text = obs::TraceSession::to_json();
   EXPECT_NO_THROW(svc::json::parse(text));
   EXPECT_NE(text.find("quote\\\"back\\\\slash"), std::string::npos);
+  EXPECT_NE(text.find("\"line\\nbreak\""), std::string::npos);
+}
+
+/// The one JSON string writer, byte by byte: every control byte, the two
+/// characters JSON reserves, DEL and a UTF-8 sequence.
+TEST(ObsJson, EscapesEveryControlByteAndPassesTheRest) {
+  const char* const kShort[] = {"\\b", "\\t", "\\n", nullptr, "\\f",
+                                "\\r"};
+  for (int c = 0; c < 0x20; ++c) {
+    char want[16];
+    std::snprintf(want, sizeof(want), "\"\\u%04x\"", c);
+    if (c >= 8 && c <= 13 && kShort[c - 8] != nullptr) {
+      std::snprintf(want, sizeof(want), "\"%s\"", kShort[c - 8]);
+    }
+    std::string out;
+    obs::append_json_string(out, std::string(1, static_cast<char>(c)));
+    EXPECT_EQ(out, want) << "byte " << c;
+  }
+  const std::pair<std::string, std::string> kCases[] = {
+      {"\"", "\"\\\"\""},
+      {"\\", "\"\\\\\""},
+      {"\x7f", "\"\x7f\""},
+      {"\xc3\xa9t\xc3\xa9", "\"\xc3\xa9t\xc3\xa9\""},  // "été"
+      {"", "\"\""},
+      {"rig-1 a/b", "\"rig-1 a/b\""},
+  };
+  for (const auto& [in, want] : kCases) {
+    std::string out = "x";  // appends, never replaces
+    obs::append_json_string(out, in);
+    EXPECT_EQ(out, "x" + want);
+  }
+  // Every escape it emits reads back through the repo's own reader
+  // except \u00XX, which svc::json rejects rather than mis-decodes.
+  std::string doc;
+  obs::append_json_string(doc, "a\"b\\c\nd\te\rf\bg\fh\x7f\xc3\xa9");
+  EXPECT_EQ(svc::json::parse(doc).string,
+            "a\"b\\c\nd\te\rf\bg\fh\x7f\xc3\xa9");
+}
+
+TEST(ObsJson, NumberRenderingsMatchPrintf) {
+  EXPECT_EQ(obs::format_fixed(0.1), "0.100000");
+  EXPECT_EQ(obs::format_fixed(-2.5), "-2.500000");
+  EXPECT_EQ(obs::format_fixed(1.7976931348623157e308).size(), 316u);
+  EXPECT_EQ(obs::format_general(0.1), "0.1");
+  EXPECT_EQ(obs::format_general(1234567.0), "1.23457e+06");
+  EXPECT_EQ(obs::format_general(42.0), "42");
 }
 
 /// A fleet small enough for a unit test: two rigs, one sabotaged.
