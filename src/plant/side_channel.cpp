@@ -8,16 +8,6 @@ namespace offramps::plant {
 
 namespace {
 
-// splitmix64: the usual strong 64-bit finalizer (same recipe as the
-// Supervisor's backoff jitter - duplicated here because plant:: sits
-// below svc:: and cannot reach up a layer).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Fraction of the full step rate axis `axis` moved at since the last
 /// sample.  Updates `last` even for disabled motors so a re-enable does
 /// not see a step burst that never happened.
@@ -37,7 +27,7 @@ double step_rate_fraction(Printer& printer, sim::Axis axis, double dt_s,
 
 std::uint64_t probe_noise_seed(std::uint64_t rig_seed,
                                std::uint64_t channel_tag) {
-  return mix64(rig_seed ^ mix64(channel_tag));
+  return sim::mix64(rig_seed ^ sim::mix64(channel_tag));
 }
 
 SideProbe::SideProbe(sim::Scheduler& sched, SampleKind kind,

@@ -101,8 +101,7 @@ struct VibrationProbeOptions {
 /// per-channel tag (use the channel's default noise_seed as the tag).
 /// Every physical probe has its own sensor, so two rigs - and two
 /// channels on one rig - must never share a noise stream; mixing with
-/// splitmix64 (the Supervisor backoff recipe) guarantees that even for
-/// adjacent rig seeds.
+/// sim::mix64 (splitmix64) guarantees that even for adjacent rig seeds.
 std::uint64_t probe_noise_seed(std::uint64_t rig_seed,
                                std::uint64_t channel_tag);
 

@@ -65,9 +65,8 @@ std::string FaultSpec::describe() const {
 }
 
 FaultInjector::~FaultInjector() {
-  // Timing warps outlive nothing: the scheduler reference may dangle the
-  // moment the rig tears down, but the warp closure captures an Rng this
-  // injector owns, so it has to be unhooked first.
+  // A timing fault lasts as long as the injector that armed it: unhook
+  // the warp before the scheduler outlives us.
   if (owns_time_warp_) sched_.set_time_warp(nullptr);
 }
 
@@ -210,21 +209,22 @@ void FaultInjector::inject_timing(const FaultSpec& spec) {
   }
   timing_armed_ = true;
 
-  auto rng = std::make_shared<Rng>(spec.seed);
-  rngs_.push_back(rng);
+  const std::uint64_t seed = spec.seed;
   const Tick max_jitter = us(static_cast<std::uint64_t>(spec.intensity));
   const Tick start = spec.start;
   const Tick stop = spec.stop;
   // The window gates on the requested fire time, not the scheduling
   // instant, so an event placed early for after the window stays exact.
+  // The jitter is a pure function of (seed, requested tick), not a draw
+  // from a stream: an event's delay cannot depend on how many other
+  // events were scheduled before it, and events requested for one tick
+  // share one delay, so they keep their FIFO order.
   sched_.set_time_warp(
-      [rng, max_jitter, start, stop](Tick, Tick requested) -> Tick {
+      [seed, max_jitter, start, stop](Tick, Tick requested) -> Tick {
         if (requested < start || (stop != 0 && requested >= stop)) {
           return requested;
         }
-        const Tick jitter = static_cast<Tick>(
-            rng->uniform_int(0, static_cast<std::int64_t>(max_jitter)));
-        return requested + jitter;
+        return requested + mix64(seed ^ mix64(requested)) % (max_jitter + 1);
       });
   owns_time_warp_ = true;
   ++stats_.timing_windows;

@@ -106,8 +106,10 @@ class FaultInjector {
   void inject_analog(const FaultSpec& spec, AnalogChannel& channel);
 
   /// Arms bounded timing jitter on the scheduler for the spec's window.
-  /// Only one timing fault may be active at a time (they would compose
-  /// unpredictably); arming a second one throws.
+  /// An event's delay is a pure function of the spec's seed and the
+  /// event's requested tick, so it does not depend on which other events
+  /// exist.  Only one timing fault may be active at a time (they would
+  /// compose unpredictably); arming a second one throws.
   void inject_timing(const FaultSpec& spec);
 
   /// Builds a byte-stream corruptor for a kUart* spec.  The caller

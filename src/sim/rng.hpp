@@ -2,13 +2,24 @@
 //
 // Everything stochastic in the reproduction (firmware "time noise" jitter,
 // Trojan trigger randomness, thermistor measurement noise) draws from a
-// seeded Rng so runs are exactly reproducible.
+// seeded Rng so runs are exactly reproducible.  Draws that must not depend
+// on how many draws came before (retry backoff, per-probe noise seeds,
+// scheduler timing jitter) hash their key with mix64 instead.
 #pragma once
 
 #include <cstdint>
 #include <random>
 
 namespace offramps::sim {
+
+/// splitmix64's finalizer: the usual strong 64-bit mix.  A pure function,
+/// so a value derived from it depends only on its key.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
 
 /// Thin wrapper over std::mt19937_64 with convenience distributions.
 class Rng {

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "sim/error.hpp"
+#include "sim/rng.hpp"
 
 namespace offramps::svc {
 
@@ -18,18 +19,6 @@ const char* rig_status_name(RigStatus s) {
   }
   return "?";
 }
-
-namespace {
-
-/// splitmix64: the usual strong 64-bit finalizer, here the jitter PRF.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::uint64_t backoff_delay_ms(const SupervisorOptions& options,
                                std::uint64_t key, std::uint32_t attempt) {
@@ -45,7 +34,8 @@ std::uint64_t backoff_delay_ms(const SupervisorOptions& options,
   // Jitter in [delay/2, delay]: a pure function of (seed, key, attempt),
   // so the schedule is reproducible yet decorrelated across rigs.
   const std::uint64_t h =
-      mix64(options.backoff_seed ^ mix64(key) ^ (std::uint64_t{attempt} << 32));
+      sim::mix64(options.backoff_seed ^ sim::mix64(key) ^
+                 (std::uint64_t{attempt} << 32));
   const std::uint64_t half = delay / 2;
   return half + (half > 0 ? h % (half + 1) : 0);
 }

@@ -14,10 +14,13 @@
 //    CRC framing with capture parity against the clean run.
 // 5. The fault engine cannot fake an instant home against debounced
 //    endstops (bouncy-switch satellite).
+// 6. The default sweep's report is pinned byte for byte.
 #include <gtest/gtest.h>
 
+#include "core/bytes.hpp"
 #include "core/fabric_guard.hpp"
 #include "host/fault_campaign.hpp"
+#include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
 #include "sim/fault.hpp"
@@ -176,6 +179,25 @@ TEST(CampaignClassifier, CellsClassifyAsExpected) {
   EXPECT_NE(json.find("MAXTEMP"), std::string::npos);
   EXPECT_EQ(report.count(CellOutcome::kClean), 2u);
   EXPECT_EQ(report.count(CellOutcome::kFailSafe), 1u);
+}
+
+// fnv1a (core::Fnv1a) of the default sweep's JSON report, as
+// `fault_campaign report.json` writes it.  A change that means to alter
+// the report re-records it and says why.
+constexpr std::uint64_t kDefaultSweepReportFnv = 0x0929317e45968aaeull;
+
+TEST(FaultCampaign, DefaultSweepReportIsPinned) {
+  // The examples/fault_campaign program: a sliced 10 x 10 x 2 mm cube.
+  SliceProfile profile;
+  CubeSpec cube{.size_x_mm = 10.0, .size_y_mm = 10.0, .height_mm = 2.0,
+                .center_x_mm = 110.0, .center_y_mm = 100.0};
+  FaultCampaign campaign(slice_cube(cube, profile), "cube-10x10x2");
+  ParallelRunner pool(4);
+  const std::string json =
+      campaign.run(FaultCampaign::default_sweep(), pool).to_json();
+  core::Fnv1a h;
+  h.bytes(json.data(), json.size());
+  EXPECT_EQ(h.value(), kDefaultSweepReportFnv);
 }
 
 TEST(EndstopDebounce, BouncySwitchCannotFakeAnInstantHome) {

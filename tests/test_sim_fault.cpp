@@ -4,6 +4,7 @@
 // windows, and the zero-intensity control-cell convention.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/error.hpp"
@@ -260,6 +261,63 @@ TEST(TimingFault, JitterDelaysEventsWithinBoundAndWindow) {
   EXPECT_TRUE(any_delayed);
   EXPECT_GT(sched.warped_events(), 0u);
   EXPECT_EQ(inj.stats().timing_windows, 1u);
+}
+
+TEST(TimingFault, JitterDependsOnlyOnTheRequestedTick) {
+  // The same events must fire at the same (jittered) times whether or
+  // not unrelated events are scheduled between them: a simulator change
+  // that stops scheduling a no-op event must not move any other event.
+  const auto fire_times = [](bool with_unrelated) {
+    Scheduler sched;
+    FaultInjector inj(sched);
+    inj.inject_timing({.kind = FaultKind::kTimingJitter,
+                       .target = "scheduler",
+                       .intensity = 300.0,
+                       .seed = 0xFA17});
+    std::vector<Tick> fired(20, 0);
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+      if (with_unrelated) {
+        for (int k = 0; k < 3; ++k) {
+          sched.schedule_at(us(700) * (i + 1) + us(13) * k + 1, [] {});
+        }
+      }
+      sched.schedule_at(us(700) * (i + 1), [&fired, &sched, i] {
+        fired[i] = sched.now();
+      });
+    }
+    sched.run_all();
+    return fired;
+  };
+  const std::vector<Tick> bare = fire_times(false);
+  EXPECT_EQ(fire_times(true), bare);
+  std::size_t delayed = 0;
+  for (std::size_t i = 0; i < bare.size(); ++i) {
+    EXPECT_GE(bare[i], us(700) * (i + 1));
+    EXPECT_LE(bare[i], us(700) * (i + 1) + us(300));
+    delayed += bare[i] != us(700) * (i + 1) ? 1 : 0;
+  }
+  EXPECT_GT(delayed, 0u);
+}
+
+TEST(TimingFault, SameTickEventsShareOneJitterAndKeepFifoOrder) {
+  Scheduler sched;
+  FaultInjector inj(sched);
+  inj.inject_timing({.kind = FaultKind::kTimingJitter,
+                     .target = "scheduler",
+                     .intensity = 300.0,
+                     .seed = 7});
+  std::vector<std::pair<int, Tick>> fired;
+  for (int i = 0; i < 8; ++i) {
+    sched.schedule_at(ms(3), [&fired, &sched, i] {
+      fired.emplace_back(i, sched.now());
+    });
+  }
+  sched.run_all();
+  ASSERT_EQ(fired.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i)].first, i);
+    EXPECT_EQ(fired[static_cast<std::size_t>(i)].second, fired[0].second);
+  }
 }
 
 TEST(TimingFault, SecondTimingFaultThrows) {
