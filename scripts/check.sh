@@ -86,6 +86,12 @@ else
   # socket + stdin + replay smokes, and the session-chaos drills.
   echo "==> daemon suite (ctest -L daemon)"
   ctest --preset default -L daemon -j "${jobs}"
+  # ...and the determinism contract: the scheduler's order against a
+  # reference heap, the pinned report digests (small fleet, demo
+  # campaign, fault sweep) and the event-count pins of the monitors and
+  # the UART, plus the cross-worker and replay byte-identity drills.
+  echo "==> determinism suite (ctest -L determinism)"
+  ctest --preset default -L determinism -j "${jobs}"
   # ...and the fusion layer: channel naming/registry units, the
   # pick_first_trip verdict rule, per-channel attribution, and the
   # multi-modal CLI acceptance drill.

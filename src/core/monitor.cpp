@@ -61,18 +61,18 @@ void HomingDetector::on_endstop_edge(std::size_t axis, sim::Edge e,
 
 AxisTracker::AxisTracker(sim::Scheduler& sched, sim::Wire& step,
                          sim::Wire& dir)
-    : detector_(sched, step,
-                [this](sim::Edge e, sim::Tick t) {
-                  if (e != sim::Edge::kRising || !armed_ || !connected_) {
-                    return;
-                  }
-                  count_ += dir_.level() ? 1 : -1;
-                  if (!saw_step_) {
-                    saw_step_ = true;
-                    first_step_at_ = t;
-                    if (on_first_step_) on_first_step_(t);
-                  }
-                }),
+    : detector_(
+          sched, step,
+          [this](sim::Edge, sim::Tick t) {
+            if (!armed_ || !connected_) return;
+            count_ += dir_.level() ? 1 : -1;
+            if (!saw_step_) {
+              saw_step_ = true;
+              first_step_at_ = t;
+              if (on_first_step_) on_first_step_(t);
+            }
+          },
+          sim::Edge::kRising),
       dir_(dir) {}
 
 void AxisTracker::arm() {
@@ -85,15 +85,16 @@ void AxisTracker::disarm() { armed_ = false; }
 
 LayerMonitor::LayerMonitor(sim::Scheduler& sched, sim::Wire& z_step,
                            sim::Tick quiet_gap)
-    : detector_(sched, z_step,
-                [this](sim::Edge e, sim::Tick t) {
-                  if (e != sim::Edge::kRising) return;
-                  if (last_z_step_ == 0 || t - last_z_step_ > quiet_gap_) {
-                    ++layers_;
-                    for (const auto& cb : on_layer_) cb(layers_);
-                  }
-                  last_z_step_ = t;
-                }),
+    : detector_(
+          sched, z_step,
+          [this](sim::Edge, sim::Tick t) {
+            if (last_z_step_ == 0 || t - last_z_step_ > quiet_gap_) {
+              ++layers_;
+              for (const auto& cb : on_layer_) cb(layers_);
+            }
+            last_z_step_ = t;
+          },
+          sim::Edge::kRising),
       quiet_gap_(quiet_gap) {}
 
 }  // namespace offramps::core

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/pins.hpp"
@@ -33,9 +34,13 @@ class EdgeDetector {
  public:
   using Callback = std::function<void(sim::Edge, sim::Tick)>;
 
-  EdgeDetector(sim::Scheduler& sched, sim::Wire& wire, Callback cb)
+  /// `only`, when set, is the one edge the consumer reads: the other
+  /// edge is dropped at the wire and schedules no clock-sync event.
+  EdgeDetector(sim::Scheduler& sched, sim::Wire& wire, Callback cb,
+               std::optional<sim::Edge> only = std::nullopt)
       : sched_(sched), wire_(wire), cb_(std::move(cb)) {
-    id_ = wire.on_edge([this](sim::Edge e, sim::Tick t) {
+    id_ = wire.on_edge([this, only](sim::Edge e, sim::Tick t) {
+      if (only && e != *only) return;
       const sim::Tick sampled = sim::align_to_fpga_clock(t);
       if (sampled == t) {
         cb_(e, t);

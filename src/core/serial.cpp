@@ -28,8 +28,21 @@ void UartTx::start_frame() {
   current_ = queue_.front();
   queue_.pop_front();
   const auto gen = ++generation_;
+  if (line_.live_listeners() == 0) {
+    // Nobody samples the line: skip the waveform, keep the byte timing.
+    sched_.schedule_in(bit_time_ * 10, [this, gen] {
+      if (gen == generation_) end_frame();
+    });
+    return;
+  }
   line_.set(false);  // start bit
   emit_bit(0, gen);
+}
+
+void UartTx::end_frame() {
+  ++bytes_sent_;
+  busy_time_ += bit_time_ * 10;
+  start_frame();
 }
 
 void UartTx::emit_bit(std::uint32_t bit_index, std::uint64_t gen) {
@@ -45,10 +58,7 @@ void UartTx::emit_bit(std::uint32_t bit_index, std::uint64_t gen) {
       emit_bit(9, gen);
       return;
     }
-    // Stop bit complete: frame done.
-    ++bytes_sent_;
-    busy_time_ += bit_time_ * 10;
-    start_frame();
+    end_frame();  // stop bit complete
   });
 }
 

@@ -8,7 +8,10 @@
 // saturates) when transactions arrive faster than the line drains.
 //
 //   UartTx  - drives a TX net with start/8xdata(LSB first)/stop frames,
-//             back to back, from a byte queue.
+//             back to back, from a byte queue.  A byte that starts while
+//             the net has no live listener (no receiver, tap or trace)
+//             skips the waveform: one event ten bit times later instead of
+//             ten per-bit events, with the same byte boundaries.
 //   UartRx  - samples the net like a hardware UART: arms on the falling
 //             start edge, samples each bit at its midpoint, validates the
 //             stop bit (framing errors are counted, the byte dropped).
@@ -60,6 +63,7 @@ class UartTx {
  private:
   void start_frame();
   void emit_bit(std::uint32_t bit_index, std::uint64_t gen);
+  void end_frame();
 
   sim::Scheduler& sched_;
   sim::Wire& line_;

@@ -6,14 +6,18 @@
 // order so simultaneous events run in FIFO order, which makes runs fully
 // deterministic for a fixed seed.
 //
-// Hot-path notes: storage is a plain binary heap in a `std::vector`.  Real
-// prints keep at most ~20 events pending (`sim.scheduler.queue_depth`), so
-// a push or pop sifts about five levels.  Callbacks are
-// small-buffer-optimized `SmallFn`s that move by memcpy, so steady-state
-// event traffic allocates nothing once the vector has grown.
-// Metrics, when enabled, are accumulated in plain members and flushed to
-// the registry in batches so the per-event cost is an increment and a
-// compare, not atomic RMWs and clock reads (see execute_instrumented).
+// Hot-path notes: the queue is a plain binary heap of 24-byte
+// {time, seq, slot} keys in a `std::vector`; the callbacks stay put in a
+// slot vector and never move while their event is pending.  Real prints
+// keep at most ~20 events pending (`sim.scheduler.queue_depth`), so a
+// push or pop sifts about five levels of keys.  A callback is a
+// small-buffer-optimized `SmallFn` that moves by memcpy exactly twice:
+// into a free slot when scheduled, out of it when run.  Freed slots are
+// reused, so steady-state event traffic allocates nothing once the
+// vectors have grown.  Metrics, when enabled, are accumulated in plain
+// members and flushed to the registry in batches so the per-event cost is
+// an increment and a compare, not atomic RMWs and clock reads (see
+// execute_instrumented).
 #pragma once
 
 #include <algorithm>
@@ -59,7 +63,16 @@ class Scheduler {
       t = std::max(now_, time_warp_(now_, t));
       ++warped_events_;
     }
-    heap_.push_back(Event{t, next_seq_++, std::move(cb)});
+    std::uint32_t slot = 0;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(std::move(cb));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(cb);
+    }
+    heap_.push_back(Key{t, next_seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
@@ -93,7 +106,7 @@ class Scheduler {
 #endif
       return false;
     }
-    execute(pop());
+    run_next();
     return true;
   }
 
@@ -106,7 +119,7 @@ class Scheduler {
 #endif
       return false;
     }
-    execute(pop());
+    run_next();
     return true;
   }
 
@@ -158,41 +171,43 @@ class Scheduler {
   static constexpr std::size_t kDefaultEventLimit = 2'000'000'000;
 
  private:
-  struct Event {
+  /// One pending event: its ordering key and the slot of its callback.
+  struct Key {
     Tick time = 0;
     std::uint64_t seq = 0;
-    Callback cb;
+    std::uint32_t slot = 0;
   };
+  static_assert(sizeof(Key) == 24, "heap keys are the hot-path payload");
   /// Heap order: the earliest (time, seq) sits at heap_.front(), so
-  /// same-tick events drain FIFO.
+  /// same-tick events drain FIFO.  seq is unique, so slot never decides.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
 
-  /// Moves the earliest event out; it leaves the heap before its
-  /// callback runs, so the callback may schedule freely.
-  Event pop() {
+  /// Runs the earliest event.  Its key leaves the heap, and its callback
+  /// leaves its slot (which is freed), before the callback runs, so the
+  /// callback may schedule anything, at the current tick too, even while
+  /// the slot vector grows.
+  void run_next() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
+    const Key key = heap_.back();
     heap_.pop_back();
-    return ev;
-  }
-
-  void execute(Event ev) {
-    now_ = ev.time;
+    Callback cb = std::move(slots_[key.slot]);
+    free_slots_.push_back(key.slot);
+    now_ = key.time;
     ++executed_;
 #if OFFRAMPS_OBS_ENABLED
     // One relaxed load + untaken branch on the everyday path (bench_obs
     // holds this under 2% of the event loop); the priced work lives in
     // the cold sibling below.
     if (obs::enabled()) {
-      execute_instrumented(std::move(ev));
+      execute_instrumented(cb);
       return;
     }
 #endif
-    ev.cb.invoke_unchecked();
+    cb.invoke_unchecked();
   }
 
 #if OFFRAMPS_OBS_ENABLED
@@ -205,7 +220,7 @@ class Scheduler {
   /// is increments and compares rather than shared atomic RMWs.  Wall
   /// time never feeds back into simulated time, so enabling metrics
   /// cannot change a run.
-  void execute_instrumented(Event ev) {
+  void execute_instrumented(Callback& cb) {
     if (obs_events_ == nullptr) {
       auto& reg = obs::Registry::instance();
       obs_events_ = &reg.counter("sim.scheduler.events");
@@ -220,10 +235,10 @@ class Scheduler {
     if (--obs_sample_countdown_ == 0) {
       obs_sample_countdown_ = obs::latency_sample_every();
       const auto t0 = std::chrono::steady_clock::now();
-      ev.cb.invoke_unchecked();
+      cb.invoke_unchecked();
       obs_latency_->observe(obs::us_since(t0));
     } else {
-      ev.cb.invoke_unchecked();
+      cb.invoke_unchecked();
     }
     if (obs_batch_events_ >= kObsFlushEvery) flush_obs();
   }
@@ -240,7 +255,10 @@ class Scheduler {
   static constexpr std::uint64_t kObsFlushEvery = 1024;
 #endif
 
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  /// Callbacks by slot; a free slot holds an empty Callback.
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

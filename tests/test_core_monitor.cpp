@@ -160,6 +160,24 @@ TEST_F(TrackerFixture, ArmResetsCount) {
   EXPECT_EQ(tracker.count(), 2);
 }
 
+TEST_F(TrackerFixture, OnlyTheRisingStepEdgeSchedulesAClockSyncEvent) {
+  // The tracker counts rising edges; a falling edge between FPGA clock
+  // edges must not schedule an event whose callback would do nothing.
+  tracker.arm();
+  dir.set(true);
+  sched.run_until(sim::ns(13));  // between two 10 ns clock edges
+  const std::size_t before_rise = sched.pending();
+  step.set(true);
+  EXPECT_EQ(sched.pending(), before_rise + 1);
+  sched.run_until(sim::ns(37));
+  const std::size_t before_fall = sched.pending();
+  step.set(false);
+  EXPECT_EQ(sched.pending(), before_fall);
+  sched.run_all();
+  EXPECT_EQ(tracker.count(), 1);
+  EXPECT_EQ(tracker.first_step_at(), sim::ns(20));  // the sampled time
+}
+
 TEST_F(TrackerFixture, DisarmFreezesCount) {
   tracker.arm();
   dir.set(true);
@@ -194,6 +212,33 @@ TEST_F(LayerFixture, BurstsSeparatedByQuietAreLayers) {
   z_burst(100);
   EXPECT_EQ(monitor.layers_seen(), 3u);
   EXPECT_EQ(layers, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+TEST_F(LayerFixture, OnlyTheRisingZStepEdgeSchedulesAClockSyncEvent) {
+  std::vector<std::uint64_t> layers;
+  monitor.on_layer([&](std::uint64_t n) { layers.push_back(n); });
+  sched.run_until(sim::seconds(1) + sim::ns(3));
+  const std::size_t before_rise = sched.pending();
+  zstep.set(true);
+  EXPECT_EQ(sched.pending(), before_rise + 1);
+  sched.run_until(sched.now() + sim::ns(24));
+  const std::size_t before_fall = sched.pending();
+  zstep.set(false);
+  EXPECT_EQ(sched.pending(), before_fall);
+  sched.run_all();
+  EXPECT_EQ(layers, (std::vector<std::uint64_t>{1}));
+}
+
+TEST_F(HomingFixture, EndstopEdgesScheduleOnBothEdges) {
+  // The homing FSM reads the release (falling) edge too.
+  sched.run_until(sim::ns(13));
+  const std::size_t before_rise = sched.pending();
+  x.set(true);
+  EXPECT_EQ(sched.pending(), before_rise + 1);
+  sched.run_until(sim::ns(37));
+  const std::size_t before_fall = sched.pending();
+  x.set(false);
+  EXPECT_EQ(sched.pending(), before_fall + 1);
 }
 
 TEST_F(LayerFixture, ContinuousSteppingIsOneLayer) {

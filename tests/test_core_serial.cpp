@@ -105,6 +105,72 @@ TEST_F(SerialFixture, RecoversAfterFramingError) {
   EXPECT_EQ(received[0], 0x42);
 }
 
+TEST(UartTxEvents, UnobservedLineRunsOneEventPerByteOnTheSameBoundaries) {
+  // Two transmitters send the same two 24-byte frames with a gap between
+  // them: one on a bare line, one on a line with a no-op listener.
+  sim::Scheduler bare_sched;
+  sim::Scheduler seen_sched;
+  sim::Wire bare_line(bare_sched, "U", true);
+  sim::Wire seen_line(seen_sched, "U", true);
+  seen_line.on_edge([](sim::Edge, sim::Tick) {});
+  UartTx bare(bare_sched, bare_line, 115'200);
+  UartTx seen(seen_sched, seen_line, 115'200);
+  std::vector<std::uint8_t> frame(24);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<std::uint8_t>(0x35 * i + 1);
+  }
+  const sim::Tick byte_time = bare.frame_time(1);
+  const sim::Tick second = byte_time * 24 + sim::ms(1);
+  for (auto* tx : {&bare, &seen}) tx->send(frame);
+  bare_sched.schedule_at(second, [&] { bare.send(frame); });
+  seen_sched.schedule_at(second, [&] { seen.send(frame); });
+
+  std::uint64_t boundaries = 0;
+  for (const sim::Tick start : {sim::Tick{0}, second}) {
+    for (sim::Tick k = 0; k <= 24; ++k) {
+      const sim::Tick t = start + k * byte_time;
+      bare_sched.run_until(t);
+      seen_sched.run_until(t);
+      EXPECT_EQ(bare.bytes_sent(), seen.bytes_sent()) << "t=" << t;
+      EXPECT_EQ(bare.busy(), seen.busy()) << "t=" << t;
+      EXPECT_EQ(bare.queued(), seen.queued()) << "t=" << t;
+      ++boundaries;
+    }
+  }
+  bare_sched.run_all();
+  seen_sched.run_all();
+  ASSERT_EQ(boundaries, 50u);
+  EXPECT_EQ(bare.bytes_sent(), 48u);
+  EXPECT_EQ(seen.bytes_sent(), 48u);
+  EXPECT_DOUBLE_EQ(bare.utilization(), seen.utilization());
+  EXPECT_EQ(bare.max_queue_depth(), seen.max_queue_depth());
+  // One event per byte on the bare line, ten (start, 8 data, stop) on
+  // the observed one; each side also ran the second send().
+  EXPECT_EQ(bare_sched.executed(), 48u + 1u);
+  EXPECT_EQ(seen_sched.executed(), 480u + 1u);
+  EXPECT_EQ(bare_line.falling_count(), 0u);  // no waveform was driven
+  EXPECT_TRUE(bare_line.level());
+}
+
+TEST(UartTxEvents, ReceiverAttachedBetweenFramesDecodesTheWaveform) {
+  sim::Scheduler sched;
+  sim::Wire line(sched, "U", true);
+  UartTx tx(sched, line, 115'200);
+  const std::vector<std::uint8_t> first{0x11, 0x22};
+  tx.send(first);
+  sched.run_all();
+  EXPECT_EQ(line.falling_count(), 0u);
+  UartRx rx(sched, line, 115'200);
+  std::vector<std::uint8_t> received;
+  rx.on_byte([&](std::uint8_t b, sim::Tick) { received.push_back(b); });
+  const std::vector<std::uint8_t> second{0xA5, 0x00, 0xFF};
+  tx.send(second);
+  sched.run_all();
+  EXPECT_EQ(received, second);
+  EXPECT_EQ(rx.framing_errors(), 0u);
+  EXPECT_EQ(tx.bytes_sent(), 5u);
+}
+
 TEST(UartTxValidation, ZeroBaudThrows) {
   sim::Scheduler sched;
   sim::Wire line(sched, "U", true);

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event scheduler.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -203,6 +204,39 @@ TEST(Scheduler, NonTrivialCallbacksFallBackToHeapStorage) {
   });
   s.run_all();
   EXPECT_EQ(log, "big:512");
+}
+
+TEST(Scheduler, HeapStoredCallbackIsDestroyedOnceAfterItRuns) {
+  // A lambda holding a shared_ptr is not trivially copyable, so SmallFn
+  // keeps it in a heap cell; the use count sees every copy and release.
+  auto token = std::make_shared<int>(0);
+  {
+    Scheduler s;
+    s.schedule_at(5, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    s.run_all();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);  // released right after it ran
+    // Reusing the freed callback slot must not release it again.
+    s.schedule_at(6, [] {});
+    s.run_all();
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Scheduler, PendingHeapStoredCallbackIsDestroyedOnceWithTheScheduler) {
+  auto token = std::make_shared<int>(0);
+  {
+    Scheduler s;
+    s.schedule_at(5, [token] { ++*token; });
+    s.schedule_at(7, [token] { ++*token; });
+    s.run_until(5);
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 2);  // only the pending one holds it
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 1);  // the pending one never ran
 }
 
 TEST(TimeHelpers, ConversionsAreExact) {

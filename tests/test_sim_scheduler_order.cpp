@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -155,6 +156,97 @@ TEST(SchedulerWheelProperty, InterleavedSpawningDrainsLikeReferenceHeap) {
     ASSERT_GT(sched_log.size(), 200u) << "seed " << seed;
     EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
   }
+}
+
+/// Runs `script` on both schedulers and returns (scheduler log,
+/// reference log).  `script(sched, log)` schedules and drains.
+template <typename Script>
+std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_both(
+    Script script) {
+  std::vector<LogEntry> sched_log;
+  std::vector<LogEntry> ref_log;
+  Scheduler sched;
+  script(sched, sched_log);
+  RefHeapScheduler ref;
+  script(ref, ref_log);
+  return {sched_log, ref_log};
+}
+
+/// Schedules event `id` `delta` ticks out.  Every third event carries a
+/// std::string (not trivially copyable, so its callback is heap-stored);
+/// the rest are inline.  The event logs its id, checking the string.
+template <typename Sched>
+void schedule_mixed(Sched& sched, std::vector<LogEntry>& log,
+                    std::uint64_t id, Tick delta) {
+  if (id % 3 == 0) {
+    std::string tag = "event-" + std::to_string(id);
+    sched.schedule_in(delta, [&sched, &log, id, tag = std::move(tag)] {
+      const bool intact = tag == "event-" + std::to_string(id);
+      log.push_back(LogEntry{intact ? id : ~id, sched.now()});
+    });
+  } else {
+    sched.schedule_in(delta, [&sched, &log, id] {
+      log.push_back(LogEntry{id, sched.now()});
+    });
+  }
+}
+
+TEST(SchedulerWheelProperty, HeapAndInlinePayloadsDrainLikeReferenceHeap) {
+  for (std::uint64_t seed : {5ULL, 77ULL, 0xfeedULL}) {
+    auto [sched_log, ref_log] = run_both([seed](auto& sched, auto& log) {
+      std::mt19937_64 rng(seed);
+      for (std::uint64_t id = 0; id < 600; ++id) {
+        schedule_mixed(sched, log, id,
+                       draw_time(rng, static_cast<int>(id % 4)));
+      }
+      sched.run_all();
+    });
+    ASSERT_EQ(sched_log.size(), 600u) << "seed " << seed;
+    EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
+    for (const LogEntry& e : sched_log) ASSERT_LT(e.id, 600u);
+  }
+}
+
+TEST(SchedulerWheelProperty, ThousandEventBurstFromOneCallbackDrainsInOrder) {
+  // One callback schedules 1,000 events at once - some at its own tick -
+  // so the callback storage grows while that callback is running.
+  auto [sched_log, ref_log] = run_both([](auto& sched, auto& log) {
+    std::mt19937_64 rng(11);
+    for (std::uint64_t id = 0; id < 8; ++id) {
+      schedule_mixed(sched, log, id, draw_time(rng, 0));
+    }
+    sched.schedule_at(40, [&sched, &log] {
+      std::mt19937_64 burst(12);
+      for (std::uint64_t id = 100; id < 1100; ++id) {
+        schedule_mixed(sched, log, id,
+                       draw_time(burst, static_cast<int>(id % 3)));
+      }
+      log.push_back(LogEntry{99, sched.now()});
+    });
+    sched.run_all();
+  });
+  ASSERT_EQ(sched_log.size(), 1009u);
+  EXPECT_EQ(sched_log, ref_log);
+}
+
+TEST(SchedulerWheelProperty, DrainAndRefillCyclesReuseSlotsInOrder) {
+  // Each round refills a drained queue, so every event after the first
+  // round lands in a reused callback slot.
+  auto [sched_log, ref_log] = run_both([](auto& sched, auto& log) {
+    std::mt19937_64 rng(21);
+    std::uint64_t id = 0;
+    for (int round = 0; round < 30; ++round) {
+      const std::size_t n = 1 + rng() % 64;
+      for (std::size_t i = 0; i < n; ++i, ++id) {
+        schedule_mixed(sched, log, id,
+                       draw_time(rng, static_cast<int>(id % 3)));
+      }
+      sched.run_all();
+      log.push_back(LogEntry{~std::uint64_t{0}, sched.now()});
+    }
+  });
+  ASSERT_GT(sched_log.size(), 60u);
+  EXPECT_EQ(sched_log, ref_log);
 }
 
 TEST(SchedulerWheelProperty, SameTickEventsRunInInsertionOrder) {

@@ -41,6 +41,12 @@ std::uint64_t fnv1a(const std::string& text) {
 // the report re-records it and says why.
 constexpr std::uint64_t kSmallFleetReportFnv = 0xb1ed0f0fd0b079f2ull;
 
+// fnv1a of the 16-rig demo campaign's JSON report (four Flaw3D rigs; the
+// `offramps_fleetd --demo 16 --sabotage 4` campaign and the benchmark's
+// `campaign` workload) at 4 workers.  Re-recorded only by a change that
+// means to alter the report, saying why.
+constexpr std::uint64_t kDemoCampaignReportFnv = 0x2d85114574b054e7ull;
+
 // A fleet small enough for repeated runs but with real sabotage in it:
 // two clean rigs and one Flaw3D reduction rig sharing one small object.
 std::vector<RigSpec> small_fleet() {
@@ -286,6 +292,14 @@ TEST(Fleet, ReportDeterministicAcrossWorkerCounts) {
   // every alarm still comes out right.  This report does not depend on
   // the order of same-tick events; SchedulerWheelProperty pins that.
   EXPECT_EQ(digests[0], kSmallFleetReportFnv);
+}
+
+TEST(Fleet, DemoCampaignReportIsPinned) {
+  FleetOptions options;
+  options.workers = 4;
+  Fleet fleet(options);
+  EXPECT_EQ(fnv1a(fleet.run(Fleet::demo_specs(16, 4)).to_json()),
+            kDemoCampaignReportFnv);
 }
 
 // A chaos fleet: one sabotaged rig (must alarm), one crash-once rig
