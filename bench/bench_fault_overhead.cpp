@@ -48,7 +48,9 @@ double time_print_s(const std::vector<sim::FaultSpec>& faults,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: bench_fault_overhead (takes no arguments)\n");
   bench::heading("fault-injector hook overhead on a clean print");
 
   std::uint64_t ev_base = 0, ev_armed = 0, ev_uart = 0;

@@ -13,7 +13,9 @@
 
 using namespace offramps;
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: bench_fig4 (takes no arguments)\n");
   const gcode::Program object = bench::standard_cube(3.0);
 
   const host::RunResult golden = bench::run_print(object, {}, /*seed=*/1);

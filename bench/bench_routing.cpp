@@ -14,7 +14,9 @@
 
 using namespace offramps;
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: bench_routing (takes no arguments)\n");
   const auto program = bench::standard_cube(3.0);
 
   bench::heading("Fig. 3 signal path configurations");

@@ -10,10 +10,13 @@
 // doubles as an integration check.
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "svc/fleet.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace offramps;
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: fleet_monitor (takes no arguments)\n");
 
   std::vector<svc::RigSpec> specs(6);
   for (std::size_t i = 0; i < specs.size(); ++i) {

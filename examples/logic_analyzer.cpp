@@ -9,13 +9,16 @@
 //   ./logic_analyzer > print_start.vcd && gtkwave print_start.vcd
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
 #include "sim/vcd.hpp"
 
 using namespace offramps;
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: logic_analyzer (takes no arguments)\n");
   host::SliceProfile profile;
   host::CubeSpec cube{.size_x_mm = 8, .size_y_mm = 8, .height_mm = 0.5,
                       .center_x_mm = 110, .center_y_mm = 100};

@@ -9,6 +9,7 @@
 // not just a random subset" workflow.
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "gcode/flaw3d.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
@@ -26,7 +27,9 @@ gcode::Program part() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: print_monitor (takes no arguments)\n");
   const gcode::Program program = part();
 
   // --- Step 1: capture and "verify" the golden part ------------------------

@@ -6,12 +6,15 @@
 // This is the "hello world" of the library: no Trojans, golden behaviour.
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "gcode/stats.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace offramps;
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: quickstart (takes no arguments)\n");
 
   // 1. Slice a small cube the way Cura would.
   host::SliceProfile profile;

@@ -9,13 +9,16 @@
 // the part's geometry from it.
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "detect/reconstruct.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
 
 using namespace offramps;
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: reverse_engineer (takes no arguments)\n");
   // Victim prints a cylinder (say, a proprietary bushing).
   host::SliceProfile profile;
   host::CylinderSpec spec{.diameter_mm = 16, .height_mm = 3, .facets = 48,

@@ -9,6 +9,7 @@
 // board, carrying the golden model from a previously verified run.
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "core/fabric_guard.hpp"
 #include "gcode/flaw3d.hpp"
 #include "host/rig.hpp"
@@ -27,7 +28,9 @@ gcode::Program part() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: standalone_guard (takes no arguments)\n");
   // A verified golden run, captured once, flashed into the fabric.
   std::printf("[setup] capturing golden model for the fabric guard...\n");
   host::RigOptions gopt;

@@ -10,6 +10,7 @@
 //   * part-quality metrics as the evidence channel.
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
 
@@ -33,7 +34,9 @@ void describe(const char* label, const host::RunResult& r) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::Parser().parse_or_exit(
+      argc, argv, 1, "usage: trojan_study (takes no arguments)\n");
   const gcode::Program program = part();
 
   // 1. Golden reference.
