@@ -7,14 +7,14 @@
 // deterministic for a fixed seed.
 //
 // Hot-path notes: the queue is a plain binary heap of 24-byte
-// {time, seq, slot} keys in a `std::vector`; the callbacks stay put in a
-// slot vector and never move while their event is pending.  Real prints
-// keep at most ~20 events pending (`sim.scheduler.queue_depth`), so a
-// push or pop sifts about five levels of keys.  A callback is a
-// small-buffer-optimized `SmallFn` that moves by memcpy exactly twice:
-// into a free slot when scheduled, out of it when run.  Freed slots are
-// reused, so steady-state event traffic allocates nothing once the
-// vectors have grown.  Metrics, when enabled, are accumulated in plain
+// {time, seq, slot} keys in a `std::vector`; the callbacks sit in a slot
+// vector that the heap's sifts never touch.  Real prints keep at most ~20
+// events pending (`sim.scheduler.queue_depth`), so a push or pop sifts
+// about five levels of keys.  A callback is a small-buffer-optimized
+// `SmallFn` that moves by memcpy, into a free slot when scheduled and out
+// of it when run.  Freed slots are reused, so once the vectors have grown
+// steady-state event traffic allocates nothing and moves each callback
+// exactly twice.  Metrics, when enabled, are accumulated in plain
 // members and flushed to the registry in batches so the per-event cost is
 // an increment and a compare, not atomic RMWs and clock reads (see
 // execute_instrumented).

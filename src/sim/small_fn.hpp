@@ -1,8 +1,8 @@
 // Small-buffer-optimized callable, the event/listener payload of the
 // simulator hot path.
 //
-// The scheduler's binary heap moves its elements O(log n) times per
-// push/pop, so the move must be as cheap as the comparison: `SmallFn`
+// Every event moves its callback twice (into a scheduler slot when
+// scheduled, out of it when run), so the move must be cheap: `SmallFn`
 // stores trivially copyable callables (the simulator's lambdas capture
 // `this` plus a few scalars) in an inline buffer and moves by plain
 // `memcpy` -- no indirect call, no allocation, no destructor work on the

@@ -100,6 +100,20 @@ Tick draw_time(std::mt19937_64& rng, int dist) {
   }
 }
 
+/// Runs `script` on both schedulers and returns (scheduler log,
+/// reference log).  `script(sched, log)` schedules and drains.
+template <typename Script>
+std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_both(
+    Script script) {
+  std::vector<LogEntry> sched_log;
+  std::vector<LogEntry> ref_log;
+  Scheduler sched;
+  script(sched, sched_log);
+  RefHeapScheduler ref;
+  script(ref, ref_log);
+  return {sched_log, ref_log};
+}
+
 /// Runs the same generative schedule script on both schedulers and
 /// returns (scheduler log, reference log).  Initial events may spawn
 /// children by a deterministic rule keyed on the event id, so insertion
@@ -107,10 +121,7 @@ Tick draw_time(std::mt19937_64& rng, int dist) {
 /// drain order matches - any divergence shows up in the logs.
 std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_script(
     std::uint64_t seed, std::size_t n_initial, bool spawn_children) {
-  std::vector<LogEntry> sched_log;
-  std::vector<LogEntry> ref_log;
-
-  const auto drive = [&](auto& sched, std::vector<LogEntry>& log) {
+  return run_both([&](auto& sched, std::vector<LogEntry>& log) {
     std::mt19937_64 rng(seed);
     std::uint64_t next_id = 0;
     // Children reuse the parent's rng stream deterministically: a fresh
@@ -133,13 +144,7 @@ std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_script(
     }
     (void)rng;
     sched.run_all();
-  };
-
-  Scheduler sched;
-  drive(sched, sched_log);
-  RefHeapScheduler ref;
-  drive(ref, ref_log);
-  return {sched_log, ref_log};
+  });
 }
 
 TEST(SchedulerWheelProperty, RandomizedInsertionsDrainLikeReferenceHeap) {
@@ -156,20 +161,6 @@ TEST(SchedulerWheelProperty, InterleavedSpawningDrainsLikeReferenceHeap) {
     ASSERT_GT(sched_log.size(), 200u) << "seed " << seed;
     EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
   }
-}
-
-/// Runs `script` on both schedulers and returns (scheduler log,
-/// reference log).  `script(sched, log)` schedules and drains.
-template <typename Script>
-std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_both(
-    Script script) {
-  std::vector<LogEntry> sched_log;
-  std::vector<LogEntry> ref_log;
-  Scheduler sched;
-  script(sched, sched_log);
-  RefHeapScheduler ref;
-  script(ref, ref_log);
-  return {sched_log, ref_log};
 }
 
 /// Schedules event `id` `delta` ticks out.  Every third event carries a
