@@ -11,7 +11,8 @@
 //             back to back, from a byte queue.  A byte that starts while
 //             the net has no live listener (no receiver, tap or trace)
 //             skips the waveform: one event ten bit times later instead of
-//             ten per-bit events, with the same byte boundaries.
+//             ten per-bit events, with the same byte boundaries (under a
+//             timing fault, one jittered event instead of ten).
 //   UartRx  - samples the net like a hardware UART: arms on the falling
 //             start edge, samples each bit at its midpoint, validates the
 //             stop bit (framing errors are counted, the byte dropped).
