@@ -92,9 +92,9 @@ else
   # the UART, plus the cross-worker and replay byte-identity drills.
   echo "==> determinism suite (ctest -L determinism)"
   ctest --preset default -L determinism -j "${jobs}"
-  # ...and the fusion layer: channel naming/registry units, the
-  # pick_first_trip verdict rule, per-channel attribution, and the
-  # multi-modal CLI acceptance drill.
+  # ...and the fusion layer: channel naming and channel-list order
+  # units, the pick_first_trip verdict rule, per-channel attribution,
+  # and the multi-modal CLI acceptance drill.
   echo "==> fusion suite (ctest -L fusion)"
   ctest --preset default -L fusion -j "${jobs}"
   # ...and the perf gates as smoke runs: events/s floor,

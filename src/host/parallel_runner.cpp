@@ -4,29 +4,37 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "core/strict_parse.hpp"
 
 namespace offramps::host {
 
+namespace {
+
+/// Runs `fn`; returns what it threw, or null.
+template <typename Fn>
+std::exception_ptr call(const Fn& fn) {
+  try {
+    fn();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 ParallelRunner::ParallelRunner(std::size_t workers)
     : workers_(workers == 0 ? default_workers() : workers) {
-  if (workers_ < 1) workers_ = 1;
-  if (workers_ <= 1) return;  // Inline mode: no threads, no queues.
-  queues_.reserve(workers_);
-  for (std::size_t i = 0; i < workers_; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
+  if (workers_ <= 1) return;  // Inline mode: no threads.
 #if OFFRAMPS_OBS_ENABLED
   // Handles are registered up front (one registry lock per pool, off the
   // job path) so per-worker balance shows up keyed deterministically:
-  // host.pool.worker.<i>.{executed,stolen}.
-  stats_.resize(workers_);
+  // host.pool.worker.<i>.executed.
   for (std::size_t i = 0; i < workers_; ++i) {
-    const std::string prefix = "host.pool.worker." + std::to_string(i);
-    stats_[i].executed =
-        &obs::Registry::instance().counter(prefix + ".executed");
-    stats_[i].stolen = &obs::Registry::instance().counter(prefix + ".stolen");
+    executed_.push_back(&obs::Registry::instance().counter(
+        "host.pool.worker." + std::to_string(i) + ".executed"));
   }
   parks_ = &obs::Registry::instance().counter("host.pool.parks");
   unparks_ = &obs::Registry::instance().counter("host.pool.unparks");
@@ -70,192 +78,88 @@ std::size_t ParallelRunner::default_workers() {
 void ParallelRunner::run(std::size_t jobs,
                          const std::function<void(std::size_t)>& body) {
   if (jobs == 0) return;
-
-  if (workers_ <= 1) {
+  Latch batch;
+  if (threads_.empty()) {
     // Inline path: byte-for-byte the reference execution order, with the
     // same drain-then-rethrow-first semantics as the threaded path.
-    std::exception_ptr first;
     for (std::size_t i = 0; i < jobs; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!first) first = std::current_exception();
+      std::exception_ptr err = call([&] { body(i); });
+      if (err && !batch.first_error) batch.first_error = std::move(err);
+    }
+  } else {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      batch.pending = jobs;
+      for (std::size_t i = 0; i < jobs; ++i) {
+        jobs_.push_back({[&body, i] { body(i); }, &batch});
       }
     }
-    if (first) std::rethrow_exception(first);
-    return;
+    work_cv_.notify_all();
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [&batch] { return batch.pending == 0; });
   }
-
-  std::uint64_t batch;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    batch = batch_ + 1;
-    body_ = body;
-    unfinished_ = jobs;
-    first_error_ = nullptr;
-  }
-  // Deal jobs round-robin so every worker starts with a local run of
-  // indices; steals then rebalance whatever actually runs long.  The
-  // items go in *before* batch_ is published: a worker that wakes for
-  // batch N must find its jobs already queued, otherwise it could scan
-  // empty queues, re-park with its wait predicate already consumed, and
-  // miss the one notify_all() forever (lost wake-up).  Stragglers from
-  // batch N-1 can't mis-pop these early items because try_pop() only
-  // takes jobs tagged with the batch the worker is draining.
-  for (std::size_t i = 0; i < jobs; ++i) {
-    Queue& q = *queues_[i % workers_];
-    std::lock_guard<std::mutex> lk(q.mu);
-    q.items.emplace_back(batch, i);
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    batch_ = batch;
-  }
-  work_cv_.notify_all();
-
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return unfinished_ == 0; });
-  body_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 
 void ParallelRunner::post(std::function<void()> job) {
-  if (workers_ <= 1) {
+  if (threads_.empty()) {
     // Inline mode has no threads to hand the job to; run it now and let
     // drain() surface the error, same contract as the pooled path.
-    std::exception_ptr err;
-    try {
-      job();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (err) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!service_first_error_) service_first_error_ = err;
-    }
+    std::exception_ptr err = call(job);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (err && !posted_.first_error) posted_.first_error = std::move(err);
     return;
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    service_jobs_.push_back(std::move(job));
-    ++service_unfinished_;
+    jobs_.push_back({std::move(job), &posted_});
+    ++posted_.pending;
   }
   work_cv_.notify_one();
 }
 
 void ParallelRunner::drain() {
   std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return service_unfinished_ == 0; });
-  if (service_first_error_) {
-    std::exception_ptr err = service_first_error_;
-    service_first_error_ = nullptr;
-    std::rethrow_exception(err);
+  done_cv_.wait(lk, [this] { return posted_.pending == 0; });
+  if (posted_.first_error) {
+    std::rethrow_exception(std::exchange(posted_.first_error, nullptr));
   }
 }
 
-bool ParallelRunner::try_pop(std::size_t self, std::uint64_t batch,
-                             std::size_t& out, bool& stole) {
-  {  // Own queue: take the oldest local job.
-    Queue& q = *queues_[self];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.items.empty() && q.items.front().first == batch) {
-      out = q.items.front().second;
-      q.items.pop_front();
-      stole = false;
-      return true;
-    }
-  }
-  // Steal from siblings' backs, starting just past ourselves so the
-  // victims rotate instead of all thieves hammering worker 0.
-  for (std::size_t k = 1; k < workers_; ++k) {
-    Queue& q = *queues_[(self + k) % workers_];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.items.empty() && q.items.back().first == batch) {
-      out = q.items.back().second;
-      q.items.pop_back();
-      stole = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ParallelRunner::worker_loop(std::size_t self) {
-  std::uint64_t seen_batch = 0;
+void ParallelRunner::worker_loop([[maybe_unused]] std::size_t self) {
+  std::unique_lock<std::mutex> lk(mu_);
+  const auto ready = [this] { return shutdown_ || !jobs_.empty(); };
   while (true) {
-    std::function<void()> service;
-    const std::function<void(std::size_t)>* body = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      const auto ready = [&] {
-        return shutdown_ || batch_ > seen_batch || !service_jobs_.empty();
-      };
 #if OFFRAMPS_OBS_ENABLED
-      if (obs::enabled() && !ready()) {
-        // A park is a worker actually going to sleep on the condition
-        // variable (the predicate was false on arrival); the matching
-        // unpark is its wake-up.  Handles were bound in the constructor,
-        // so this path is two striped relaxed adds.
-        parks_->add(1);
-        work_cv_.wait(lk, ready);
-        unparks_->add(1);
-      } else {
-        work_cv_.wait(lk, ready);
-      }
-#else
+    if (obs::enabled() && !ready()) {
+      // A park is a worker actually going to sleep on the condition
+      // variable (the predicate was false on arrival); the matching
+      // unpark is its wake-up.  Handles were bound in the constructor,
+      // so this path is two striped relaxed adds.
+      parks_->add(1);
       work_cv_.wait(lk, ready);
+      unparks_->add(1);
+    } else {
+      work_cv_.wait(lk, ready);
+    }
+#else
+    work_cv_.wait(lk, ready);
 #endif
-      if (!service_jobs_.empty()) {
-        // Service jobs outrank shutdown so a destructor racing a posted
-        // session still lets the job finish instead of dropping it.
-        service = std::move(service_jobs_.front());
-        service_jobs_.pop_front();
-      } else if (shutdown_) {
-        return;
-      } else {
-        seen_batch = batch_;
-        body = &body_;
-      }
-    }
-    if (service) {
-      std::exception_ptr err;
-      try {
-        service();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lk(mu_);
-      if (err && !service_first_error_) service_first_error_ = err;
-      if (--service_unfinished_ == 0) done_cv_.notify_all();
-      continue;
-    }
-    // Drain this batch.  `body_` stays valid until run() observes
-    // unfinished_ == 0, and only jobs tagged with `seen_batch` are
-    // popped, so a straggler can never run a later batch's index
-    // against an earlier batch's body.
-    std::size_t idx = 0;
-    bool stole = false;
-    while (try_pop(self, seen_batch, idx, stole)) {
+    // Shutdown waits for the queue to empty, so a job queued before the
+    // destructor still runs.
+    if (jobs_.empty()) return;
+    Job job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lk.unlock();
 #if OFFRAMPS_OBS_ENABLED
-      if (obs::enabled()) {
-        stats_[self].executed->add(1);
-        if (stole) stats_[self].stolen->add(1);
-      }
+    if (obs::enabled()) executed_[self]->add(1);
 #endif
-      std::exception_ptr err;
-      try {
-        (*body)(idx);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lk(mu_);
-      if (err && !first_error_) first_error_ = err;
-      if (--unfinished_ == 0) done_cv_.notify_all();
-    }
+    std::exception_ptr err = call(job.fn);
+    job.fn = nullptr;  // captures die before the latch reports done
+    lk.lock();
+    Latch& latch = *job.latch;
+    if (err && !latch.first_error) latch.first_error = std::move(err);
+    if (--latch.pending == 0) done_cv_.notify_all();
   }
 }
 

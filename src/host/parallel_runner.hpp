@@ -1,4 +1,4 @@
-// Work-stealing batch executor for independent simulations.
+// Batch executor for independent simulations.
 //
 // Every evaluation workload in this repository -- the fault-campaign
 // sweep, the drift study's seeded reprints, Table I/II case matrices,
@@ -10,23 +10,21 @@
 // index, so a batch's output is bit-identical to sequential execution
 // regardless of the worker count or which thread ran which job.
 //
-// Scheduling is work-stealing: jobs are dealt round-robin onto
-// per-worker deques; a worker pops from the front of its own deque and,
-// when empty, steals from the back of a sibling's.  Jobs here are whole
-// prints (milliseconds to seconds each), so per-pop locking is noise.
+// Scheduling is one FIFO under the pool mutex: run() queues its indices
+// in order and post() queues one job, each against a completion latch
+// (run()'s on its own stack, post()'s a member that drain() waits on),
+// and an idle worker takes the front job.  Jobs here are whole prints
+// (milliseconds to seconds each), so one shared lock is noise.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -38,6 +36,7 @@ class ParallelRunner {
   /// A pool with `workers` threads; 0 resolves via default_workers().
   /// With one worker, jobs run inline on the calling thread.
   explicit ParallelRunner(std::size_t workers = 0);
+  /// Jobs still queued run to completion before the workers exit.
   ~ParallelRunner();
 
   ParallelRunner(const ParallelRunner&) = delete;
@@ -55,14 +54,14 @@ class ParallelRunner {
 
   /// Service API for long-lived callers (the fleet daemon): enqueues one
   /// independent job on the pool and returns immediately.  Posted jobs
-  /// interleave freely with run() batches on the same workers.  With one
-  /// worker the job executes inline on the calling thread (there is no
-  /// pool to defer to); its exception, like a pooled job's, surfaces at
-  /// the next drain().
+  /// share the queue with run() batches, but never their errors.  With
+  /// one worker the job executes inline on the calling thread (there is
+  /// no pool to defer to); its exception, like a pooled job's, surfaces
+  /// at the next drain().
   void post(std::function<void()> job);
 
   /// Blocks until every post()ed job has finished, then rethrows the
-  /// first service-job exception (in completion order), if any.
+  /// first posted job's exception (in completion order), if any.
   void drain();
 
   /// Maps `fn` over [0, jobs) into a vector ordered by job index --
@@ -85,32 +84,26 @@ class ParallelRunner {
   [[nodiscard]] static std::size_t default_workers();
 
  private:
-  /// One worker's deque.  Items carry the batch generation so a straggler
-  /// from a finished batch can never pop (and mis-dispatch) the next
-  /// batch's jobs.
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::pair<std::uint64_t, std::size_t>> items;
+  /// Completion count and first error of one group of jobs (a run()
+  /// batch, or everything post()ed); guarded by mu_.
+  struct Latch {
+    std::size_t pending = 0;
+    std::exception_ptr first_error;
   };
-
-  /// Per-worker observability handles (obs:: registry counters), fixed
-  /// at construction; increments are gated on obs::enabled().
-  struct WorkerStats {
-    obs::Counter* executed = nullptr;  // jobs this worker ran
-    obs::Counter* stolen = nullptr;    // ...of which it stole
+  struct Job {
+    std::function<void()> fn;
+    Latch* latch;
   };
 
   void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::uint64_t batch, std::size_t& out,
-               bool& stole);
 
   std::size_t workers_;
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> threads_;
-  std::vector<WorkerStats> stats_;
 #if OFFRAMPS_OBS_ENABLED
-  /// Pool-wide park/unpark counters, bound at construction like stats_
-  /// so the park path pays no magic-static guard per sleep.
+  /// obs:: registry handles, bound at construction so the job and park
+  /// paths pay no registry lookup; increments are gated on
+  /// obs::enabled().
+  std::vector<obs::Counter*> executed_;  // jobs each worker ran
   obs::Counter* parks_ = nullptr;
   obs::Counter* unparks_ = nullptr;
 #endif
@@ -118,19 +111,9 @@ class ParallelRunner {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  std::function<void(std::size_t)> body_;
-  std::uint64_t batch_ = 0;
-  std::size_t unfinished_ = 0;
-  std::exception_ptr first_error_;
+  std::deque<Job> jobs_;
+  Latch posted_;
   bool shutdown_ = false;
-
-  /// Service lane (post()/drain()): one shared FIFO, drained by whichever
-  /// worker wakes first.  Kept separate from the batch deques so batch
-  /// accounting (unfinished_, first_error_) never mixes with service
-  /// jobs.
-  std::deque<std::function<void()>> service_jobs_;
-  std::size_t service_unfinished_ = 0;
-  std::exception_ptr service_first_error_;
 };
 
 }  // namespace offramps::host

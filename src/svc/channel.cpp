@@ -26,14 +26,6 @@ const char* channel_name(Channel c) {
   return "?";
 }
 
-Channel channel_from_name(std::string_view name) {
-  for (std::uint8_t v = 0; v < kChannelCount; ++v) {
-    const auto c = static_cast<Channel>(v);
-    if (name == channel_name(c)) return c;
-  }
-  return Channel::kNone;
-}
-
 std::string ChannelSet::to_string() const {
   std::string out;
   const auto append = [&out](const char* group) {
@@ -83,10 +75,29 @@ const ChannelTrip* pick_first_trip(const std::vector<ChannelTrip>& trips) {
   const ChannelTrip* best = nullptr;
   for (const ChannelTrip& trip : trips) {
     // Strictly-earlier window wins; an equal window keeps the earlier
-    // trip (delivery order = channel registration order).
+    // trip (delivery order = make_channels order).
     if (best == nullptr || trip.window < best->window) best = &trip;
   }
   return best;
+}
+
+void DetectionChannel::record_trip(std::uint32_t window,
+                                   std::uint64_t tick_ns,
+                                   const std::array<std::int32_t, 4>& counts,
+                                   std::vector<ChannelTrip>& trips) {
+  if (!verdict_.tripped) {
+    verdict_.tripped = true;
+    verdict_.trip_window = window;
+  }
+  trips.push_back({verdict_.channel, window, tick_ns, counts});
+}
+
+ChannelVerdict DetectionChannel::row(std::uint64_t windows_compared,
+                                     std::uint64_t mismatches) const {
+  ChannelVerdict v = verdict_;
+  v.windows_compared = windows_compared;
+  v.mismatches = mismatches;
+  return v;
 }
 
 namespace {
@@ -178,51 +189,17 @@ class WindowStream {
   std::uint64_t windows_compared_ = 0;
 };
 
-/// Common verdict bookkeeping: arm state plus first-trip capture.
-class BuiltinChannel : public DetectionChannel {
- protected:
-  void set_armed(bool armed) { verdict_.armed = armed; }
-
-  void record_trip(std::uint32_t window, std::uint64_t tick_ns,
-                   const std::array<std::int32_t, 4>& counts,
-                   std::vector<ChannelTrip>& trips) {
-    if (!verdict_.tripped) {
-      verdict_.tripped = true;
-      verdict_.trip_window = window;
-    }
-    trips.push_back({info().id, window, tick_ns, counts});
-  }
-
-  /// The attribution row with this channel's final counts.
-  [[nodiscard]] ChannelVerdict row(std::uint64_t windows_compared,
-                                   std::uint64_t mismatches) const {
-    ChannelVerdict v = verdict_;
-    v.channel = info().id;
-    v.windows_compared = windows_compared;
-    v.mismatches = mismatches;
-    return v;
-  }
-
- private:
-  ChannelVerdict verdict_{};
-};
-
 // ---------------------------------------------------------------------
-// Builtin channels, in the legacy fusion priority order.
+// The channels, in the legacy fusion priority order.
 
 /// Windowed step-count compare against the golden capture (the paper's
 /// section V-C method, via detect::compare_transaction).
-class GoldenCompareChannel final : public BuiltinChannel {
+class GoldenCompareChannel final : public DetectionChannel {
  public:
   explicit GoldenCompareChannel(const OnlineDetectorOptions& options)
-      : compare_(options.compare),
+      : DetectionChannel(Channel::kGoldenCompare),
+        compare_(options.compare),
         consecutive_to_alarm_(options.consecutive_to_alarm) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kGoldenCompare, "golden-compare",
-            "windowed step-count compare vs the golden capture",
-            ChannelInfo::Group::kSteps};
-  }
 
   void arm(const ChannelRefs& refs) override {
     golden_ = refs.golden;
@@ -258,17 +235,12 @@ class GoldenCompareChannel final : public BuiltinChannel {
 /// Sustained stream overrun past the golden length (print-lengthening
 /// Trojans).  Tolerates the compare length tolerance plus a fixed slack
 /// (time noise stretches prints slightly).
-class StreamLengthChannel final : public BuiltinChannel {
+class StreamLengthChannel final : public DetectionChannel {
  public:
   explicit StreamLengthChannel(const OnlineDetectorOptions& options)
-      : length_tolerance_(options.compare.length_tolerance),
+      : DetectionChannel(Channel::kStreamLength),
+        length_tolerance_(options.compare.length_tolerance),
         slack_windows_(options.length_slack_windows) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kStreamLength, "stream-length",
-            "stream ran measurably longer than the golden print",
-            ChannelInfo::Group::kSteps};
-  }
 
   void arm(const ChannelRefs& refs) override {
     golden_ = refs.golden;
@@ -304,18 +276,13 @@ class StreamLengthChannel final : public BuiltinChannel {
 };
 
 /// Physical-plausibility rules (no reference needed).
-class GoldenFreeChannel final : public BuiltinChannel {
+class GoldenFreeChannel final : public DetectionChannel {
  public:
   explicit GoldenFreeChannel(const OnlineDetectorOptions& options)
-      : golden_free_(options.machine),
+      : DetectionChannel(Channel::kGoldenFree),
+        golden_free_(options.machine),
         min_violations_(options.golden_free_min_violations) {
     set_armed(true);  // reference-free: always able to judge
-  }
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kGoldenFree, "golden-free",
-            "physical-plausibility rule violations (reference-free)",
-            ChannelInfo::Group::kSteps};
   }
 
   void on_transaction(const core::Transaction& txn, const StreamContext&,
@@ -341,15 +308,14 @@ class GoldenFreeChannel final : public BuiltinChannel {
 /// mean compare of its samples against its golden trace.  For acoustic
 /// this is the audio-signing check - the golden window levels are the
 /// master signature (detect::make_master_signature).
-class SideChannel final : public BuiltinChannel {
+class SideChannel final : public DetectionChannel {
  public:
   using Golden = const plant::SideTrace* ChannelRefs::*;
 
-  SideChannel(ChannelInfo info, SampleKind kind,
+  SideChannel(Channel id, SampleKind kind,
               const detect::SideSignatureOptions& options, Golden golden)
-      : info_(info), kind_(kind), options_(options), golden_(golden) {}
-
-  [[nodiscard]] ChannelInfo info() const override { return info_; }
+      : DetectionChannel(id), kind_(kind), options_(options),
+        golden_(golden) {}
 
   void arm(const ChannelRefs& refs) override {
     if (const plant::SideTrace* golden = refs.*golden_) {
@@ -375,7 +341,6 @@ class SideChannel final : public BuiltinChannel {
   }
 
  private:
-  ChannelInfo info_;
   SampleKind kind_;
   detect::SideSignatureOptions options_;
   Golden golden_;
@@ -385,15 +350,9 @@ class SideChannel final : public BuiltinChannel {
 /// The paper's exact (0% margin) end-of-print totals check.  Only
 /// meaningful when both prints ran to completion - a capture cut short
 /// by our own safe-stop has nothing comparable to freeze.
-class FinalCountsChannel final : public BuiltinChannel {
+class FinalCountsChannel final : public DetectionChannel {
  public:
-  explicit FinalCountsChannel(const OnlineDetectorOptions&) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kFinalCounts, "final-counts",
-            "end-of-print 0%-margin golden totals check",
-            ChannelInfo::Group::kSteps};
-  }
+  FinalCountsChannel() : DetectionChannel(Channel::kFinalCounts) {}
 
   void arm(const ChannelRefs& refs) override {
     golden_ = refs.golden;
@@ -427,16 +386,11 @@ class FinalCountsChannel final : public BuiltinChannel {
 };
 
 /// Static-oracle cross-check (tight margin, no golden print needed).
-class StaticOracleChannel final : public BuiltinChannel {
+class StaticOracleChannel final : public DetectionChannel {
  public:
   explicit StaticOracleChannel(const OnlineDetectorOptions& options)
-      : options_(options.static_check) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kStaticOracle, "static-oracle",
-            "end-of-print static-oracle cross-check",
-            ChannelInfo::Group::kSteps};
-  }
+      : DetectionChannel(Channel::kStaticOracle),
+        options_(options.static_check) {}
 
   void arm(const ChannelRefs& refs) override {
     oracle_ = refs.oracle;
@@ -472,135 +426,40 @@ class StaticOracleChannel final : public BuiltinChannel {
 
 }  // namespace
 
-ChannelRegistry& ChannelRegistry::global() {
-  static ChannelRegistry* registry = [] {
-    auto* r = new ChannelRegistry();
-    detail::register_builtin_channels(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-bool ChannelRegistry::add(ChannelInfo info, ChannelFactory factory) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == info.id) return false;
-  }
-  entries_.push_back({info, std::move(factory)});
-  return true;
-}
-
-std::vector<ChannelInfo> ChannelRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ChannelInfo> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.info);
-  return out;
-}
-
-bool ChannelRegistry::has(Channel id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == id) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<DetectionChannel> ChannelRegistry::make(
-    Channel id, const OnlineDetectorOptions& options) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == id) return e.factory(options);
-  }
-  return nullptr;
-}
-
-std::vector<std::unique_ptr<DetectionChannel>> ChannelRegistry::make_enabled(
-    const ChannelSet& set, const OnlineDetectorOptions& options) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+std::vector<std::unique_ptr<DetectionChannel>> make_channels(
+    const OnlineDetectorOptions& options) {
+  // The legacy fused-detector priority, which is the fusion tie-break
+  // order: step channels, then the side channels, then the end-of-print
+  // checks.
+  const ChannelSet& set = options.channels;
   std::vector<std::unique_ptr<DetectionChannel>> out;
-  for (const Entry& e : entries_) {
-    bool enabled = false;
-    switch (e.info.group) {
-      case ChannelInfo::Group::kSteps: enabled = set.steps; break;
-      case ChannelInfo::Group::kPower: enabled = set.power; break;
-      case ChannelInfo::Group::kAcoustic: enabled = set.acoustic; break;
-      case ChannelInfo::Group::kVibration: enabled = set.vibration; break;
+  if (set.steps) {
+    out.push_back(std::make_unique<GoldenCompareChannel>(options));
+    out.push_back(std::make_unique<StreamLengthChannel>(options));
+    if (options.golden_free) {
+      out.push_back(std::make_unique<GoldenFreeChannel>(options));
     }
-    if (!enabled) continue;
-    auto channel = e.factory(options);
-    if (channel != nullptr) out.push_back(std::move(channel));
+  }
+  if (set.power) {
+    out.push_back(std::make_unique<SideChannel>(
+        Channel::kPower, SampleKind::kPower, options.power,
+        &ChannelRefs::golden_power));
+  }
+  if (set.acoustic) {
+    out.push_back(std::make_unique<SideChannel>(
+        Channel::kAcoustic, SampleKind::kAcoustic, options.acoustic,
+        &ChannelRefs::golden_acoustic));
+  }
+  if (set.vibration) {
+    out.push_back(std::make_unique<SideChannel>(
+        Channel::kVibration, SampleKind::kVibration, options.vibration,
+        &ChannelRefs::golden_vibration));
+  }
+  if (set.steps && options.final_checks) {
+    out.push_back(std::make_unique<FinalCountsChannel>());
+    out.push_back(std::make_unique<StaticOracleChannel>(options));
   }
   return out;
 }
-
-namespace detail {
-
-void register_builtin_channels(ChannelRegistry& registry) {
-  // Registration order is the fusion tie-break order - keep the legacy
-  // fused-detector priority: step channels, then the side channels, then
-  // the end-of-print checks.
-  registry.add({Channel::kGoldenCompare, "golden-compare",
-                "windowed step-count compare vs the golden capture",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<GoldenCompareChannel>(o);
-               });
-  registry.add({Channel::kStreamLength, "stream-length",
-                "stream ran measurably longer than the golden print",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<StreamLengthChannel>(o);
-               });
-  registry.add({Channel::kGoldenFree, "golden-free",
-                "physical-plausibility rule violations (reference-free)",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o)
-                   -> std::unique_ptr<DetectionChannel> {
-                 if (!o.golden_free) return nullptr;
-                 return std::make_unique<GoldenFreeChannel>(o);
-               });
-  const auto add_side = [&registry](ChannelInfo info, SampleKind kind,
-                                    detect::SideSignatureOptions
-                                        OnlineDetectorOptions::*options,
-                                    SideChannel::Golden golden) {
-    registry.add(info, [=](const OnlineDetectorOptions& o) {
-      return std::make_unique<SideChannel>(info, kind, o.*options, golden);
-    });
-  };
-  add_side({Channel::kPower, "power",
-            "per-window mean-power compare vs the golden power trace",
-            ChannelInfo::Group::kPower},
-           SampleKind::kPower, &OnlineDetectorOptions::power,
-           &ChannelRefs::golden_power);
-  add_side({Channel::kAcoustic, "acoustic",
-            "acoustic master-signature verification (audio signing)",
-            ChannelInfo::Group::kAcoustic},
-           SampleKind::kAcoustic, &OnlineDetectorOptions::acoustic,
-           &ChannelRefs::golden_acoustic);
-  add_side({Channel::kVibration, "vibration",
-            "per-window vibration compare vs the golden vibration trace",
-            ChannelInfo::Group::kVibration},
-           SampleKind::kVibration, &OnlineDetectorOptions::vibration,
-           &ChannelRefs::golden_vibration);
-  registry.add({Channel::kFinalCounts, "final-counts",
-                "end-of-print 0%-margin golden totals check",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o)
-                   -> std::unique_ptr<DetectionChannel> {
-                 if (!o.final_checks) return nullptr;
-                 return std::make_unique<FinalCountsChannel>(o);
-               });
-  registry.add({Channel::kStaticOracle, "static-oracle",
-                "end-of-print static-oracle cross-check",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o)
-                   -> std::unique_ptr<DetectionChannel> {
-                 if (!o.final_checks) return nullptr;
-                 return std::make_unique<StaticOracleChannel>(o);
-               });
-}
-
-}  // namespace detail
 
 }  // namespace offramps::svc

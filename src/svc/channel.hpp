@@ -1,31 +1,27 @@
-// Pluggable detection channels of the online detector.
+// Detection channels of the online detector.
 //
-// `OnlineDetector` used to fuse a hard-coded set of per-channel checks
-// inline; it is now a *channel manager* in the PassRegistry mold: every
-// way of judging a print - windowed step-count compare, stream-length
-// overrun, golden-free plausibility, power signature, acoustic master
-// signature, vibration signature, the end-of-print checks - is one
-// `DetectionChannel` object behind a common interface.  The detector
-// delivers each stream event (transaction window, side-channel sample,
-// end of stream) to every enabled channel, collects the `ChannelTrip`s
-// they emit, and fuses them into one first-alarm verdict: the earliest
-// tripped window wins, ties go to the earlier-registered channel.  Each
-// channel also contributes a `ChannelVerdict` attribution row to the
-// report, so a fleet operator can see which modality caught a Trojan
-// and which ones were armed but quiet.
+// Every way `OnlineDetector` judges a print - windowed step-count
+// compare, stream-length overrun, golden-free plausibility, power
+// signature, acoustic master signature, vibration signature, the
+// end-of-print checks - is one `DetectionChannel` object behind a common
+// interface.  The detector delivers each stream event (transaction
+// window, side-channel sample, end of stream) to every enabled channel,
+// collects the `ChannelTrip`s they emit, and fuses them into one
+// first-alarm verdict: the earliest tripped window wins, ties go to the
+// channel earlier in the list.  Each channel also contributes a
+// `ChannelVerdict` attribution row to the report, so a fleet operator can
+// see which modality caught a Trojan and which ones were armed but quiet.
 //
-// Third-party channels register through `ChannelRegistry::global()`
-// exactly like analyzer passes; registration order is the fusion
-// tie-break order, which keeps fleet reports deterministic.
+// The channel list is fixed: `make_channels` builds it in fusion order
+// from the options' `ChannelSet`.  `Channel` is a closed wire enum
+// (checkpoints persist it), so a new channel is one appended `Channel`
+// value plus one `make_channels` row.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analyze/oracle.hpp"
@@ -49,13 +45,11 @@ enum class Channel : std::uint8_t {
 };
 
 /// One past the largest Channel value; checkpoint decoding and the
-/// name round-trip test derive their bounds from this so a new channel
+/// channel-name test derive their bounds from this so a new channel
 /// cannot be forgotten silently.
 inline constexpr std::uint8_t kChannelCount = 9;
 
 const char* channel_name(Channel c);
-/// Inverse of channel_name(); Channel::kNone for an unknown name.
-Channel channel_from_name(std::string_view name);
 
 using plant::SampleKind;
 
@@ -124,7 +118,7 @@ struct ChannelTrip {
 
 /// Fusion rule shared by the detector and the unit suite: the earliest
 /// window wins; ties go to the earliest-delivered trip (channels are
-/// delivered to in registration order).  nullptr when `trips` is empty.
+/// delivered to in make_channels order).  nullptr when `trips` is empty.
 const ChannelTrip* pick_first_trip(const std::vector<ChannelTrip>& trips);
 
 /// Stream position handed to every channel hook (what the legacy fused
@@ -137,30 +131,17 @@ struct StreamContext {
 
 struct OnlineDetectorOptions;
 
-/// Identity card of one channel (also what list() reports).
-struct ChannelInfo {
-  Channel id = Channel::kNone;
-  const char* name = "";
-  const char* description = "";
-  /// Which ChannelSet group gates this channel.
-  enum class Group : std::uint8_t { kSteps, kPower, kAcoustic, kVibration };
-  Group group = Group::kSteps;
-};
-
 /// One detection channel.  Instances live for one detector, so member
 /// variables are the place for channel-local stream state.  Hooks append
 /// trips instead of raising directly: fusion is the detector's job.
 class DetectionChannel {
  public:
+  explicit DetectionChannel(Channel id) { verdict_.channel = id; }
   virtual ~DetectionChannel() = default;
-  DetectionChannel() = default;
   DetectionChannel(const DetectionChannel&) = delete;
   DetectionChannel& operator=(const DetectionChannel&) = delete;
 
-  [[nodiscard]] virtual ChannelInfo info() const = 0;
-
-  /// Called once, before the first event, with the references the
-  /// detector accumulated.
+  /// Called once, by the detector's constructor, with its references.
   virtual void arm(const ChannelRefs& refs) { (void)refs; }
   /// One drained transaction window.
   virtual void on_transaction(const core::Transaction& txn,
@@ -182,53 +163,28 @@ class DetectionChannel {
   }
   /// This channel's attribution row for the report.
   [[nodiscard]] virtual ChannelVerdict verdict() const = 0;
-};
 
-using ChannelFactory = std::function<std::unique_ptr<DetectionChannel>(
-    const OnlineDetectorOptions&)>;
+ protected:
+  void set_armed(bool armed) { verdict_.armed = armed; }
 
-/// Process-wide channel registry.  Builtin channels self-register on
-/// first access; third-party channels may `add` more at any time.
-/// Thread-safe (fleet rigs build detectors on parallel workers).
-class ChannelRegistry {
- public:
-  static ChannelRegistry& global();
+  /// Records a trip (the first one also lands in the verdict row).
+  void record_trip(std::uint32_t window, std::uint64_t tick_ns,
+                   const std::array<std::int32_t, 4>& counts,
+                   std::vector<ChannelTrip>& trips);
 
-  /// Registers a channel factory.  Returns false (and registers
-  /// nothing) when the Channel id is already taken.  A factory may
-  /// return nullptr to sit out a particular configuration (e.g. the
-  /// golden-free channel when options disable it).
-  bool add(ChannelInfo info, ChannelFactory factory);
-
-  /// Registered channels in registration order (= fusion tie-break
-  /// order).
-  [[nodiscard]] std::vector<ChannelInfo> list() const;
-  [[nodiscard]] bool has(Channel id) const;
-
-  /// Instantiates one channel; nullptr for an unknown id or when the
-  /// factory declined the configuration.
-  [[nodiscard]] std::unique_ptr<DetectionChannel> make(
-      Channel id, const OnlineDetectorOptions& options) const;
-
-  /// Instantiates every registered channel whose group is enabled, in
-  /// registration order, skipping factories that decline.
-  [[nodiscard]] std::vector<std::unique_ptr<DetectionChannel>> make_enabled(
-      const ChannelSet& set, const OnlineDetectorOptions& options) const;
+  /// The attribution row with this channel's final counts.
+  [[nodiscard]] ChannelVerdict row(std::uint64_t windows_compared,
+                                   std::uint64_t mismatches) const;
 
  private:
-  ChannelRegistry() = default;
-  struct Entry {
-    ChannelInfo info;
-    ChannelFactory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  ChannelVerdict verdict_{};
 };
 
-namespace detail {
-/// Registers the builtin channels (channel.cpp); called once from
-/// ChannelRegistry::global().
-void register_builtin_channels(ChannelRegistry& registry);
-}  // namespace detail
+/// The enabled channels, in fusion order: golden-compare, stream-length,
+/// golden-free (when `golden_free`), power, acoustic, vibration, then
+/// final-counts and static-oracle (when `final_checks`), each gated by its
+/// `ChannelSet` group - the step-stream channels by `steps`.
+std::vector<std::unique_ptr<DetectionChannel>> make_channels(
+    const OnlineDetectorOptions& options);
 
 }  // namespace offramps::svc

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -144,6 +145,29 @@ std::string sanitize(const std::string& name) {
   return out.empty() ? "rig" : out;
 }
 
+/// Throws when two of the files a campaign saves into its captures dir
+/// would share a stem: a rig's sanitized name, or `golden-<i>` for each
+/// of the `objects` references.  The later save would overwrite the
+/// earlier one.
+void check_capture_stems(const std::vector<RigSpec>& fleet,
+                         std::size_t objects) {
+  std::map<std::string, std::string> owner;  // stem -> who saves it
+  for (std::size_t i = 0; i < objects; ++i) {
+    owner.emplace("golden-" + std::to_string(i),
+                  "the golden capture of object " + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const std::string stem = sanitize(fleet[i].name);
+    const std::string who =
+        "rig " + std::to_string(i) + " ('" + fleet[i].name + "')";
+    const auto [at, fresh] = owner.emplace(stem, who);
+    if (!fresh) {
+      throw Error("fleet: captures: " + at->second + " and " + who +
+                  " would both be saved as '" + stem + "'");
+    }
+  }
+}
+
 }  // namespace
 
 std::string FleetReport::to_json() const {
@@ -251,8 +275,8 @@ std::string FleetReport::to_json() const {
                   windows(Channel::kVibration),
                   mismatches(Channel::kVibration));
     out += buf;
-    // Per-channel attribution: one row per registered channel of this
-    // rig's detector, in fusion (registration) order.
+    // Per-channel attribution: one row per channel of this rig's
+    // detector, in fusion (make_channels) order.
     out += "      \"channels\": [";
     for (std::size_t c = 0; c < r.detector.channels.size(); ++c) {
       const ChannelVerdict& v = r.detector.channels[c];
@@ -724,23 +748,6 @@ class CheckpointWriter {
 }  // namespace
 
 FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
-  host::ParallelRunner pool(options_.workers);
-  const Supervisor supervisor(options_.supervisor);
-
-  // Reference cache: opened once per campaign; its counters (and the
-  // simulation counter it suppresses) register eagerly so a fully-warm
-  // run still exports "svc.ref.simulations": 0 for the acceptance grep.
-  const auto cache =
-      options_.cache_dir.empty()
-          ? nullptr
-          : std::make_unique<RefCache>(RefCacheOptions{
-                options_.cache_dir, options_.cache_max_bytes});
-#if OFFRAMPS_OBS_ENABLED
-  if (obs::enabled()) {
-    obs::Registry::instance().counter("svc.ref.simulations");
-  }
-#endif
-
   // Normalized specs: default names resolved up front so the campaign
   // digest, the checkpoint records, and the report all agree.
   std::vector<RigSpec> fleet(specs);
@@ -757,6 +764,26 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     object_of[i] = static_cast<std::size_t>(it - objects.begin());
     if (it == objects.end()) objects.push_back(key);
   }
+  if (!options_.save_captures_dir.empty()) {
+    check_capture_stems(fleet, objects.size());
+  }
+
+  host::ParallelRunner pool(options_.workers);
+  const Supervisor supervisor(options_.supervisor);
+
+  // Reference cache: opened once per campaign; its counters (and the
+  // simulation counter it suppresses) register eagerly so a fully-warm
+  // run still exports "svc.ref.simulations": 0 for the acceptance grep.
+  const auto cache =
+      options_.cache_dir.empty()
+          ? nullptr
+          : std::make_unique<RefCache>(RefCacheOptions{
+                options_.cache_dir, options_.cache_max_bytes});
+#if OFFRAMPS_OBS_ENABLED
+  if (obs::enabled()) {
+    obs::Registry::instance().counter("svc.ref.simulations");
+  }
+#endif
 
   const std::uint64_t digest = campaign_digest(fleet, options_);
   Checkpoint resumed = resume_point(options_.resume_path, digest,

@@ -182,7 +182,9 @@ struct FleetOptions : ServiceOptions {
   /// When set, persist each object's golden capture and each rig's
   /// observed capture as .bin files (core::Capture::save_binary) there,
   /// plus each rig's detector-feed session stream as a .ofs file
-  /// (core::wire) replayable by svc::replay_corpus.
+  /// (core::wire) replayable by svc::replay_corpus.  The files are
+  /// `golden-<object>.bin` and `<rig name>.{bin,ofs}`, the name made
+  /// file-safe; Fleet::run rejects a fleet where two of them collide.
   std::string save_captures_dir;
   /// Per-phase retry/watchdog/quarantine policy.
   SupervisorOptions supervisor{};
@@ -268,7 +270,10 @@ class Fleet {
  public:
   explicit Fleet(FleetOptions options = {});
 
-  /// Runs the whole fleet; outcomes are indexed like `specs`.
+  /// Runs the whole fleet; outcomes are indexed like `specs`.  Throws
+  /// offramps::Error, before simulating or writing anything, when the
+  /// campaign saves captures and two rigs' file stems collide, or a
+  /// rig's stem is some object's `golden-<i>`.
   FleetReport run(const std::vector<RigSpec>& specs);
 
   /// Built-in demo fleet: `n` rigs, the first `sabotaged` of which get

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/error.hpp"
 
@@ -34,6 +35,26 @@ std::string Value::string_or(const std::string& key,
 }
 
 namespace {
+
+/// Appends code point `cp` (at most 0x10FFFF) as UTF-8.
+void append_utf8(std::string& out, std::uint32_t cp) {
+  const auto byte = [&out](std::uint32_t b) { out += static_cast<char>(b); };
+  if (cp < 0x80) {
+    byte(cp);
+  } else if (cp < 0x800) {
+    byte(0xC0 | (cp >> 6));
+    byte(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    byte(0xE0 | (cp >> 12));
+    byte(0x80 | ((cp >> 6) & 0x3F));
+    byte(0x80 | (cp & 0x3F));
+  } else {
+    byte(0xF0 | (cp >> 18));
+    byte(0x80 | ((cp >> 12) & 0x3F));
+    byte(0x80 | ((cp >> 6) & 0x3F));
+    byte(0x80 | (cp & 0x3F));
+  }
+}
 
 class Parser {
  public:
@@ -186,7 +207,7 @@ class Parser {
           case 'n': out += '\n'; break;
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
-          case 'u': fail("\\u escapes are not supported");
+          case 'u': append_utf8(out, code_point()); break;
           default: fail("bad escape");
         }
         continue;
@@ -196,6 +217,32 @@ class Parser {
       }
       out += c;
     }
+  }
+
+  /// The code point of a \u escape, `pos_` just past the 'u': exactly
+  /// four hex digits, and a high surrogate must pair with a following
+  /// \u low surrogate.
+  std::uint32_t code_point() {
+    const std::uint32_t cp = hex4();
+    if (cp < 0xD800 || cp > 0xDFFF) return cp;
+    if (cp > 0xDBFF || text_.compare(pos_, 2, "\\u") != 0) {
+      fail("bad \\u escape");  // lone low or unpaired high surrogate
+    }
+    pos_ += 2;
+    const std::uint32_t low = hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("bad \\u escape");
+    return 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  std::uint32_t hex4() {
+    std::uint32_t v = 0;
+    const char* p = text_.data() + pos_;
+    if (text_.size() - pos_ < 4 ||
+        std::from_chars(p, p + 4, v, 16).ptr != p + 4) {
+      fail("bad \\u escape");
+    }
+    pos_ += 4;
+    return v;
   }
 
   Value parse_number() {

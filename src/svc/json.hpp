@@ -5,8 +5,10 @@
 // at its call site and escape every string through obs/json.hpp's
 // append_json_string - only configuration input needs a reader).  Full
 // JSON value model, recursive descent, UTF-8 passed through verbatim,
-// \uXXXX escapes rejected rather than mis-decoded.
-// Throws offramps::Error with a byte offset on malformed input.
+// \uXXXX escapes decoded to UTF-8 (a surrogate pair to one code point),
+// so every string append_json_string writes reads back byte for byte.
+// Throws offramps::Error with a byte offset on malformed input; a lone
+// surrogate or a \u without four hex digits is "bad \u escape".
 #pragma once
 
 #include <string>

@@ -60,14 +60,9 @@ std::size_t estimate_gcode_line(const analyze::Oracle& oracle,
 
 OnlineDetector::OnlineDetector(OnlineDetectorOptions options,
                                ChannelRefs refs)
-    : options_(options), ring_(options.ring_capacity), refs_(refs) {
-  channels_ =
-      ChannelRegistry::global().make_enabled(options_.channels, options_);
-}
-
-void OnlineDetector::ensure_armed() {
-  if (armed_) return;
-  armed_ = true;
+    : ring_(options.ring_capacity),
+      refs_(refs),
+      channels_(make_channels(options)) {
   for (auto& channel : channels_) channel->arm(refs_);
 }
 
@@ -86,7 +81,6 @@ void OnlineDetector::submit(const core::Transaction& txn) {
 
 void OnlineDetector::submit_sample(SampleKind kind, double t_s,
                                    double value) {
-  ensure_armed();
   // A fresh vector per event is free on the hot path: it only allocates
   // when a channel actually trips, and keeps alarm-callback re-entrancy
   // from sharing scratch state.
@@ -147,7 +141,6 @@ void OnlineDetector::process(const core::Transaction& txn) {
 }
 
 void OnlineDetector::process_impl(const core::Transaction& txn) {
-  ensure_armed();
   ++report_.windows_processed;
   ctx_.windows_processed = report_.windows_processed;
   ctx_.last_counts = txn.counts;
@@ -162,7 +155,6 @@ void OnlineDetector::process_impl(const core::Transaction& txn) {
 
 void OnlineDetector::finish(const core::Capture& capture) {
   drain();
-  ensure_armed();  // an empty stream still arms, so the report is honest
   finished_ = true;
   report_.stream_finished = true;
 

@@ -8,14 +8,14 @@
 // window is judged the moment it is drained, so sabotage is flagged
 // *while the print is running* instead of after the material is wasted.
 //
-// Detection is pluggable: each way of judging the stream is one
-// `DetectionChannel` (svc/channel.hpp) instantiated from the process
-// registry.  The detector delivers every event - transaction window,
-// side-channel sample, end of stream - to each enabled channel in
-// registration order, then *fuses* the trips they emit into one
-// first-alarm verdict (earliest window wins; ties go to the earlier
-// registered channel) with per-channel attribution in the report.
-// The builtin channels:
+// Each way of judging the stream is one `DetectionChannel`
+// (svc/channel.hpp); the constructor builds the enabled ones with
+// `make_channels` and arms them against the references.  The detector
+// delivers every event - transaction window, side-channel sample, end of
+// stream - to each channel in list order, then *fuses* the trips they
+// emit into one first-alarm verdict (earliest window wins; ties go to
+// the channel earlier in the list) with per-channel attribution in the
+// report.  The channels, in list order:
 //
 //   * golden compare  - windowed step-count compare against a golden
 //                       capture (the paper's section V-C method, via
@@ -121,7 +121,7 @@ struct OnlineReport {
   bool stream_finished = false;
 
   /// Per-channel attribution rows, one per instantiated channel, in
-  /// registration order.
+  /// make_channels order.
   std::vector<ChannelVerdict> channels;
 
   /// The row of channel `c`; nullptr when that channel was not
@@ -141,9 +141,10 @@ class OnlineDetector {
  public:
   using AlarmCallback = std::function<void(const OnlineReport&)>;
 
-  /// `refs` arms the channels (golden capture, static oracle for the
-  /// final check and g-code line attribution, golden side-channel
-  /// traces); every pointee must outlive the detector.
+  /// Builds the channels `options` enables and arms them against `refs`
+  /// (golden capture, static oracle for the final check and g-code line
+  /// attribution, golden side-channel traces); every pointee must
+  /// outlive the detector and hold its final contents by now.
   explicit OnlineDetector(OnlineDetectorOptions options = {},
                           ChannelRefs refs = {});
 
@@ -187,18 +188,13 @@ class OnlineDetector {
   /// instrumentation cannot change a verdict).
   void process(const core::Transaction& txn);
   void process_impl(const core::Transaction& txn);
-  /// Arms every channel with the references, once, before the first
-  /// event is delivered.
-  void ensure_armed();
   /// Fuses the trips one event produced into the first-alarm verdict.
   void fuse(const std::vector<ChannelTrip>& trips);
   void raise(const ChannelTrip& trip);
 
-  OnlineDetectorOptions options_;
   sim::RingBuffer<core::Transaction> ring_;
   ChannelRefs refs_;
   std::vector<std::unique_ptr<DetectionChannel>> channels_;
-  bool armed_ = false;
   AlarmCallback on_alarm_;
 
   OnlineReport report_;

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bytes.hpp"
@@ -214,6 +216,76 @@ TEST(ParallelRunnerService, PostFromWorkerThreadCompletes) {
   }
   pool.drain();
   EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ParallelRunnerService, ErrorsStayWithTheirCaller) {
+  // run() batches and posted jobs share one queue but not their errors.
+  host::ParallelRunner pool(2);
+  std::atomic<bool> batch_running{false};
+  std::atomic<bool> posted_threw{false};
+  const auto await = [](const std::atomic<bool>& flag) {
+    while (!flag) std::this_thread::yield();
+  };
+
+  // A posted job, queued before the batch, throws while the batch runs:
+  // the batch completes cleanly and the error waits for drain().
+  pool.post([&] {
+    await(batch_running);
+    posted_threw = true;
+    throw std::runtime_error("posted job failed");
+  });
+  std::atomic<int> ran{0};
+  EXPECT_NO_THROW(pool.run(4, [&](std::size_t i) {
+    batch_running = true;
+    if (i == 0) {
+      await(posted_threw);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ++ran;
+  }));
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_THROW(pool.drain(), std::runtime_error);
+
+  // A batch job throws while a posted job is in flight: run() rethrows
+  // it, drain() does not.
+  batch_running = false;
+  std::atomic<bool> posted_ran{false};
+  pool.post([&] {
+    await(batch_running);
+    posted_ran = true;
+  });
+  EXPECT_THROW(pool.run(4,
+                        [&](std::size_t i) {
+                          batch_running = true;
+                          if (i == 2) throw std::runtime_error("job 2");
+                        }),
+               std::runtime_error);
+  EXPECT_NO_THROW(pool.drain());
+  EXPECT_TRUE(posted_ran.load());
+}
+
+TEST(ParallelRunnerService, DestructorRunsStillQueuedPostedJobs) {
+  std::atomic<int> ran{0};
+  std::atomic<bool> release{false};
+  std::thread releaser;
+  {
+    host::ParallelRunner pool(2);
+    // Two blockers hold both workers, so the other ten are still queued
+    // when the pool goes out of scope without a drain().
+    for (int i = 0; i < 2; ++i) {
+      pool.post([&] {
+        while (!release) std::this_thread::yield();
+        ++ran;
+      });
+    }
+    for (int i = 0; i < 10; ++i) pool.post([&ran] { ++ran; });
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release = true;
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(ran.load(), 12);
 }
 
 // --- Determinism suite ----------------------------------------------------

@@ -173,18 +173,17 @@ TEST(FleetReport, EscapesControlCharactersAndLongNames) {
   report.rigs[2].failure_cause = "cause\r\f\b";
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"x\\u0001y\""), std::string::npos);
-
-  // The parser rejects \u escapes, so round-trip only the rest.
-  report.rigs.pop_back();
-  const offramps::svc::json::Value doc =
-      offramps::svc::json::parse(report.to_json());
-  const offramps::svc::json::Value* rigs = doc.find("rigs");
-  ASSERT_NE(rigs, nullptr);
-  ASSERT_EQ(rigs->items.size(), 2u);
-  EXPECT_EQ(rigs->items[0].string_or("name", ""), "a\nb\tc\"d\\e");
-  EXPECT_EQ(rigs->items[1].string_or("name", ""), std::string(1024, 'n'));
   EXPECT_NE(json.find("\"failure_cause\": \"cause\\r\\f\\b\""),
             std::string::npos);
+
+  const offramps::svc::json::Value doc = offramps::svc::json::parse(json);
+  const offramps::svc::json::Value* rigs = doc.find("rigs");
+  ASSERT_NE(rigs, nullptr);
+  ASSERT_EQ(rigs->items.size(), 3u);
+  EXPECT_EQ(rigs->items[0].string_or("name", ""), "a\nb\tc\"d\\e");
+  EXPECT_EQ(rigs->items[1].string_or("name", ""), std::string(1024, 'n'));
+  EXPECT_EQ(rigs->items[2].string_or("name", ""), "x\x01y");
+  EXPECT_EQ(rigs->items[2].string_or("failure_cause", ""), "cause\r\f\b");
 }
 
 TEST(Fleet, SpecsFromJsonRejectsMalformed) {
@@ -242,6 +241,60 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
   EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": [{\"seed\": 1.5}] }",
                                       options),
                offramps::Error);
+}
+
+TEST(Fleet, CaptureStemsMustNotCollide) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fleet-capture-stems";
+  const auto named = [](const std::vector<std::string>& names) {
+    std::vector<RigSpec> specs(names.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      specs[i].name = names[i];
+      specs[i].seed = 500 + i;
+      specs[i].cube_mm = 6.0;  // one object for the whole fleet
+      specs[i].height_mm = 1.5;
+    }
+    return specs;
+  };
+  FleetOptions options;
+  options.workers = 1;
+  options.save_captures_dir = dir.string();
+
+  // Two rigs of one file stem, or a rig on the golden capture's stem,
+  // fail before anything runs or is written, naming the rigs and stem.
+  struct Collision {
+    std::vector<std::string> names;
+    std::string stem;
+  };
+  const std::vector<Collision> collisions{{{"x", "x"}, "x"},
+                                          {{"a/b", "a_b"}, "a_b"},
+                                          {{"golden-0"}, "golden-0"}};
+  for (const Collision& c : collisions) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    try {
+      Fleet(options).run(named(c.names));
+      ADD_FAILURE() << "accepted " << c.names[0];
+    } catch (const offramps::Error& e) {
+      const std::string what = e.what();
+      for (const std::string& name : c.names) {
+        EXPECT_NE(what.find("('" + name + "')"), std::string::npos) << what;
+      }
+      EXPECT_NE(what.find("'" + c.stem + "'"), std::string::npos) << what;
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << c.names[0];
+  }
+
+  // golden-1 is free when the fleet has a single object.
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const FleetReport report = Fleet(options).run(named({"golden-1"}));
+  ASSERT_EQ(report.rigs.size(), 1u);
+  EXPECT_EQ(report.rigs[0].status, RigStatus::kOk);
+  for (const char* file : {"golden-0.bin", "golden-1.bin", "golden-1.ofs"}) {
+    EXPECT_TRUE(std::filesystem::exists(dir / file)) << file;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Fleet, DetectsSabotageAndSafeStops) {

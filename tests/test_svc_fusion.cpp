@@ -1,4 +1,4 @@
-// The fusion layer of the pluggable detector: channel naming, registry
+// The fusion layer of the detector: channel naming, the channel list's
 // order (= fusion tie-break order), pick_first_trip's verdict rule, and
 // end-to-end attribution through OnlineDetector - which modality raised
 // the first alarm, which were armed but quiet, and what the degraded
@@ -8,7 +8,9 @@
 
 #include <array>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/capture.hpp"
@@ -23,9 +25,7 @@ using offramps::core::Capture;
 using offramps::core::Transaction;
 using offramps::plant::SideTrace;
 using offramps::svc::Channel;
-using offramps::svc::channel_from_name;
 using offramps::svc::channel_name;
-using offramps::svc::ChannelRegistry;
 using offramps::svc::ChannelSet;
 using offramps::svc::ChannelTrip;
 using offramps::svc::ChannelVerdict;
@@ -39,36 +39,52 @@ using offramps::svc::SampleKind;
 // ---- Channel naming (wire / JSON surface) -------------------------------
 
 TEST(ChannelNames, RoundTripOverEveryChannel) {
+  std::set<std::string> seen;
   for (std::uint8_t v = 0; v < kChannelCount; ++v) {
-    const auto c = static_cast<Channel>(v);
-    const char* name = channel_name(c);
-    EXPECT_STRNE(name, "?") << "channel " << int(v) << " has no name";
-    EXPECT_EQ(channel_from_name(name), c)
-        << "name '" << name << "' does not round-trip";
-  }
-  EXPECT_EQ(channel_from_name("definitely-not-a-channel"), Channel::kNone);
-  EXPECT_EQ(channel_from_name(""), Channel::kNone);
-}
-
-TEST(ChannelNames, RegistryNamesMatchTheEnumNames) {
-  for (const auto& info : ChannelRegistry::global().list()) {
-    EXPECT_STREQ(info.name, channel_name(info.id));
-    EXPECT_EQ(channel_from_name(info.name), info.id);
+    const std::string name = channel_name(static_cast<Channel>(v));
+    EXPECT_NE(name, "?") << "channel " << int(v) << " has no name";
+    EXPECT_TRUE(seen.insert(name).second)
+        << "channel " << int(v) << " reuses the name '" << name << "'";
   }
 }
 
-// ---- Registry order = legacy fused priority -----------------------------
+// ---- The channel list = legacy fused priority, filtered by the gates ----
 
-TEST(ChannelRegistry, BuiltinsRegisterInLegacyPriorityOrder) {
-  const auto infos = ChannelRegistry::global().list();
-  ASSERT_GE(infos.size(), 8u);
-  const std::array<Channel, 8> expected{
-      Channel::kGoldenCompare, Channel::kStreamLength, Channel::kGoldenFree,
-      Channel::kPower,         Channel::kAcoustic,     Channel::kVibration,
-      Channel::kFinalCounts,   Channel::kStaticOracle};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(infos[i].id, expected[i]) << "registry slot " << i;
-    EXPECT_TRUE(ChannelRegistry::global().has(expected[i]));
+TEST(ChannelList, FusionOrderFilteredByTheGates) {
+  for (unsigned bits = 0; bits < 16; ++bits) {
+    const ChannelSet set{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0,
+                         (bits & 8) != 0};
+    for (const bool golden_free : {false, true}) {
+      for (const bool final_checks : {false, true}) {
+        OnlineDetectorOptions options;
+        options.channels = set;
+        options.golden_free = golden_free;
+        options.final_checks = final_checks;
+        // The full order, each channel next to the gate that keeps it.
+        const std::array<std::pair<Channel, bool>, 8> full{{
+            {Channel::kGoldenCompare, set.steps},
+            {Channel::kStreamLength, set.steps},
+            {Channel::kGoldenFree, set.steps && golden_free},
+            {Channel::kPower, set.power},
+            {Channel::kAcoustic, set.acoustic},
+            {Channel::kVibration, set.vibration},
+            {Channel::kFinalCounts, set.steps && final_checks},
+            {Channel::kStaticOracle, set.steps && final_checks},
+        }};
+        std::vector<std::string> want;
+        for (const auto& [channel, kept] : full) {
+          if (kept) want.emplace_back(channel_name(channel));
+        }
+        std::vector<std::string> got;
+        for (const ChannelVerdict& v :
+             OnlineDetector(options).report().channels) {
+          got.emplace_back(channel_name(v.channel));
+        }
+        EXPECT_EQ(got, want) << set.to_string()
+                             << " golden_free=" << golden_free
+                             << " final_checks=" << final_checks;
+      }
+    }
   }
 }
 
@@ -97,9 +113,9 @@ TEST(PickFirstTrip, EarliestWindowWins) {
 }
 
 TEST(PickFirstTrip, SameWindowTieGoesToDeliveryOrder) {
-  // Channels are delivered to in registration order, so the first trip
-  // in the vector is the earlier-registered channel: it must win the
-  // tie, reproducing the legacy fused priority byte for byte.
+  // Channels are delivered to in list order, so the first trip in the
+  // vector is the channel earlier in the list: it must win the tie,
+  // reproducing the legacy fused priority byte for byte.
   const std::vector<ChannelTrip> trips{trip(Channel::kGoldenCompare, 4),
                                        trip(Channel::kPower, 4)};
   const ChannelTrip* first = pick_first_trip(trips);
@@ -258,7 +274,7 @@ TEST(Fusion, CountsOnlySubsetStillCatchesStepSabotage) {
 TEST(Fusion, EarliestWindowWinsAcrossModalities) {
   // Both side channels diverge, but vibration diverges first: the fused
   // verdict must attribute the alarm to the earlier stream position even
-  // though acoustic is the earlier-registered channel (and would win a
+  // though acoustic is earlier in the channel list (and would win a
   // same-window tie).  A clean transaction stream rides along so trips
   // land on real capture windows (side-channel trips are attributed to
   // the latest drained transaction window).

@@ -1,10 +1,12 @@
 // svc::json: the fleet daemon's spec reader.  Full value model, ordered
-// object members, typed fallback accessors, and hard rejection of
-// malformed input with offramps::Error.
+// object members, typed fallback accessors, \u escapes, and hard
+// rejection of malformed input with offramps::Error.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "obs/json.hpp"
 #include "sim/error.hpp"
 #include "svc/json.hpp"
 
@@ -63,7 +65,37 @@ TEST(SvcJson, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("\"unterminated"), offramps::Error);
   EXPECT_THROW(json::parse("tru"), offramps::Error);
   EXPECT_THROW(json::parse("1 2"), offramps::Error);      // trailing data
-  EXPECT_THROW(json::parse("\"\\u0041\""), offramps::Error);  // rejected
+  for (const char* bad : {"\"\\u00\"", "\"\\u00zz\"", "\"\\ud800\"",
+                          "\"\\udc00\"", "\"\\ud800\\u0041\""}) {
+    try {
+      json::parse(bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const offramps::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad \\u escape"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SvcJson, WriterStringsAndUnicodeEscapesRoundTrip) {
+  // Every ASCII byte, and a two-byte UTF-8 sequence, through the repo's
+  // one JSON string writer and back through the reader.
+  std::vector<std::string> table;
+  for (int c = 0x00; c <= 0x7f; ++c) {
+    table.push_back(std::string("a") + static_cast<char>(c) + "z");
+  }
+  table.emplace_back("caf\xc3\xa9");
+  for (const std::string& text : table) {
+    std::string doc;
+    offramps::obs::append_json_string(doc, text);
+    const json::Value v = json::parse(doc);
+    ASSERT_EQ(v.kind, json::Value::Kind::kString) << doc;
+    EXPECT_EQ(v.string, text) << doc;
+  }
+  EXPECT_EQ(json::parse("\"\\u0041\"").string, "A");
+  EXPECT_EQ(json::parse("\"\\u00e9\"").string, "\xc3\xa9");
+  EXPECT_EQ(json::parse("\"\\ud83d\\ude00\"").string, "\xf0\x9f\x98\x80");
 }
 
 TEST(SvcJson, DepthCapAcceptsLimitRejectsBeyond) {
