@@ -88,8 +88,9 @@ else
   ctest --preset default -L daemon -j "${jobs}"
   # ...and the determinism contract: the scheduler's order against a
   # reference heap, the pinned report digests (small fleet, demo
-  # campaign, fault sweep) and the event-count pins of the monitors and
-  # the UART, plus the cross-worker and replay byte-identity drills.
+  # campaign, fault sweep), the event-count pins of the monitors and
+  # the UART, and the Trojan suite with its deep-queue run digests, plus
+  # the cross-worker and replay byte-identity drills.
   echo "==> determinism suite (ctest -L determinism)"
   ctest --preset default -L determinism -j "${jobs}"
   # ...and the fusion layer: channel naming and channel-list order

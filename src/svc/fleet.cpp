@@ -1,9 +1,11 @@
 #include "svc/fleet.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <map>
@@ -33,8 +35,14 @@ std::string Sabotage::to_string() const {
   switch (kind) {
     case Kind::kNone: return "clean";
     case Kind::kReduction:
-      std::snprintf(buf, sizeof(buf), "reduce:%.2f", factor);
-      return buf;
+      // The string is parsed back (session hello, campaign digest), so
+      // it must name this factor: two decimals where they do, else the
+      // shortest form that round-trips ("0.998", not "1.00").
+      std::snprintf(buf, sizeof(buf), "%.2f", factor);
+      if (core::parse_double(buf) != factor) {
+        *std::to_chars(buf, buf + sizeof(buf) - 1, factor).ptr = '\0';
+      }
+      return std::string("reduce:") + buf;
     case Kind::kRelocation:
       std::snprintf(buf, sizeof(buf), "relocate:%u", every_n);
       return buf;
@@ -164,6 +172,33 @@ void check_capture_stems(const std::vector<RigSpec>& fleet,
     if (!fresh) {
       throw Error("fleet: captures: " + at->second + " and " + who +
                   " would both be saved as '" + stem + "'");
+    }
+  }
+}
+
+/// Throws when the checkpoint path is one of the files the captures dir
+/// receives (`<stem>.bin`, `<stem>.ofs`, `golden-<i>.bin`): the checkpoint
+/// writer and the capture save would overwrite each other.
+void check_checkpoint_path(const std::vector<RigSpec>& fleet,
+                           std::size_t objects, const std::string& dir,
+                           const std::string& checkpoint_path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path checkpoint = fs::weakly_canonical(checkpoint_path, ec);
+  if (ec) return;
+  std::vector<std::string> files;
+  for (std::size_t i = 0; i < objects; ++i) {
+    files.push_back("golden-" + std::to_string(i) + ".bin");
+  }
+  for (const RigSpec& spec : fleet) {
+    const std::string stem = sanitize(spec.name);
+    files.push_back(stem + ".bin");
+    files.push_back(stem + ".ofs");
+  }
+  for (const std::string& file : files) {
+    if (fs::weakly_canonical(fs::path(dir) / file, ec) == checkpoint) {
+      throw Error("fleet: captures: the checkpoint '" + checkpoint_path +
+                  "' would overwrite the capture file '" + file + "'");
     }
   }
 }
@@ -766,6 +801,10 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   }
   if (!options_.save_captures_dir.empty()) {
     check_capture_stems(fleet, objects.size());
+    if (!options_.checkpoint_path.empty()) {
+      check_checkpoint_path(fleet, objects.size(), options_.save_captures_dir,
+                            options_.checkpoint_path);
+    }
   }
 
   host::ParallelRunner pool(options_.workers);

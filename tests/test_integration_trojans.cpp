@@ -2,6 +2,10 @@
 // verifying the physical effect the paper demonstrates with photographs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/bytes.hpp"
 #include "detect/compare.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
@@ -255,6 +259,39 @@ TEST(TrojanControl, DynamicDisableRestoresCleanOperation) {
   // Overall flow between the fully-masked 0.5 and clean 1.0.
   EXPECT_GT(r.flow_ratio(), 0.55);
   EXPECT_LT(r.flow_ratio(), 0.99);
+}
+
+/// FNV-1a of a run's capture bytes, its per-axis motor and commanded
+/// steps, and its executed event count.
+std::uint64_t run_digest(const RunResult& r) {
+  core::Fnv1a h;
+  const std::vector<std::uint8_t> capture = r.capture.to_binary();
+  h.bytes(capture.data(), capture.size());
+  for (const auto& steps : {r.motor_steps, r.commanded_steps}) {
+    for (const std::int64_t s : steps) h.u64(static_cast<std::uint64_t>(s));
+  }
+  h.u64(r.events_executed);
+  return h.value();
+}
+
+// These three rigs keep 110-412 events pending, far more than a clean
+// print's ~24, so their events take the scheduler's deep-queue path (its
+// heap behind the run of earliest keys).  The digests pin that path byte
+// for byte; a change that means to alter a run re-records them.
+TEST(TrojanPins, DeepQueueRigsArePinned) {
+  core::TrojanSuiteConfig t1;
+  t1.t1 = core::T1Config{.period = sim::seconds(10), .pulses_per_burst = 100};
+  EXPECT_EQ(run_digest(run_with(t1)), 0x6fda7ee9977cc54bull) << "T1";
+
+  core::TrojanSuiteConfig t4;
+  t4.t4 = core::T4Config{.layer_probability = 0.5, .shift_steps = 50};
+  EXPECT_EQ(run_digest(run_with(t4)), 0xaced94c6ac3c0cfdull) << "T4";
+
+  core::TrojanSuiteConfig t5;
+  t5.t5 = core::T5Config{.mode = core::T5Config::Mode::kAtStart,
+                         .shift_steps = 400,
+                         .delay_after_homing_s = 1.0};
+  EXPECT_EQ(run_digest(run_with(t5)), 0x1f8ab74caba5a4c9ull) << "T5";
 }
 
 }  // namespace

@@ -46,6 +46,7 @@ class RefHeapScheduler {
   }
   [[nodiscard]] Tick now() const { return now_; }
   [[nodiscard]] bool idle() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   bool step() {
     if (heap_.empty()) return false;
@@ -55,6 +56,10 @@ class RefHeapScheduler {
     now_ = ev.time;
     ev.cb();
     return true;
+  }
+
+  bool step_if_before(Tick t) {
+    return !heap_.empty() && heap_.front().time <= t && step();
   }
 
   void run_all() {
@@ -238,6 +243,70 @@ TEST(SchedulerWheelProperty, DrainAndRefillCyclesReuseSlotsInOrder) {
   });
   ASSERT_GT(sched_log.size(), 60u);
   EXPECT_EQ(sched_log, ref_log);
+}
+
+TEST(SchedulerWheelProperty, PrintShapedQueueSpillsAndDrainsLikeReferenceHeap) {
+  // A print's queue: 20 periodic far timers, each firing a chain of pin
+  // edges whose callbacks schedule 1-3 children 0-13 ticks out.  Between
+  // step_if_before slices, which the next event refuses, the loop files
+  // a stretch of 48 keys, each earlier than the last.  With the timers
+  // pending, that overflows the scheduler's run of earliest keys: once
+  // the run is full, each stretch key moves the run's latest key into the
+  // heap.  Each refusal logs pending() as well.
+  constexpr std::uint64_t kRefusal = std::uint64_t{1} << 63;
+  auto [sched_log, ref_log] = run_both([](auto& sched, auto& log) {
+    std::mt19937_64 rng(31);
+    std::uint64_t next_id = 1000;
+    // A chain edge of depth d: its first child continues the chain at
+    // d - 1, the others are leaves.
+    std::function<void(std::uint64_t, int)> edge = [&](std::uint64_t id,
+                                                        int depth) {
+      log.push_back(LogEntry{id, sched.now()});
+      if (depth == 0) return;
+      const int children = 1 + static_cast<int>(rng() % 3);
+      for (int c = 0; c < children; ++c) {
+        const std::uint64_t child = next_id++;
+        const int d = c == 0 ? depth - 1 : 0;
+        sched.schedule_in(rng() % 14, [&edge, child, d] { edge(child, d); });
+      }
+    };
+    constexpr Tick kHorizon = 3'000'000;
+    std::function<void(std::uint64_t, Tick)> timer = [&](std::uint64_t id,
+                                                         Tick period) {
+      edge(id, 4);
+      if (sched.now() + period < kHorizon) {
+        sched.schedule_in(period, [&timer, id, period] { timer(id, period); });
+      }
+    };
+    for (std::uint64_t id = 0; id < 20; ++id) {
+      const Tick period = 40'000 + 7'919 * id;
+      sched.schedule_in(period, [&timer, id, period] { timer(id, period); });
+    }
+    constexpr Tick kStretchEnd = 1'500'000;
+    std::uint64_t stretch = 0;
+    Tick limit = 0;
+    while (!sched.idle()) {
+      if (sched.step_if_before(limit)) continue;
+      log.push_back(LogEntry{kRefusal | sched.pending(), sched.now()});
+      if (stretch < 48) {
+        const std::uint64_t id = 500 + stretch;
+        sched.schedule_at(kStretchEnd - 997 * stretch, [&sched, &log, id] {
+          log.push_back(LogEntry{id, sched.now()});
+        });
+        ++stretch;
+      }
+      limit += 5'003;
+    }
+  });
+  EXPECT_EQ(sched_log, ref_log);
+  std::size_t deepest = 0;
+  for (const LogEntry& e : sched_log) {
+    if ((e.id & kRefusal) != 0) {
+      deepest = std::max<std::size_t>(deepest, e.id & ~kRefusal);
+    }
+  }
+  EXPECT_GE(deepest, 64u);  // well past the run: the heap took keys
+  EXPECT_GT(sched_log.size(), 5'000u);
 }
 
 TEST(SchedulerWheelProperty, SameTickEventsRunInInsertionOrder) {

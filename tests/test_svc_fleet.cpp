@@ -77,6 +77,29 @@ TEST(Sabotage, ParseAndRoundTrip) {
   EXPECT_EQ(rel.to_string(), "relocate:10");
 }
 
+// The rendered spec is parsed back by the session hello and feeds the
+// campaign digest, so every factor must survive the round trip.  Factors
+// that two decimals name render as they always have.
+TEST(Sabotage, ReductionFactorSurvivesItsRoundTrip) {
+  struct Row {
+    double factor;
+    const char* text;  // nullptr: any spelling that parses back
+  };
+  for (const Row& row : {Row{0.5, "reduce:0.50"}, Row{0.85, "reduce:0.85"},
+                         Row{0.9, "reduce:0.90"}, Row{0.98, "reduce:0.98"},
+                         Row{0.991, nullptr}, Row{0.994, nullptr},
+                         Row{0.998, nullptr}}) {
+    Sabotage s;
+    s.kind = Sabotage::Kind::kReduction;
+    s.factor = row.factor;
+    const std::string text = s.to_string();
+    EXPECT_EQ(parse_sabotage(text).factor, row.factor) << text;
+    if (row.text != nullptr) {
+      EXPECT_EQ(text, row.text);
+    }
+  }
+}
+
 TEST(Sabotage, ParseRejectsMalformed) {
   EXPECT_THROW(parse_sabotage("bogus"), offramps::Error);
   EXPECT_THROW(parse_sabotage("reduce:"), offramps::Error);
@@ -292,6 +315,47 @@ TEST(Fleet, CaptureStemsMustNotCollide) {
   ASSERT_EQ(report.rigs.size(), 1u);
   EXPECT_EQ(report.rigs[0].status, RigStatus::kOk);
   for (const char* file : {"golden-0.bin", "golden-1.bin", "golden-1.ofs"}) {
+    EXPECT_TRUE(std::filesystem::exists(dir / file)) << file;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A checkpoint written into the captures dir must not take the name of a
+// capture file, however the path is spelled: one writer would overwrite
+// the other.
+TEST(Fleet, CheckpointMustNotShareACaptureFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fleet-checkpoint-caps";
+  std::vector<RigSpec> specs(2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = i == 0 ? "a" : "b";
+    specs[i].seed = 600 + i;
+    specs[i].cube_mm = 6.0;
+    specs[i].height_mm = 1.0;
+  }
+  FleetOptions options;
+  options.workers = 1;
+  options.save_captures_dir = dir.string();
+  for (const char* name : {"a.bin", "a.ofs", "golden-0.bin", "./a.bin"}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    options.checkpoint_path = (dir / name).string();
+    try {
+      Fleet(options).run(specs);
+      ADD_FAILURE() << "accepted " << name;
+    } catch (const offramps::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << name;
+  }
+
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  options.checkpoint_path = (dir / "ck.bin").string();
+  const FleetReport report = Fleet(options).run(specs);
+  EXPECT_TRUE(report.complete);
+  for (const char* file : {"ck.bin", "a.bin", "a.ofs", "golden-0.bin"}) {
     EXPECT_TRUE(std::filesystem::exists(dir / file)) << file;
   }
   std::filesystem::remove_all(dir);
@@ -549,6 +613,37 @@ TEST(FleetCheckpoint, ResumeRejectsEditedSpecs) {
   resume.workers = 2;
   resume.resume_path = ck;
   EXPECT_THROW(Fleet(resume).run(specs), offramps::Error);
+  std::filesystem::remove(ck);
+}
+
+// Two factors that render alike to two decimals are different campaigns:
+// resuming one from the other's checkpoint must fail on the digest.
+TEST(FleetCheckpoint, ResumeRejectsAFactorChangedBelowTheSecondDecimal) {
+  auto specs = small_fleet();
+  const std::string ck =
+      ::testing::TempDir() + "/fleet-factor-test-ck.bin";
+  std::filesystem::remove(ck);
+
+  specs[1].sabotage = parse_sabotage("reduce:0.994");
+  FleetOptions options;
+  options.workers = 1;
+  options.checkpoint_path = ck;
+  options.stop_after = 1;
+  (void)Fleet(options).run(specs);
+  ASSERT_TRUE(std::filesystem::exists(ck));
+
+  specs[1].sabotage = parse_sabotage("reduce:0.991");
+  FleetOptions resume;
+  resume.workers = 1;
+  resume.resume_path = ck;
+  try {
+    (void)Fleet(resume).run(specs);
+    ADD_FAILURE() << "resumed a reduce:0.994 checkpoint as reduce:0.991";
+  } catch (const offramps::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("spec digest mismatch"),
+              std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove(ck);
 }
 
