@@ -6,18 +6,15 @@
 // order so simultaneous events run in FIFO order, which makes runs fully
 // deterministic for a fixed seed.
 //
-// Hot-path notes: the pending keys are 24-byte {time, seq, slot} records
-// held in two places, a sorted run of up to kRunCapacity (32) keys in a
-// fixed array and a binary heap behind it in a `std::vector`, and every
-// run key is earlier in (time, seq) order than every heap key.  Most
-// events of a real print fall due within ~13 ns of the edge that made
-// them (level-shifter delays, fabric clock sync), so a new key usually
-// lands a few places from the run's earliest end, and the next event is
-// the run's last element: a pop is a decrement.  Real prints keep at most
-// ~24 events pending (`sim.scheduler.queue_depth`), so their keys never
-// pay a heap sift; the heap only takes the overflow of deep queues (Trojan
-// rigs reach ~400 pending).  The callbacks sit in a slot vector that
-// neither structure touches.  A callback is a small-buffer-optimized
+// Hot-path notes: the queue is a `std::vector` of 24-byte {time, seq,
+// slot} keys sorted latest-first, so the next event is the last key and a
+// pop is a decrement.  Most events of a real print fall due within ~13 ns
+// of the edge that made them (level-shifter delays, fabric clock sync),
+// so a new key is filed by scanning from the earliest end and moves only
+// the few keys due before it.  Real prints keep at most ~24 events pending
+// (`sim.scheduler.queue_depth`); deep queues (Trojan rigs reach ~400)
+// still file most keys near that end.  The callbacks sit in a slot vector
+// that filing never touches.  A callback is a small-buffer-optimized
 // `SmallFn` that moves by memcpy, into a free slot when scheduled and out
 // of it when run.  Freed slots are reused, so once the vectors have grown
 // steady-state event traffic allocates nothing and moves each callback
@@ -28,7 +25,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -100,16 +96,14 @@ class Scheduler {
   }
 
   /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const {
-    return run_size_ + heap_.size();
-  }
+  [[nodiscard]] std::size_t pending() const { return keys_.size(); }
 
   /// True when no events remain.
-  [[nodiscard]] bool idle() const { return run_size_ == 0 && heap_.empty(); }
+  [[nodiscard]] bool idle() const { return keys_.empty(); }
 
   /// Runs the single earliest pending event.  Returns false when idle.
   bool step() {
-    if (idle()) {
+    if (keys_.empty()) {
 #if OFFRAMPS_OBS_ENABLED
       if (obs_batch_events_ != 0) flush_obs();
 #endif
@@ -122,7 +116,7 @@ class Scheduler {
   /// Runs the earliest pending event if its time is <= `t`.  Returns
   /// false when idle or the next event lies beyond `t`.
   bool step_if_before(Tick t) {
-    if (idle() || next_key().time > t) {
+    if (keys_.empty() || keys_.back().time > t) {
 #if OFFRAMPS_OBS_ENABLED
       if (obs_batch_events_ != 0) flush_obs();
 #endif
@@ -149,7 +143,7 @@ class Scheduler {
   /// number of events executed.
   std::size_t run_all(std::size_t max_events = kDefaultEventLimit) {
     std::size_t n = 0;
-    while (!idle() && !stop_requested_) {
+    while (!keys_.empty() && !stop_requested_) {
       if (n >= max_events) {
 #if OFFRAMPS_OBS_ENABLED
         if (obs_batch_events_ != 0) flush_obs();
@@ -195,63 +189,29 @@ class Scheduler {
     }
   };
 
-  /// Keys the run holds before the heap takes any: above the ~24 pending
-  /// events of a real print, far below the deep queues of Trojan rigs.
-  static constexpr std::size_t kRunCapacity = 32;
-
-  /// The earliest pending key.  Requires !idle().
-  [[nodiscard]] const Key& next_key() const {
-    return run_size_ != 0 ? run_[run_size_ - 1] : heap_.front();
-  }
-
-  void heap_push(const Key& key) {
-    heap_.push_back(key);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  /// Files a new key so that every run key stays earlier than every heap
-  /// key.  A key later than the heap's top, or than a full run's latest,
-  /// goes to the heap.  Otherwise it is inserted into the run, scanning
-  /// from the earliest end, where near-future keys land; a full run first
-  /// moves its latest key to the heap, where it becomes the top.
+  /// Files a key in (time, seq) order, scanning from the earliest end,
+  /// where near-future keys land: only the keys due before it move.
   void push(const Key& key) {
-    const Later later{};
-    if ((!heap_.empty() && later(key, heap_.front())) ||
-        (run_size_ == kRunCapacity && later(key, run_[0]))) {
-      heap_push(key);
-      return;
-    }
-    if (run_size_ == kRunCapacity) {
-      heap_push(run_[0]);
-      std::copy(run_.begin() + 1, run_.end(), run_.begin());
-      --run_size_;
-    }
-    std::size_t i = run_size_;
-    for (; i > 0 && later(key, run_[i - 1]); --i) run_[i] = run_[i - 1];
-    run_[i] = key;
-    ++run_size_;
+    keys_.push_back(key);
+    std::size_t i = keys_.size() - 1;
+    for (; i > 0 && Later{}(key, keys_[i - 1]); --i) keys_[i] = keys_[i - 1];
+    keys_[i] = key;
   }
 
-  /// Runs the earliest event.  Its key leaves the run (or, when the run
-  /// is empty, the heap), and its callback leaves its slot (which is
-  /// freed), before the callback runs, so the callback may schedule
-  /// anything, at the current tick too, even while the slot vector grows.
+  /// Runs the earliest event.  Its key leaves the queue, and its callback
+  /// leaves its slot (which is freed), before the callback runs, so the
+  /// callback may schedule anything, at the current tick too, even while
+  /// the slot vector grows.
   void run_next() {
-    Key key;
-    if (run_size_ != 0) {
-      key = run_[--run_size_];
-    } else {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      key = heap_.back();
-      heap_.pop_back();
-    }
+    const Key key = keys_.back();
+    keys_.pop_back();
     Callback cb = std::move(slots_[key.slot]);
     free_slots_.push_back(key.slot);
     now_ = key.time;
     ++executed_;
 #if OFFRAMPS_OBS_ENABLED
     // One relaxed load + untaken branch on the everyday path (bench_obs
-    // prices it against the bare event loop); the priced work lives in
+    // holds this under 2% of the event loop); the priced work lives in
     // the cold sibling below.
     if (obs::enabled()) {
       execute_instrumented(cb);
@@ -281,7 +241,7 @@ class Scheduler {
                          obs::latency_buckets_us());
     }
     ++obs_batch_events_;
-    const auto depth = static_cast<std::int64_t>(pending()) + 1;
+    const auto depth = static_cast<std::int64_t>(keys_.size()) + 1;
     if (depth > obs_depth_high_) obs_depth_high_ = depth;
     if (--obs_sample_countdown_ == 0) {
       obs_sample_countdown_ = obs::latency_sample_every();
@@ -306,12 +266,8 @@ class Scheduler {
   static constexpr std::uint64_t kObsFlushEvery = 1024;
 #endif
 
-  /// The earliest pending keys, sorted latest-first: the next event is
-  /// run_[run_size_ - 1].
-  std::array<Key, kRunCapacity> run_{};
-  std::size_t run_size_ = 0;
-  /// The later keys, a binary heap with the earliest at heap_.front().
-  std::vector<Key> heap_;
+  /// Pending keys sorted latest-first: the next event is keys_.back().
+  std::vector<Key> keys_;
   /// Callbacks by slot; a free slot holds an empty Callback.
   std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;

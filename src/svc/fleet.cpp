@@ -154,11 +154,13 @@ std::string sanitize(const std::string& name) {
 }
 
 /// Throws when two of the files a campaign saves into its captures dir
-/// would share a stem: a rig's sanitized name, or `golden-<i>` for each
-/// of the `objects` references.  The later save would overwrite the
-/// earlier one.
-void check_capture_stems(const std::vector<RigSpec>& fleet,
-                         std::size_t objects) {
+/// `dir` would overwrite each other: two share a stem (a rig's sanitized
+/// name, or `golden-<i>` for each of the `objects` references), or the
+/// checkpoint (`checkpoint_path`, when set) is `<stem>.bin`, `<stem>.ofs`
+/// or the `.tmp` such a file is first written as.
+void check_capture_files(const std::vector<RigSpec>& fleet,
+                         std::size_t objects, const std::string& dir,
+                         const std::string& checkpoint_path) {
   std::map<std::string, std::string> owner;  // stem -> who saves it
   for (std::size_t i = 0; i < objects; ++i) {
     owner.emplace("golden-" + std::to_string(i),
@@ -174,32 +176,27 @@ void check_capture_stems(const std::vector<RigSpec>& fleet,
                   " would both be saved as '" + stem + "'");
     }
   }
-}
+  if (checkpoint_path.empty()) return;
 
-/// Throws when the checkpoint path is one of the files the captures dir
-/// receives (`<stem>.bin`, `<stem>.ofs`, `golden-<i>.bin`): the checkpoint
-/// writer and the capture save would overwrite each other.
-void check_checkpoint_path(const std::vector<RigSpec>& fleet,
-                           std::size_t objects, const std::string& dir,
-                           const std::string& checkpoint_path) {
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path checkpoint = fs::weakly_canonical(checkpoint_path, ec);
-  if (ec) return;
-  std::vector<std::string> files;
-  for (std::size_t i = 0; i < objects; ++i) {
-    files.push_back("golden-" + std::to_string(i) + ".bin");
+  fs::path in_dir;  // a file of the checkpoint's name in the captures dir
+  if (!ec) in_dir = fs::weakly_canonical(dir / checkpoint.filename(), ec);
+  if (ec) {
+    throw Error("fleet: captures: cannot resolve the checkpoint '" +
+                checkpoint_path + "': " + ec.message());
   }
-  for (const RigSpec& spec : fleet) {
-    const std::string stem = sanitize(spec.name);
-    files.push_back(stem + ".bin");
-    files.push_back(stem + ".ofs");
-  }
-  for (const std::string& file : files) {
-    if (fs::weakly_canonical(fs::path(dir) / file, ec) == checkpoint) {
-      throw Error("fleet: captures: the checkpoint '" + checkpoint_path +
-                  "' would overwrite the capture file '" + file + "'");
-    }
+  if (in_dir != checkpoint) return;
+  std::string name = checkpoint.filename().string();
+  if (name.ends_with(".tmp")) name.resize(name.size() - 4);
+  const fs::path file(name);
+  const std::string ext = file.extension().string();
+  const auto at = owner.find(file.stem().string());
+  if ((ext == ".bin" || ext == ".ofs") && at != owner.end()) {
+    throw Error("fleet: captures: the checkpoint '" + checkpoint_path +
+                "' would collide with the '" + at->first +
+                "' capture files of " + at->second);
   }
 }
 
@@ -800,11 +797,8 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     if (it == objects.end()) objects.push_back(key);
   }
   if (!options_.save_captures_dir.empty()) {
-    check_capture_stems(fleet, objects.size());
-    if (!options_.checkpoint_path.empty()) {
-      check_checkpoint_path(fleet, objects.size(), options_.save_captures_dir,
-                            options_.checkpoint_path);
-    }
+    check_capture_files(fleet, objects.size(), options_.save_captures_dir,
+                        options_.checkpoint_path);
   }
 
   host::ParallelRunner pool(options_.workers);

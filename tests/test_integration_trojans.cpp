@@ -275,9 +275,9 @@ std::uint64_t run_digest(const RunResult& r) {
 }
 
 // These three rigs keep 110-412 events pending, far more than a clean
-// print's ~24, so their events take the scheduler's deep-queue path (its
-// heap behind the run of earliest keys).  The digests pin that path byte
-// for byte; a change that means to alter a run re-records them.
+// print's ~24, so the scheduler files their keys deep in its queue.  The
+// digests pin those runs byte for byte; a change that means to alter a
+// run re-records them.
 TEST(TrojanPins, DeepQueueRigsArePinned) {
   core::TrojanSuiteConfig t1;
   t1.t1 = core::T1Config{.period = sim::seconds(10), .pulses_per_burst = 100};

@@ -151,7 +151,7 @@ TEST(Scheduler, StepIfBeforeDoesNotAdvanceTimeOnRefusal) {
 }
 
 TEST(Scheduler, CallbackSchedulingDuringStepIsSafe) {
-  // A callback that schedules more events mutates the heap while its own
+  // A callback that schedules more events mutates the queue while its own
   // event is executing; the event must have fully left the container.
   Scheduler s;
   std::vector<Tick> fired;
@@ -170,7 +170,7 @@ TEST(Scheduler, CallbackSchedulingDuringStepIsSafe) {
 }
 
 TEST(Scheduler, HeavyInterleavedTrafficStaysOrdered) {
-  // Stress the vector-heap ordering: interleaved pushes and pops with
+  // Stress the queue's ordering: interleaved pushes and pops with
   // colliding timestamps must still come out in (time, seq) order.
   Scheduler s;
   std::vector<std::pair<Tick, int>> fired;

@@ -321,8 +321,9 @@ TEST(Fleet, CaptureStemsMustNotCollide) {
 }
 
 // A checkpoint written into the captures dir must not take the name of a
-// capture file, however the path is spelled: one writer would overwrite
-// the other.
+// capture file, or of the `.tmp` a capture is first written as, however
+// the path is spelled: one writer would overwrite the other.  A path that
+// cannot be resolved is refused too, before anything runs.
 TEST(Fleet, CheckpointMustNotShareACaptureFile) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "fleet-checkpoint-caps";
@@ -336,7 +337,10 @@ TEST(Fleet, CheckpointMustNotShareACaptureFile) {
   FleetOptions options;
   options.workers = 1;
   options.save_captures_dir = dir.string();
-  for (const char* name : {"a.bin", "a.ofs", "golden-0.bin", "./a.bin"}) {
+  const std::string unresolvable(300, 'x');  // a name over NAME_MAX
+  for (const std::string name :
+       {"a.bin", "a.ofs", "golden-0.bin", "./a.bin", "a.bin.tmp",
+        "golden-0.bin.tmp", unresolvable.c_str()}) {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     options.checkpoint_path = (dir / name).string();
@@ -349,9 +353,15 @@ TEST(Fleet, CheckpointMustNotShareACaptureFile) {
     }
     EXPECT_TRUE(std::filesystem::is_empty(dir)) << name;
   }
+  // So may the captures dir be.
+  options.save_captures_dir = (dir / "." / "").string();
+  options.checkpoint_path = (dir / "a.bin").string();
+  EXPECT_THROW(Fleet(options).run(specs), offramps::Error);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
 
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  options.save_captures_dir = dir.string();
   options.checkpoint_path = (dir / "ck.bin").string();
   const FleetReport report = Fleet(options).run(specs);
   EXPECT_TRUE(report.complete);
