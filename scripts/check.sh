@@ -70,6 +70,10 @@ else
   # missing value and a malformed or out-of-range value.
   echo "==> cli suite (ctest -L cli)"
   ctest --preset default -L cli -j "${jobs}"
+  # ...and that every src/ header is reached by a run, not only by tests
+  # (the tier-1 ctest src_reach runs the same script).
+  echo "==> src reach (scripts/check_src_reach.sh)"
+  scripts/check_src_reach.sh
   # ...and smoke-checks the fleet service end to end (unit tests,
   # detector edge cases, and the fleet CLI exit-code contracts).
   echo "==> fleet suite (ctest -L fleet)"

@@ -4,39 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/bytes.hpp"
-
 namespace offramps::detect {
-
-namespace {
-
-/// Windowed compare shared by compare_side and verify_signature.
-SideReport compare_windows(const std::vector<double>& g,
-                           const std::vector<double>& o,
-                           const SideSignatureOptions& options) {
-  SideReport rep;
-  const std::size_t n = std::min(g.size(), o.size());
-  rep.windows_compared = n;
-
-  std::uint32_t consecutive = 0;
-  const std::size_t skip = options.skip_edge_windows;
-  for (std::size_t i = skip; i + skip < n; ++i) {
-    const double delta = std::abs(g[i] - o[i]);
-    rep.largest_delta = std::max(rep.largest_delta, delta);
-    if (delta > options.tolerance) {
-      rep.mismatches.push_back({i, g[i], o[i]});
-      ++consecutive;
-      if (consecutive >= options.consecutive_to_flag) {
-        rep.sabotage_likely = true;
-      }
-    } else {
-      consecutive = 0;
-    }
-  }
-  return rep;
-}
-
-}  // namespace
 
 std::vector<double> window_means(const plant::SideTrace& trace,
                                  double window_s) {
@@ -68,35 +36,28 @@ std::vector<double> window_means(const plant::SideTrace& trace,
 SideReport compare_side(const plant::SideTrace& golden,
                         const plant::SideTrace& observed,
                         const SideSignatureOptions& options) {
-  return compare_windows(window_means(golden, options.window_s),
-                         window_means(observed, options.window_s), options);
-}
+  const std::vector<double> g = window_means(golden, options.window_s);
+  const std::vector<double> o = window_means(observed, options.window_s);
+  SideReport rep;
+  const std::size_t n = std::min(g.size(), o.size());
+  rep.windows_compared = n;
 
-std::uint64_t signature_digest(const std::vector<double>& levels,
-                               double window_s) {
-  core::Fnv1a f;
-  f.f64(window_s);
-  f.u64(levels.size());
-  for (const double level : levels) f.f64(level);
-  return f.value();
-}
-
-MasterSignature make_master_signature(const plant::SideTrace& golden,
-                                      double window_s) {
-  MasterSignature sig;
-  sig.window_s = window_s;
-  sig.levels = window_means(golden, window_s);
-  sig.digest = signature_digest(sig.levels, window_s);
-  return sig;
-}
-
-SideReport verify_signature(const MasterSignature& signature,
-                            const plant::SideTrace& observed,
-                            const SideSignatureOptions& options) {
-  SideSignatureOptions opts = options;
-  opts.window_s = signature.window_s;  // the signature fixes the window
-  return compare_windows(signature.levels,
-                         window_means(observed, opts.window_s), opts);
+  std::uint32_t consecutive = 0;
+  const std::size_t skip = options.skip_edge_windows;
+  for (std::size_t i = skip; i + skip < n; ++i) {
+    const double delta = std::abs(g[i] - o[i]);
+    rep.largest_delta = std::max(rep.largest_delta, delta);
+    if (delta > options.tolerance) {
+      rep.mismatches.push_back({i, g[i], o[i]});
+      ++consecutive;
+      if (consecutive >= options.consecutive_to_flag) {
+        rep.sabotage_likely = true;
+      }
+    } else {
+      consecutive = 0;
+    }
+  }
+  return rep;
 }
 
 std::string SideReport::to_string(std::size_t max_lines) const {

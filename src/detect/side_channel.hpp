@@ -8,10 +8,9 @@
 //     sabotage;
 //   * multi-modal acoustic/vibration sensing (arXiv:2110.02259): the
 //     same windowed-mean machinery over any scalar emission trace;
-//   * audio signing (arXiv:1705.06454): the golden acoustic trace is
-//     distilled into a compact master signature (windowed levels plus a
-//     digest of the recording), and an observed print is verified
-//     against that signature rather than the raw golden trace.
+//   * audio signing (arXiv:1705.06454): the golden acoustic trace's
+//     window means are the signature an observed print is checked
+//     against (the fleet's acoustic `svc::SideChannel`).
 //
 // Each channel's measurement noise forces a generous tolerance, which is
 // exactly the sensitivity gap OFFRAMPS' direct signal taps close.
@@ -56,18 +55,6 @@ struct SideReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Audio-signing master signature: the golden recording reduced to its
-/// per-window levels plus a digest binding those levels to the window
-/// size.  The digest is what a reference cache or a signed release
-/// manifest would store and check.
-struct MasterSignature {
-  double window_s = 1.0;
-  std::vector<double> levels;
-  std::uint64_t digest = 0;
-
-  [[nodiscard]] bool empty() const { return levels.empty(); }
-};
-
 /// Reduces a side-channel trace to per-window mean levels.
 std::vector<double> window_means(const plant::SideTrace& trace,
                                  double window_s);
@@ -76,21 +63,5 @@ std::vector<double> window_means(const plant::SideTrace& trace,
 SideReport compare_side(const plant::SideTrace& golden,
                         const plant::SideTrace& observed,
                         const SideSignatureOptions& options = {});
-
-/// FNV-1a over the signature's window size and levels (bit patterns, so
-/// the digest is exact and platform-stable).
-std::uint64_t signature_digest(const std::vector<double>& levels,
-                               double window_s);
-
-/// Distills a golden recording into a master signature.
-MasterSignature make_master_signature(const plant::SideTrace& golden,
-                                      double window_s);
-
-/// Verifies an observed recording against a master signature (the audio
-/// signing check: windowed levels within tolerance, sustained deviation
-/// means the print diverged from the signed recording).
-SideReport verify_signature(const MasterSignature& signature,
-                            const plant::SideTrace& observed,
-                            const SideSignatureOptions& options = {});
 
 }  // namespace offramps::detect

@@ -5,14 +5,12 @@
 #include <cstdio>
 #include <vector>
 
-#include "gcode/parser.hpp"
 #include "sim/error.hpp"
 
 namespace offramps::fw {
 namespace {
 
 constexpr sim::Tick kTempPollPeriod = sim::ms(250);
-constexpr sim::Tick kStreamIdlePoll = sim::ms(50);
 
 std::string format_temp_report(const ThermalManager& tm) {
   char buf[96];
@@ -50,23 +48,9 @@ Firmware::Firmware(sim::Scheduler& sched, Config config, sim::PinBank& io)
       fan_pwm_(sched, io.wire(sim::Pin::kFan), config_.fan_pwm_period),
       jitter_(config_.jitter_seed) {}
 
-void Firmware::enqueue_line(std::string_view line) {
-  if (auto cmd = gcode::parse_line(line)) enqueue(*cmd);
-}
-
-void Firmware::enqueue(const gcode::Command& cmd) {
-  queue_.push_back(cmd);
-  if (state_ == FwState::kRunning) schedule_advance();
-}
-
 void Firmware::enqueue_program(const gcode::Program& program) {
   for (const auto& cmd : program) queue_.push_back(cmd);
   if (state_ == FwState::kRunning) schedule_advance();
-}
-
-void Firmware::set_stream_open(bool open) {
-  stream_open_ = open;
-  if (!open && state_ == FwState::kRunning) schedule_advance();
 }
 
 void Firmware::start() {
@@ -111,22 +95,13 @@ void Firmware::advance() {
   if (state_ != FwState::kRunning) return;
   if (command_in_flight_ || stepper_.busy()) return;
   if (queue_.empty()) {
-    finish_if_drained();
+    state_ = FwState::kFinished;
+    if (on_finished_) on_finished_();
     return;
   }
   gcode::Command cmd = std::move(queue_.front());
   queue_.pop_front();
   execute(cmd);
-}
-
-void Firmware::finish_if_drained() {
-  if (stream_open_) {
-    // Streaming host may still deliver lines; poll until it closes.
-    sched_.schedule_in(kStreamIdlePoll, [this] { schedule_advance(); });
-    return;
-  }
-  state_ = FwState::kFinished;
-  if (on_finished_) on_finished_();
 }
 
 void Firmware::command_done() {

@@ -14,7 +14,7 @@
 //   G4 dwell                 G21 mm units (no-op)
 //   G28 home                 G90/G91 abs/rel   G92 set position
 //   M82/M83 E abs/rel        M84/M17 motors    M104/M109 hotend temp
-//   M105 temp report         M106/M107 fan     M110 via SerialProtocol
+//   M105 temp report         M106/M107 fan
 //   M112 emergency stop      M114 position report
 //   M140/M190 bed temp       M220 feedrate %   M221 flow %
 #pragma once
@@ -25,7 +25,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fw/config.hpp"
@@ -45,7 +44,7 @@ namespace offramps::fw {
 enum class FwState : std::uint8_t {
   kIdle,      // created / start() not called
   kRunning,   // processing the queue (includes waits and homing)
-  kFinished,  // queue drained with the stream closed
+  kFinished,  // queue drained
   kKilled,    // fatal error; machine halted
 };
 
@@ -63,16 +62,8 @@ class Firmware {
   Firmware& operator=(const Firmware&) = delete;
 
   // --- Input ---------------------------------------------------------------
-  /// Parses and enqueues one g-code line (comment-only lines are dropped).
-  void enqueue_line(std::string_view line);
-  /// Enqueues an already-parsed command.
-  void enqueue(const gcode::Command& cmd);
   /// Enqueues a whole program.
   void enqueue_program(const gcode::Program& program);
-
-  /// While open, an empty queue idles (polling for more input) instead of
-  /// finishing; used by streaming hosts.  Default: closed (batch mode).
-  void set_stream_open(bool open);
 
   /// Starts processing: thermal loop + command dispatch.
   void start();
@@ -121,7 +112,7 @@ class Firmware {
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   // --- Callbacks -------------------------------------------------------------
-  /// Fired once when the queue drains (batch mode).
+  /// Fired once when the queue drains.
   void on_finished(std::function<void()> cb) { on_finished_ = std::move(cb); }
   /// Fired once on kill, with the reason string.
   void on_killed(std::function<void(const std::string&)> cb) {
@@ -164,7 +155,6 @@ class Firmware {
   // Helpers.
   void start_segment(const Segment& seg, StepperEngine::Completion cb);
   void poll_temp(Heater h, std::uint64_t gen);
-  void finish_if_drained();
 
   sim::Scheduler& sched_;
   Config config_;
@@ -178,7 +168,6 @@ class Firmware {
   std::deque<gcode::Command> queue_;
   FwState state_ = FwState::kIdle;
   std::string kill_reason_;
-  bool stream_open_ = false;
   bool advance_pending_ = false;
   bool command_in_flight_ = false;
 

@@ -1,7 +1,6 @@
 #include "host/chaos.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <limits>
 
 #include "core/bytes.hpp"
@@ -34,6 +33,14 @@ const char* chaos_kind_name(ChaosKind k) {
     case ChaosKind::kCacheTear: return "cachetear";
   }
   return "?";
+}
+
+bool live_drill(ChaosKind k) {
+  return k >= ChaosKind::kCrash && k <= ChaosKind::kRingWedge;
+}
+
+bool session_drill(ChaosKind k) {
+  return k == ChaosKind::kDisconnect || k == ChaosKind::kFrameCorrupt;
 }
 
 std::string ChaosSpec::to_string() const {
@@ -175,20 +182,6 @@ void ChaosInjector::mangle_session(std::vector<std::uint8_t>& bytes) const {
       }
     }
     pos += core::wire::kFrameHeaderSize + len;
-  }
-}
-
-void ChaosInjector::tear_cache_entry(const std::string& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) {
-    throw Error("chaos: tear_cache_entry: cannot stat " + path + ": " +
-                ec.message());
-  }
-  std::filesystem::resize_file(path, size / 2, ec);
-  if (ec) {
-    throw Error("chaos: tear_cache_entry: cannot truncate " + path + ": " +
-                ec.message());
   }
 }
 

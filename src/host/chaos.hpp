@@ -38,19 +38,28 @@ enum class ChaosKind : std::uint8_t {
   kPowerJam,  // power side-channel probe throws every service slot
   kRingWedge, // consumer pump stops draining after N slots (backpressure
               // must absorb it losslessly - not an attempt failure)
-  // Session-layer drills (the daemon/replay wire surfaces).  These are
-  // no-ops inside a live rig attempt; they mangle recorded session
-  // streams (mangle_session) or cache entries (tear_cache_entry), and
+  // Session-layer drills (--replay).  These are no-ops inside a live rig
+  // attempt; they mangle recorded session streams (mangle_session) and
   // must land on the supervisor's ladder as recovered (framecorrupt:
   // the reader resyncs and drops the damaged transaction) or lost
   // (disconnect: the stream dies before its end marker).  Appended at
   // the enum tail so checkpointed ChaosSpecs keep their values.
   kDisconnect,    // cut the session stream mid-frame
   kFrameCorrupt,  // flip bytes inside one kTxn frame (inner CRC rejects)
-  kCacheTear,     // half-write a reference cache entry on disk
+  // Half-write a reference cache entry.  No mode performs it, so every
+  // mode rejects it; it still parses so that session hellos and
+  // checkpoints recorded with it keep reading.
+  kCacheTear,
 };
 
 const char* chaos_kind_name(ChaosKind k);
+
+/// True for the kinds a live rig attempt performs (crash, stall, corrupt,
+/// truncate, powerjam, ringwedge); Fleet::run rejects any other order.
+[[nodiscard]] bool live_drill(ChaosKind k);
+/// True for the kinds --replay performs on a recorded session
+/// (disconnect, framecorrupt); replay_corpus rejects any other order.
+[[nodiscard]] bool session_drill(ChaosKind k);
 
 /// One rig's standing chaos order.
 struct ChaosSpec {
@@ -109,13 +118,6 @@ class ChaosInjector {
   /// bytes inside the `after`-th kTxn frame so the inner CRC rejects
   /// that transaction (the reader must drop it and recover).
   void mangle_session(std::vector<std::uint8_t>& bytes) const;
-
-  /// kCacheTear's drill, usable standalone: truncates an on-disk
-  /// reference cache entry to half its size, simulating a crash mid
-  /// write outside the temp+rename discipline.  The bounded cache reader
-  /// must reject the remnant and recompute.  Throws offramps::Error when
-  /// the file cannot be resized.
-  static void tear_cache_entry(const std::string& path);
 
   /// Transactions swallowed by the stall gate so far.
   [[nodiscard]] std::uint64_t suppressed() const { return suppressed_; }

@@ -72,11 +72,13 @@ constexpr const char* kUsage =
     "                   serving daemon at SOCK and print each verdict\n"
     "  --replay DIR     re-run detector verdicts over the .ofs session\n"
     "                   corpus in DIR, without the simulator (--chaos\n"
-    "                   I=SPEC here drills corpus file index I)\n"
+    "                   I=SPEC here drills corpus file index I, where\n"
+    "                   SPEC is disconnect|framecorrupt[:attempts])\n"
     "  --no-safe-stop   observe alarms without halting the rig\n"
     "  --chaos I=SPEC   inject a service-layer fault into rig I, where\n"
     "                   SPEC is crash|stall|corrupt|truncate|powerjam|\n"
-    "                   ringwedge[:attempts] (repeatable)\n"
+    "                   ringwedge[:attempts] (repeatable, one per rig;\n"
+    "                   a drill the mode does not perform exits 2)\n"
     "  --max-attempts N supervised attempts per rig before quarantine\n"
     "                   (default 3; 1 = no retry)\n"
     "  --backoff-ms N   base retry backoff (deterministic jitter; 0 =\n"
@@ -128,8 +130,7 @@ constexpr const char* kSpecHelp =
     "cube_mm, height_mm: in (0, 210] (the printer's travel)\n"
     "sabotage: \"clean\" | \"reduce:<factor>\" | \"relocate:<n>\"\n"
     "chaos: \"none\" | \"crash\" | \"stall\" | \"corrupt\" | \"truncate\"\n"
-    "       | \"powerjam\" | \"ringwedge\" | \"disconnect\" |\n"
-    "       \"framecorrupt\" | \"cachetear\", optionally \":<attempts>\"\n";
+    "       | \"powerjam\" | \"ringwedge\", optionally \":<attempts>\"\n";
 
 /// The flags only a batch campaign reads: --serve and --replay judge
 /// sessions and neither checkpoint, supervise nor record.
@@ -191,6 +192,12 @@ int main(int argc, char** argv) {
                    std::string_view(v).substr(0, eq));
                if (eq == std::string::npos || !index) {
                  throw offramps::Error("want I=SPEC");
+               }
+               for (const auto& order : chaos) {
+                 if (order.first == *index) {
+                   throw offramps::Error("a second order for index " +
+                                         std::to_string(*index));
+                 }
                }
                chaos.emplace_back(
                    *index, offramps::host::parse_chaos(v.substr(eq + 1)));

@@ -306,8 +306,8 @@ class GoldenFreeChannel final : public DetectionChannel {
 
 /// One physical side channel (power, acoustic, vibration): per-window
 /// mean compare of its samples against its golden trace.  For acoustic
-/// this is the audio-signing check - the golden window levels are the
-/// master signature (detect::make_master_signature).
+/// this is the audio-signing check - the golden trace's window levels
+/// (detect::window_means, taken in arm()) are the signature.
 class SideChannel final : public DetectionChannel {
  public:
   using Golden = const plant::SideTrace* ChannelRefs::*;

@@ -276,6 +276,17 @@ FleetReport replay_corpus(const std::string& corpus_dir,
   if (files.empty()) {
     throw Error("replay: no .ofs session streams under " + corpus_dir);
   }
+  for (const auto& [index, spec] : options.chaos) {
+    if (spec.enabled() && !host::session_drill(spec.kind)) {
+      throw Error("replay: a recorded session does not perform chaos '" +
+                  spec.to_string() + "' (disconnect|framecorrupt)");
+    }
+    if (index >= files.size()) {
+      throw Error("replay: chaos index " + std::to_string(index) +
+                  " out of range (" + std::to_string(files.size()) +
+                  " session files)");
+    }
+  }
   register_service_metrics();
 
   host::ParallelRunner pool(options.service.workers);

@@ -49,14 +49,16 @@ namespace offramps::svc {
 struct ReplayOptions {
   ServiceOptions service{};
   /// Session-layer chaos drills keyed by corpus file index (sorted
-  /// order), applied to the loaded stream bytes before parsing.
+  /// order), applied to the loaded stream bytes before parsing.  Only
+  /// disconnect and framecorrupt, at an index inside the corpus.
   std::vector<std::pair<std::size_t, host::ChaosSpec>> chaos;
 };
 
 /// Re-runs detector verdicts over every `*.ofs` session file in
 /// `corpus_dir` (sorted, sharded over the worker pool), resolving golden
 /// references through the cache instead of the simulator.  Throws
-/// offramps::Error when the corpus is missing or empty.
+/// offramps::Error, before judging anything, when the corpus is missing
+/// or empty or a chaos order is not a session drill inside the corpus.
 FleetReport replay_corpus(const std::string& corpus_dir,
                           const ReplayOptions& options);
 

@@ -796,6 +796,15 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     object_of[i] = static_cast<std::size_t>(it - objects.begin());
     if (it == objects.end()) objects.push_back(key);
   }
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const host::ChaosSpec& chaos = fleet[i].chaos;
+    if (chaos.enabled() && !host::live_drill(chaos.kind)) {
+      throw Error("fleet: rig " + std::to_string(i) + " ('" + fleet[i].name +
+                  "'): a live rig does not perform chaos '" +
+                  chaos.to_string() +
+                  "' (crash|stall|corrupt|truncate|powerjam|ringwedge)");
+    }
+  }
   if (!options_.save_captures_dir.empty()) {
     check_capture_files(fleet, objects.size(), options_.save_captures_dir,
                         options_.checkpoint_path);

@@ -78,7 +78,7 @@ struct RigSpec {
   double height_mm = 3.0;   // ...and height
   Sabotage sabotage{};
   /// Service-layer fault injected into this rig's supervised attempts
-  /// (host::parse_chaos grammar; none by default).
+  /// (host::parse_chaos grammar, a live drill only; none by default).
   host::ChaosSpec chaos{};
 };
 
@@ -271,7 +271,8 @@ class Fleet {
   explicit Fleet(FleetOptions options = {});
 
   /// Runs the whole fleet; outcomes are indexed like `specs`.  Throws
-  /// offramps::Error, before simulating or writing anything, when the
+  /// offramps::Error, before simulating or writing anything, when a
+  /// rig's chaos order is not a live drill (host::live_drill), or the
   /// campaign saves captures and two rigs' file stems collide, or a
   /// rig's stem is some object's `golden-<i>`.
   FleetReport run(const std::vector<RigSpec>& specs);

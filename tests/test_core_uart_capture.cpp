@@ -33,6 +33,19 @@ TEST(Transaction, PayloadIsSixteenBytesLittleEndian) {
   EXPECT_EQ(b[15], 0x01u);
 }
 
+TEST(Transaction, FrameRejectsAFlippedPayloadBit) {
+  Transaction a;
+  a.index = 7;
+  a.counts = {10, 20, 30, 40};
+  auto frame = a.to_frame();
+  const auto intact = Transaction::from_frame(frame, 0);
+  ASSERT_TRUE(intact.has_value());
+  EXPECT_EQ(intact->index, 7u);
+  EXPECT_EQ(intact->counts, a.counts);
+  frame[8] ^= 0x40;  // flip one payload bit: the CRC must catch it
+  EXPECT_FALSE(Transaction::from_frame(frame, 0).has_value());
+}
+
 TEST(Capture, CsvRoundTrip) {
   Capture cap;
   cap.label = "golden";

@@ -7,7 +7,6 @@
 #include "helpers.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
-#include "host/streamer.hpp"
 
 namespace offramps {
 namespace {
@@ -74,25 +73,19 @@ TEST(FailureInjection, HeaterCartridgeFallsOutDuringHeatup) {
 }
 
 TEST(FailureInjection, HostStallsMidPrintThenResumes) {
-  // A streaming host freezes for 30 simulated seconds mid-print.  The
-  // firmware idles at the last commanded position and resumes cleanly;
-  // final geometry is unaffected.
+  // The host goes quiet for 30 simulated seconds mid-print, modelled as
+  // a dwell at the program's midpoint.  The firmware idles at the last
+  // commanded position and resumes cleanly; final geometry is unaffected.
   const gcode::Program program = object();
   host::Rig reference_rig;
   const host::RunResult ref = reference_rig.run(program);
 
+  gcode::Program stalled = program;
+  stalled.insert(stalled.begin() + static_cast<std::ptrdiff_t>(
+                                       stalled.size() / 2),
+                 *gcode::parse_line("G4 S30"));
   host::Rig rig;
-  // A tiny window plus an enormous poll period mimics the stall.
-  host::Streamer stalling(rig.scheduler(), rig.firmware(), program,
-                          /*window=*/4, /*poll_period=*/sim::ms(20));
-  stalling.start();
-  // Inject the stall by pausing the scheduler-driven pump: freeze the
-  // firmware's queue by consuming nothing - simplest faithful stall is a
-  // long dwell injected at the front mid-print.
-  rig.scheduler().schedule_at(sim::seconds(75), [&rig] {
-    rig.firmware().enqueue(*gcode::parse_line("G4 S30"));
-  });
-  const host::RunResult r = rig.run({});
+  const host::RunResult r = rig.run(stalled);
   EXPECT_TRUE(r.finished);
   EXPECT_EQ(r.capture.final_counts, ref.capture.final_counts);
   EXPECT_GT(r.sim_seconds, ref.sim_seconds + 25.0);

@@ -206,22 +206,6 @@ TEST(Firmware, ReportsTemperatureAndPosition) {
   EXPECT_NE(reports[1].find("X:0.00"), std::string::npos);
 }
 
-TEST(Firmware, StreamingModeWaitsForMoreInput) {
-  DirectStack s;
-  s.firmware.set_stream_open(true);
-  s.firmware.enqueue_line("G28 X");
-  s.firmware.on_finished([&] { s.sched.request_stop(); });
-  s.firmware.start();
-  s.sched.run_until(sim::seconds(30));
-  // Queue drained but stream open: still running.
-  EXPECT_EQ(s.firmware.state(), FwState::kRunning);
-  s.firmware.enqueue_line("G1 X10 F4800");
-  s.firmware.set_stream_open(false);
-  s.sched.run_until(sim::seconds(60));
-  EXPECT_TRUE(s.firmware.finished());
-  EXPECT_NEAR(s.firmware.logical_mm(sim::Axis::kX), 10.0, 0.01);
-}
-
 TEST(Firmware, StepSignalsStayInPaperEnvelope) {
   // All control signals the paper measured ran below 20 kHz with >= 1 us
   // pulses; verify on a representative print move mix.

@@ -1,11 +1,10 @@
-// Integration tests for the full rig (firmware + OFFRAMPS + printer) and
-// the streamer, plus cross-stack invariants on golden prints.
+// Integration tests for the full rig (firmware + OFFRAMPS + printer),
+// plus cross-stack invariants on golden prints.
 #include <gtest/gtest.h>
 
 #include "gcode/parser.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
-#include "host/streamer.hpp"
 
 namespace offramps::host {
 namespace {
@@ -126,24 +125,6 @@ TEST(Rig, DifferentSeedsDriftWithinMargin) {
   EXPECT_FALSE(rep.trojan_likely);
   EXPECT_LT(rep.largest_percent, 5.0);
   EXPECT_EQ(ra.capture.final_counts, rb.capture.final_counts);
-}
-
-TEST(Streamer, StreamedPrintMatchesBatch) {
-  const gcode::Program program = small_cube();
-
-  Rig batch;
-  const RunResult rb = batch.run(program);
-
-  // Streamed: drive the firmware through a Streamer inside a bare rig.
-  RigOptions opts;
-  Rig stream_rig(opts);
-  Streamer streamer(stream_rig.scheduler(), stream_rig.firmware(), program,
-                    /*window=*/6);
-  streamer.start();
-  const RunResult rs = stream_rig.run({});  // program arrives via streamer
-  EXPECT_TRUE(rs.finished);
-  EXPECT_EQ(streamer.lines_sent(), program.size());
-  EXPECT_EQ(rs.capture.final_counts, rb.capture.final_counts);
 }
 
 }  // namespace

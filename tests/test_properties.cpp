@@ -15,6 +15,7 @@
 #include "core/serial.hpp"
 #include "helpers.hpp"
 #include "sim/rng.hpp"
+#include "uart_rx.hpp"
 
 namespace offramps {
 namespace {
@@ -203,7 +204,7 @@ TEST_P(BaudSweep, SerialRoundTripAtBaud) {
   sim::Scheduler sched;
   sim::Wire line(sched, "UART", true);
   core::UartTx tx(sched, line, baud);
-  core::UartRx rx(sched, line, baud);
+  test::UartRx rx(sched, line, baud);
   std::vector<std::uint8_t> received;
   rx.on_byte([&](std::uint8_t b, sim::Tick) { received.push_back(b); });
   std::vector<std::uint8_t> payload;

@@ -230,42 +230,23 @@ TEST(SideSignature, CleanReprintPassesDespiteNoise) {
                    .sabotage_likely);
 }
 
-TEST(MasterSignature, DistillsAndVerifiesTheGoldenRecording) {
+TEST(SideSignature, TamperedAcousticRecordingTrips) {
   plant::SideTrace golden;
   for (int i = 0; i < 400; ++i) {
     golden.push_back({i * 0.05, 40.0});
   }
-  const MasterSignature sig = make_master_signature(golden, 1.0);
-  EXPECT_EQ(sig.levels.size(), window_means(golden, 1.0).size());
-  EXPECT_EQ(sig.digest, signature_digest(sig.levels, sig.window_s));
-  EXPECT_EQ(signature_digest({10.0, 20.5, 30.25}, 1.0),
-            0xe961c1ea00cea717ull);
-  EXPECT_FALSE(sig.empty());
+  const SideSignatureOptions acoustic_opts{1.0, 5.0, 3, 2};
+  // The recording itself compares clean.
+  EXPECT_FALSE(compare_side(golden, golden, acoustic_opts).sabotage_likely);
 
-  // The recording itself verifies clean.
-  EXPECT_FALSE(verify_signature(sig, golden).sabotage_likely);
-
-  // A print that diverges mid-way from the signed recording is flagged.
+  // A print whose sound diverges mid-way from the recording is flagged.
   plant::SideTrace tampered = golden;
   for (auto& s : tampered) {
     if (s.t_s > 10.0) s.value = 25.0;
   }
-  const SideReport rep = verify_signature(sig, tampered);
+  const SideReport rep = compare_side(golden, tampered, acoustic_opts);
   EXPECT_TRUE(rep.sabotage_likely) << rep.to_string();
   EXPECT_GT(rep.largest_delta, 10.0);
-}
-
-TEST(MasterSignature, DigestBindsLevelsAndWindowSize) {
-  plant::SideTrace golden;
-  for (int i = 0; i < 200; ++i) {
-    golden.push_back({i * 0.05, 40.0 + (i % 7)});
-  }
-  const MasterSignature one = make_master_signature(golden, 1.0);
-  const MasterSignature half = make_master_signature(golden, 0.5);
-  EXPECT_NE(one.digest, half.digest);
-  plant::SideTrace louder = golden;
-  louder[42].value += 1.0;
-  EXPECT_NE(make_master_signature(louder, 1.0).digest, one.digest);
 }
 
 TEST(SideReport, Rendering) {

@@ -520,6 +520,34 @@ TEST(FleetChaos, PowerJamDegradesRingWedgeIsAbsorbed) {
   EXPECT_EQ(report.campaign(), "degraded");
 }
 
+// A live rig performs only the attempt-level drills.  An order it would
+// skip (a session drill, or cachetear, which no mode performs) fails
+// before anything runs or is written, naming the rig and the drill.
+TEST(FleetChaos, RejectsDrillsALiveRigDoesNotPerform) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fleet-chaos-reject";
+  FleetOptions options;
+  options.workers = 1;
+  options.save_captures_dir = dir.string();
+  for (const char* drill : {"disconnect", "framecorrupt", "cachetear"}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<RigSpec> specs(2);
+    specs[1].name = "b";
+    specs[1].chaos = parse_chaos(drill);
+    try {
+      Fleet(options).run(specs);
+      ADD_FAILURE() << "accepted " << drill;
+    } catch (const offramps::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rig 1 ('b')"), std::string::npos) << what;
+      EXPECT_NE(what.find(drill), std::string::npos) << what;
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << drill;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FleetChaos, ReportDeterministicAcrossWorkerCounts) {
   const auto specs = chaos_fleet();
   std::vector<std::uint64_t> digests;

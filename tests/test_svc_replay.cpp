@@ -16,6 +16,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session_wire.hpp"
@@ -159,15 +160,16 @@ TEST(RefCacheCampaign, WarmRunIsByteIdentical) {
 
 TEST(RefCacheCampaign, TornEntryHealsByRecompute) {
   const Recording& rec = recording();
-  // Tear the entry (cachetear drill), run warm: the campaign must
-  // recompute, reproduce the report, and rewrite the entry.
+  // Tear the entry (half of it, as a crash mid-write would leave it),
+  // run warm: the campaign must recompute, reproduce the report, and
+  // rewrite the entry.
   offramps::svc::RefCache probe({.dir = rec.cache_dir, .max_bytes = 0});
   const std::uint64_t key = offramps::svc::reference_digest(
       6.0, 1.5, recorded_options().profile, recorded_options().reference_seed,
       recorded_options().channels);
   const std::string path = probe.path_for(key);
   ASSERT_TRUE(std::filesystem::exists(path));
-  offramps::host::ChaosInjector::tear_cache_entry(path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
 
   FleetOptions options = recorded_options();
   options.cache_dir = rec.cache_dir;
@@ -234,6 +236,25 @@ TEST(Replay, ChaosDrillsLandOnTheLadder) {
   EXPECT_TRUE(report.rigs[1].detector.alarmed) << "sabotage verdict survives";
   EXPECT_EQ(report.rigs[2].status, RigStatus::kLost);
   EXPECT_EQ(report.campaign(), "lost");
+}
+
+// --replay performs only the session drills, at an index inside the
+// corpus.  Any other order fails before a session is judged (judged,
+// these two files would just come back lost).
+TEST(Replay, RejectsChaosItDoesNotPerform) {
+  const auto dir = fresh_dir("replay_chaos_reject");
+  for (const char* name : {"a.ofs", "b.ofs"}) {
+    std::ofstream(dir / name) << "not a session";
+  }
+  const std::vector<std::pair<std::size_t, std::string>> orders{
+      {0, "crash"}, {0, "cachetear"}, {1, "stall:2"}, {2, "framecorrupt"}};
+  for (const auto& [index, drill] : orders) {
+    ReplayOptions options;
+    options.service = service_options();
+    options.chaos.emplace_back(index, parse_chaos(drill));
+    EXPECT_THROW(replay_corpus(dir.string(), options), Error) << drill;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Replay, EmptyOrMissingCorpusThrows) {
