@@ -3,7 +3,9 @@
 #
 #   scripts/check.sh          configure + build (warnings-as-errors) +
 #                             clang-tidy lint + full test suite
-#   scripts/check.sh --quick  skip the test suite (build + lint only)
+#   scripts/check.sh --quick  build + lint, then only the labelled ctest
+#                             suites, the src reach check and the perf
+#                             smokes listed below
 #   scripts/check.sh --fuzz   build the fuzz preset (ASan+UBSan) and run
 #                             each fuzz target for a short budget
 #                             (OFFRAMPS_FUZZ_SECONDS per target,
@@ -97,6 +99,10 @@ else
   # the cross-worker and replay byte-identity drills.
   echo "==> determinism suite (ctest -L determinism)"
   ctest --preset default -L determinism -j "${jobs}"
+  # ...and the checked-in fuzz corpora through every decoder, with the
+  # session-wire harness's chunked-versus-whole-buffer parse check.
+  echo "==> fuzz corpus replay (ctest -L fuzz)"
+  ctest --preset default -L fuzz -j "${jobs}"
   # ...and the fusion layer: channel naming and channel-list order
   # units, the pick_first_trip verdict rule, per-channel attribution,
   # and the multi-modal CLI acceptance drill.

@@ -1,5 +1,10 @@
 #include "core/bytes.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,14 +43,34 @@ void ByteReader::truncated(std::size_t n) const {
 
 std::vector<std::uint8_t> read_file(const std::string& path,
                                     const char* context) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error(std::string(context) + ": cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + in.gcount());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw Error(std::string(context) + ": cannot open " + path);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  // A regular file is read straight into a vector of its length.  Bytes
+  // past that length (a file that grew) and everything a pipe or device
+  // yields arrive through `chunk`; a regular file ends with one empty
+  // read there.
+  struct stat st{};
+  const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  std::vector<std::uint8_t> bytes(regular ? static_cast<std::size_t>(st.st_size)
+                                          : 0);
+  std::size_t have = 0;
+  std::uint8_t chunk[1 << 16];
+  for (;;) {
+    const bool direct = have < bytes.size();
+    const ssize_t n =
+        direct ? ::read(fd, bytes.data() + have, bytes.size() - have)
+               : ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw Error(std::string(context) + ": read failed for " + path);
+    if (n == 0) break;
+    if (!direct) bytes.insert(bytes.end(), chunk, chunk + n);
+    have += static_cast<std::size_t>(n);
   }
-  if (in.bad()) throw Error(std::string(context) + ": read failed for " + path);
+  bytes.resize(have);  // a file that shrank since fstat
   return bytes;
 }
 

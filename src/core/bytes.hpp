@@ -191,7 +191,8 @@ class Fnv1a {
 };
 
 /// Reads a whole file.  Throws offramps::Error("<context>: cannot open
-/// <path>") when it cannot be opened, and on a read error.
+/// <path>") when it cannot be opened, and ("<context>: read failed for
+/// <path>") on a read error, such as a directory.
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path,
                                                   const char* context);
 

@@ -9,14 +9,30 @@
 
 namespace offramps::core {
 
-std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t len) {
-  std::uint16_t crc = 0xFFFF;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc ^= static_cast<std::uint16_t>(data[i]) << 8;
+namespace {
+
+/// kCrc16Table[b]: the CRC register after shifting byte `b` through the
+/// polynomial bit by bit, so the checksum takes one lookup per byte.
+constexpr std::array<std::uint16_t, 256> kCrc16Table = [] {
+  std::array<std::uint16_t, 256> table{};
+  for (std::size_t b = 0; b < table.size(); ++b) {
+    auto crc = static_cast<std::uint16_t>(b << 8);
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
                            : static_cast<std::uint16_t>(crc << 1);
     }
+    table[b] = crc;
+  }
+  return table;
+}();
+
+}  // namespace
+
+std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t len) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc = static_cast<std::uint16_t>((crc << 8) ^
+                                     kCrc16Table[(crc >> 8) ^ data[i]]);
   }
   return crc;
 }

@@ -164,16 +164,16 @@ void FrameReader::fail(const std::string& why) {
   buffer_.clear();
 }
 
-std::size_t FrameReader::drain_buffer(const Callback& cb) {
+std::size_t FrameReader::drain(const std::uint8_t* data, std::size_t size,
+                               const Callback& cb) {
   std::size_t pos = 0;
   if (!header_seen_) {
-    if (buffer_.size() < kStreamHeaderSize) return 0;
-    if (!std::equal(kStreamMagic.begin(), kStreamMagic.end(),
-                    buffer_.begin())) {
+    if (size < kStreamHeaderSize) return 0;
+    if (!std::equal(kStreamMagic.begin(), kStreamMagic.end(), data)) {
       fail("bad stream magic (not an OFSS session)");
       return 0;
     }
-    const auto version = load_le<std::uint16_t>(buffer_.data() + 4);
+    const auto version = load_le<std::uint16_t>(data + 4);
     if (version != kStreamVersion) {
       fail("unsupported session version " + std::to_string(version));
       return 0;
@@ -189,35 +189,39 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
     }
   };
 
-  while (!ended_ && buffer_.size() - pos >= kFrameHeaderSize) {
-    if (load_le<std::uint16_t>(buffer_.data() + pos) != kFrameMagic) {
+  // One Frame serves the whole drain: each type sets every field it
+  // uses, and hello and finish are cleared after their frame (emitted or
+  // not: a hello that fails to decode may have set some fields) so no
+  // later frame carries them.
+  Frame frame;
+  while (!ended_ && size - pos >= kFrameHeaderSize) {
+    if (load_le<std::uint16_t>(data + pos) != kFrameMagic) {
       // Hunt for the next frame boundary, UART-receiver style.
       note_resync();
       std::size_t next = pos + 1;
-      while (next + 1 < buffer_.size() &&
-             load_le<std::uint16_t>(buffer_.data() + next) != kFrameMagic) {
+      while (next + 1 < size &&
+             load_le<std::uint16_t>(data + next) != kFrameMagic) {
         ++next;
       }
-      if (next + 1 >= buffer_.size()) {
+      if (next + 1 >= size) {
         // Keep the final byte: it may be the first half of a magic.
-        pos = buffer_.size() - 1;
+        pos = size - 1;
         break;
       }
       pos = next;
       continue;
     }
-    const std::uint8_t type = buffer_[pos + 2];
-    const auto len = load_le<std::uint32_t>(buffer_.data() + pos + 3);
+    const std::uint8_t type = data[pos + 2];
+    const auto len = load_le<std::uint32_t>(data + pos + 3);
     if (!plausible_frame(type, len)) {
       // Coincidental magic inside a damaged region: step past it.
       note_resync();
       pos += 2;
       continue;
     }
-    if (buffer_.size() - pos - kFrameHeaderSize < len) break;  // wait
+    if (size - pos - kFrameHeaderSize < len) break;  // wait
 
-    const std::uint8_t* payload = buffer_.data() + pos + kFrameHeaderSize;
-    Frame frame;
+    const std::uint8_t* payload = data + pos + kFrameHeaderSize;
     frame.type = static_cast<FrameType>(type);
     bool emit = true;
     switch (frame.type) {
@@ -276,6 +280,8 @@ std::size_t FrameReader::drain_buffer(const Callback& cb) {
       in_resync_gap_ = false;
       cb(frame);
     }
+    if (frame.type == FrameType::kHello) frame.hello = SessionHello{};
+    if (frame.type == FrameType::kFinish) frame.finish.clear();
   }
   return pos;
 }
@@ -284,17 +290,25 @@ std::size_t FrameReader::feed(const std::uint8_t* data, std::size_t n,
                               const Callback& cb) {
   if (ended_) return 0;
   if (failed_) return n;  // discard: the session is already dead
-  buffer_.insert(buffer_.end(), data, data + n);
-  const std::size_t consumed = drain_buffer(cb);
+  // With nothing pending, parse the caller's bytes in place; otherwise
+  // append them to the pending tail of earlier chunks.
+  const bool in_place = buffer_.empty();
+  if (!in_place) buffer_.insert(buffer_.end(), data, data + n);
+  const std::uint8_t* bytes = in_place ? data : buffer_.data();
+  const std::size_t size = in_place ? n : buffer_.size();
+  const std::size_t consumed = drain(bytes, size, cb);
   if (failed_) return n;
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
   if (ended_) {
     // Leftover bytes belong to the next concatenated stream; they all
     // arrived in this chunk (earlier chunks ended inside the kEnd frame).
-    const std::size_t leftover = buffer_.size();
     buffer_.clear();
-    return n - leftover;
+    return n - (size - consumed);
+  }
+  if (in_place) {
+    buffer_.assign(data + consumed, data + n);
+  } else {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
   }
   return n;
 }

@@ -163,7 +163,9 @@ class FrameReader {
 
   /// Feeds `n` bytes.  Returns how many were consumed; short only when
   /// the session ended (kEnd seen) or failed - leftover bytes belong to
-  /// the next stream.  Invokes `cb` once per decoded frame.
+  /// the next stream.  Invokes `cb` once per decoded frame; the Frame is
+  /// reused across calls, so only the fields of its type are meaningful,
+  /// and only during the call.
   std::size_t feed(const std::uint8_t* data, std::size_t n,
                    const Callback& cb);
 
@@ -181,9 +183,13 @@ class FrameReader {
 
  private:
   void fail(const std::string& why);
-  /// Parses complete frames out of buffer_; returns bytes consumed.
-  std::size_t drain_buffer(const Callback& cb);
+  /// Parses complete frames out of `size` bytes at `data`; returns bytes
+  /// consumed.
+  std::size_t drain(const std::uint8_t* data, std::size_t size,
+                    const Callback& cb);
 
+  /// The unconsumed tail of earlier chunks (empty while feed parses a
+  /// chunk in place).
   std::vector<std::uint8_t> buffer_;
   bool header_seen_ = false;
   bool ended_ = false;

@@ -325,10 +325,13 @@ class SideChannel final : public DetectionChannel {
     set_armed(stream_.armed());
   }
 
-  void on_sample(SampleKind kind, double t_s, double value,
-                 const StreamContext& ctx,
+  [[nodiscard]] std::optional<SampleKind> sample_kind() const override {
+    return kind_;
+  }
+
+  void on_sample(double t_s, double value, const StreamContext& ctx,
                  std::vector<ChannelTrip>& trips) override {
-    if (kind != kind_ || !stream_.push(t_s, value)) return;
+    if (!stream_.push(t_s, value)) return;
     // Side-channel trips are attributed to the latest drained
     // transaction window (the stream position the operator can act on).
     const auto window = static_cast<std::uint32_t>(

@@ -4,13 +4,14 @@
 // compare, stream-length overrun, golden-free plausibility, power
 // signature, acoustic master signature, vibration signature, the
 // end-of-print checks - is one `DetectionChannel` object behind a common
-// interface.  The detector delivers each stream event (transaction
-// window, side-channel sample, end of stream) to every enabled channel,
-// collects the `ChannelTrip`s they emit, and fuses them into one
-// first-alarm verdict: the earliest tripped window wins, ties go to the
-// channel earlier in the list.  Each channel also contributes a
-// `ChannelVerdict` attribution row to the report, so a fleet operator can
-// see which modality caught a Trojan and which ones were armed but quiet.
+// interface.  The detector delivers each transaction window and the end
+// of stream to every enabled channel, and each side-channel sample to the
+// channels that read its kind.  It collects the `ChannelTrip`s they emit
+// and fuses them into one first-alarm verdict: the earliest tripped
+// window wins, ties go to the channel earlier in the list.  Each channel
+// also contributes a `ChannelVerdict` attribution row to the report, so a
+// fleet operator can see which modality caught a Trojan and which ones
+// were armed but quiet.
 //
 // The channel list is fixed: `make_channels` builds it in fusion order
 // from the options' `ChannelSet`.  `Channel` is a closed wire enum
@@ -21,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,11 +151,16 @@ class DetectionChannel {
                               std::vector<ChannelTrip>& trips) {
     (void)txn; (void)ctx; (void)trips;
   }
-  /// One side-channel sample (seconds, channel units).
-  virtual void on_sample(SampleKind kind, double t_s, double value,
-                         const StreamContext& ctx,
+  /// The side-channel sample kind this channel reads, if any.  The
+  /// detector asks once, in its constructor, and delivers each sample
+  /// only to the channels that read its kind.
+  [[nodiscard]] virtual std::optional<SampleKind> sample_kind() const {
+    return std::nullopt;
+  }
+  /// One sample of kind sample_kind() (seconds, channel units).
+  virtual void on_sample(double t_s, double value, const StreamContext& ctx,
                          std::vector<ChannelTrip>& trips) {
-    (void)kind; (void)t_s; (void)value; (void)ctx; (void)trips;
+    (void)t_s; (void)value; (void)ctx; (void)trips;
   }
   /// End of stream, with the finalized capture.
   virtual void on_finish(const core::Capture& capture,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "obs/metrics.hpp"
 
@@ -63,7 +64,14 @@ OnlineDetector::OnlineDetector(OnlineDetectorOptions options,
     : ring_(options.ring_capacity),
       refs_(refs),
       channels_(make_channels(options)) {
-  for (auto& channel : channels_) channel->arm(refs_);
+  for (auto& channel : channels_) {
+    channel->arm(refs_);
+    if (const std::optional<SampleKind> kind = channel->sample_kind()) {
+      const auto k = static_cast<std::size_t>(*kind);
+      if (sample_routes_.size() <= k) sample_routes_.resize(k + 1);
+      sample_routes_[k].push_back(channel.get());
+    }
+  }
 }
 
 void OnlineDetector::submit(const core::Transaction& txn) {
@@ -81,12 +89,14 @@ void OnlineDetector::submit(const core::Transaction& txn) {
 
 void OnlineDetector::submit_sample(SampleKind kind, double t_s,
                                    double value) {
+  const auto k = static_cast<std::size_t>(kind);
+  if (k >= sample_routes_.size()) return;  // no channel reads this kind
   // A fresh vector per event is free on the hot path: it only allocates
   // when a channel actually trips, and keeps alarm-callback re-entrancy
   // from sharing scratch state.
   std::vector<ChannelTrip> trips;
-  for (auto& channel : channels_) {
-    channel->on_sample(kind, t_s, value, ctx_, trips);
+  for (DetectionChannel* channel : sample_routes_[k]) {
+    channel->on_sample(t_s, value, ctx_, trips);
   }
   fuse(trips);
 }

@@ -11,11 +11,12 @@
 // Each way of judging the stream is one `DetectionChannel`
 // (svc/channel.hpp); the constructor builds the enabled ones with
 // `make_channels` and arms them against the references.  The detector
-// delivers every event - transaction window, side-channel sample, end of
-// stream - to each channel in list order, then *fuses* the trips they
-// emit into one first-alarm verdict (earliest window wins; ties go to
-// the channel earlier in the list) with per-channel attribution in the
-// report.  The channels, in list order:
+// delivers each transaction window and the end of stream to every
+// channel, and each side-channel sample to the channels that read its
+// kind, in list order; then it *fuses* the trips they emit into one
+// first-alarm verdict (earliest window wins; ties go to the channel
+// earlier in the list) with per-channel attribution in the report.  The
+// channels, in list order:
 //
 //   * golden compare  - windowed step-count compare against a golden
 //                       capture (the paper's section V-C method, via
@@ -195,6 +196,9 @@ class OnlineDetector {
   sim::RingBuffer<core::Transaction> ring_;
   ChannelRefs refs_;
   std::vector<std::unique_ptr<DetectionChannel>> channels_;
+  /// sample_routes_[k]: the channels that read sample kind k, in list
+  /// order (sized past the largest kind any channel reads).
+  std::vector<std::vector<DetectionChannel*>> sample_routes_;
   AlarmCallback on_alarm_;
 
   OnlineReport report_;

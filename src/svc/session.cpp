@@ -23,6 +23,15 @@ void RigSession::on_frame(const core::wire::Frame& frame) {
     fail("session: first frame must be hello");
     return;
   }
+  const bool detector_frame =
+      frame.type == FrameType::kTxn || frame.type == FrameType::kPower ||
+      frame.type == FrameType::kSample || frame.type == FrameType::kSlot;
+  if (detector_frame && saw_finish_) {
+    // The detector has run its end-of-print checks; a later window would
+    // judge a print that is over.
+    fail("session: detector frame after finish");
+    return;
+  }
   try {
     switch (frame.type) {
       case FrameType::kHello: {
@@ -109,13 +118,17 @@ RigOutcome RigSession::outcome() const {
   }
   out.attempts = 1;
 
-  const bool lost = failed_ || !saw_end_ || !has_hello_ || !spec_ok;
+  // A session that ends without its capture never ran the end-of-print
+  // channels, so its verdict is incomplete.
+  const bool lost =
+      failed_ || !saw_end_ || !has_hello_ || !spec_ok || !saw_finish_;
   if (lost) {
     out.status = RigStatus::kLost;
     out.failure_cause = failed_       ? error_
                         : !has_hello_ ? "session: no hello"
                         : !spec_ok    ? "session: malformed spec in hello"
-                                      : "session: disconnected before end";
+                        : !saw_end_   ? "session: disconnected before end"
+                                      : "session: end before finish";
     out.attempts = has_hello_ ? 1 : 0;
     return out;
   }

@@ -24,7 +24,9 @@
 //   transactions                         failure cause)
 //   disconnect, protocol error, bad   -> kLost (quarantined; the
 //   capture blob, object size outside    detector verdict is void)
-//   the printer, reference failure
+//   the printer, reference failure,
+//   an end without a finish, a
+//   detector frame after the finish
 #pragma once
 
 #include <cstddef>

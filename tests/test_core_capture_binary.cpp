@@ -1,11 +1,13 @@
 // core::Capture binary serialization: the versioned, length-prefixed
 // format fleet runs use to persist and replay captures.  Round-trip
 // identity, tamper rejection (magic/version, trailing bytes), and
-// truncation detection at every structurally interesting cut point.
+// truncation detection at every structurally interesting cut point; and
+// core::read_file, the one file reader under the binary formats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/bytes.hpp"
@@ -15,7 +17,9 @@
 namespace {
 
 using offramps::core::Capture;
+using offramps::core::read_file;
 using offramps::core::Transaction;
+using offramps::core::write_file_atomic;
 
 Capture sample_capture() {
   Capture cap;
@@ -144,6 +148,50 @@ TEST(CaptureBinary, FileRoundTrip) {
 TEST(CaptureBinary, MissingFileThrows) {
   EXPECT_THROW(Capture::load_binary("/nonexistent/dir/capture.bin"),
                offramps::Error);
+}
+
+/// The message read_file throws for `path`, or "" when it returns.
+std::string read_error(const std::string& path) {
+  try {
+    (void)read_file(path, "test");
+  } catch (const offramps::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReadFile, EmptyFileIsZeroBytes) {
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "read_file_empty.bin";
+  write_file_atomic(path.string(), {}, "test");
+  EXPECT_TRUE(read_file(path.string(), "test").empty());
+  std::filesystem::remove(path);
+}
+
+TEST(ReadFile, ReadsAFileOneBytePastTheChunkSize) {
+  std::vector<std::uint8_t> bytes((1u << 16) + 1);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "read_file_65537.bin";
+  write_file_atomic(path.string(), bytes, "test");
+  EXPECT_EQ(read_file(path.string(), "test"), bytes);
+  std::filesystem::remove(path);
+}
+
+TEST(ReadFile, NonRegularFileIsReadToItsEnd) {
+  EXPECT_TRUE(read_file("/dev/null", "test").empty());
+}
+
+TEST(ReadFile, DirectoryIsAReadFailure) {
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(read_error(dir), "test: read failed for " + dir);
+}
+
+TEST(ReadFile, MissingPathCannotBeOpened) {
+  EXPECT_EQ(read_error("/nonexistent/dir/file.bin"),
+            "test: cannot open /nonexistent/dir/file.bin");
 }
 
 }  // namespace

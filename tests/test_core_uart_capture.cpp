@@ -1,6 +1,11 @@
 // Unit tests for the UART reporter and the capture data model (byte
-// serialization, CSV round trip).
+// serialization, the frame CRC, CSV round trip).
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/uart.hpp"
 #include "sim/error.hpp"
@@ -44,6 +49,41 @@ TEST(Transaction, FrameRejectsAFlippedPayloadBit) {
   EXPECT_EQ(intact->counts, a.counts);
   frame[8] ^= 0x40;  // flip one payload bit: the CRC must catch it
   EXPECT_FALSE(Transaction::from_frame(frame, 0).has_value());
+}
+
+TEST(Crc16, KnownAnswerIsCcittFalse) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc16_ccitt(reinterpret_cast<const std::uint8_t*>(check.data()),
+                        check.size()),
+            0x29B1);
+  EXPECT_EQ(crc16_ccitt(nullptr, 0), 0xFFFF);
+}
+
+/// The bit-by-bit CRC-16/CCITT-FALSE the lookup table is built from.
+std::uint16_t crc16_bitwise(const std::uint8_t* data, std::size_t len) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= static_cast<std::uint16_t>(data[i] << 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                           : static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16, TableMatchesTheBitwiseLoop) {
+  std::mt19937 rng(1021);
+  std::vector<std::uint8_t> bytes;
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      bytes.resize(len);
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+      ASSERT_EQ(crc16_ccitt(bytes.data(), len),
+                crc16_bitwise(bytes.data(), len))
+          << "round " << round << ", length " << len;
+    }
+  }
 }
 
 TEST(Capture, CsvRoundTrip) {

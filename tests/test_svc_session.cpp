@@ -3,8 +3,9 @@
 // capture and a recorded stream that replays it stand in for a live
 // rig.  Clean streams land on kOk with the end-frame facts mapped into
 // the outcome; CRC-dropped transactions land on kRecovered; disconnects,
-// protocol violations, malformed hello specs, bad capture blobs, and
-// reference-resolution failures all land on kLost.
+// protocol violations, malformed hello specs, bad capture blobs,
+// reference-resolution failures, an end without a finish and a detector
+// frame after the finish all land on kLost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -321,6 +322,82 @@ TEST(RigSession, SabotagedStreamAlarmsButStaysOk) {
   EXPECT_EQ(out.status, RigStatus::kOk);
   EXPECT_TRUE(out.detector.alarmed)
       << "halved extrusion against the golden must trip the compare channel";
+}
+
+/// The stream of a rig whose print ends 50 E steps short of `golden`,
+/// with or without its kFinish frame.
+std::vector<std::uint8_t> short_print_stream(const Capture& golden,
+                                             bool with_finish) {
+  Capture observed = golden;
+  observed.final_counts[3] -= 50;
+  SessionRecorder rec;
+  rec.hello(clean_hello());
+  for (const Transaction& t : observed.transactions) {
+    rec.txn(t);
+    rec.slot();
+  }
+  if (with_finish) rec.finish(observed);
+  rec.end({.print_finished = true,
+           .safe_stopped = false,
+           .sim_seconds = 42.5,
+           .final_counts = {observed.final_counts[0], observed.final_counts[1],
+                            observed.final_counts[2],
+                            observed.final_counts[3]}});
+  return rec.bytes();
+}
+
+// The end-of-print channels run on kFinish.  A stream that ends without
+// it (stripped, or skipped as framing damage) was never judged on its
+// final counts, so it must not pass as a clean, quiet session.
+TEST(RigSession, EndWithoutFinishIsLost) {
+  const Capture golden = synthetic_golden();
+  const RigOutcome judged = run_session(short_print_stream(golden, true),
+                                        golden);
+  EXPECT_EQ(judged.status, RigStatus::kOk);
+  EXPECT_TRUE(judged.detector.alarmed);
+  EXPECT_EQ(judged.detector.first_channel,
+            offramps::svc::Channel::kFinalCounts);
+
+  const RigOutcome out = run_session(short_print_stream(golden, false),
+                                     golden);
+  EXPECT_EQ(out.status, RigStatus::kLost);
+  EXPECT_EQ(out.failure_cause, "session: end before finish");
+  EXPECT_EQ(out.attempts, 1u);
+}
+
+// After kFinish the detector has run its end-of-print checks; a window,
+// sample or slot that follows would be judged against a finished print.
+TEST(RigSession, DetectorFrameAfterFinishIsLost) {
+  const Capture golden = synthetic_golden();
+  const std::vector<void (*)(SessionRecorder&)> late_frames = {
+      [](SessionRecorder& rec) { rec.txn(Transaction{}); },
+      [](SessionRecorder& rec) { rec.power(1.0, 20.0); },
+      [](SessionRecorder& rec) {
+        rec.sample(static_cast<std::uint8_t>(SampleKind::kAcoustic), 1.0,
+                   40.0);
+      },
+      [](SessionRecorder& rec) { rec.slot(); },
+  };
+  for (std::size_t i = 0; i < late_frames.size(); ++i) {
+    SessionRecorder rec;
+    rec.hello(clean_hello());
+    for (const Transaction& t : golden.transactions) {
+      rec.txn(t);
+      rec.slot();
+    }
+    rec.finish(golden);
+    late_frames[i](rec);
+    rec.end({.print_finished = true,
+             .safe_stopped = false,
+             .sim_seconds = 42.5,
+             .final_counts = {golden.final_counts[0], golden.final_counts[1],
+                              golden.final_counts[2],
+                              golden.final_counts[3]}});
+    const RigOutcome out = run_session(rec.bytes(), golden);
+    EXPECT_EQ(out.status, RigStatus::kLost) << "late frame " << i;
+    EXPECT_EQ(out.failure_cause, "session: detector frame after finish")
+        << "late frame " << i;
+  }
 }
 
 // A hello naming an object the printer cannot hold - or one whose size
