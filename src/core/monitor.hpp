@@ -35,19 +35,25 @@ class EdgeDetector {
   using Callback = std::function<void(sim::Edge, sim::Tick)>;
 
   /// `only`, when set, is the one edge the consumer reads: the other
-  /// edge is dropped at the wire and schedules no clock-sync event.
+  /// edge is dropped at the wire and schedules no clock-sync event.  A
+  /// detector of rising edges only registers as such (Reads::kRisingEdges),
+  /// so a STEP pulse's fall it does not read can land without an event.
   EdgeDetector(sim::Scheduler& sched, sim::Wire& wire, Callback cb,
                std::optional<sim::Edge> only = std::nullopt)
       : sched_(sched), wire_(wire), cb_(std::move(cb)) {
-    id_ = wire.on_edge([this, only](sim::Edge e, sim::Tick t) {
-      if (only && e != *only) return;
-      const sim::Tick sampled = sim::align_to_fpga_clock(t);
-      if (sampled == t) {
-        cb_(e, t);
-      } else {
-        sched_.schedule_at(sampled, [this, e, sampled] { cb_(e, sampled); });
-      }
-    });
+    id_ = wire.on_edge(
+        [this, only](sim::Edge e, sim::Tick t) {
+          if (only && e != *only) return;
+          const sim::Tick sampled = sim::align_to_fpga_clock(t);
+          if (sampled == t) {
+            cb_(e, t);
+          } else {
+            sched_.schedule_at(sampled,
+                               [this, e, sampled] { cb_(e, sampled); });
+          }
+        },
+        only == sim::Edge::kRising ? sim::Reads::kRisingEdges
+                                   : sim::Reads::kEveryEdge);
   }
 
   EdgeDetector(const EdgeDetector&) = delete;

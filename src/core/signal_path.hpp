@@ -16,6 +16,14 @@
 // The output is the OR of the (possibly filtered) pass-through level and
 // the injection level, overridden entirely while forced - i.e. the
 // multiplexer structure of the paper's Trojan Control Module.
+//
+// A pulse fall that lands on the input without an event (sim::Wire::pulse)
+// is passed on as one on the output, `prop_delay` later, when the rise
+// reaches the output: no propagation event is scheduled for it.  The path
+// reads its input's falls as events instead while anything may see the
+// difference: a reader of the output's falls, a fault on it, a force or
+// an injection in progress, a pulse filter dropping the pulse, or a
+// Trojan suite armed on the board (keep_fall_events).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +36,7 @@
 namespace offramps::core {
 
 /// FPGA-mediated connection from `in` to `out`.
-class SignalPath {
+class SignalPath final : private sim::FallSource {
  public:
   /// Predicate consulted on each input rising edge while pass-through is
   /// live; returning false drops that entire pulse (rising + falling).
@@ -55,6 +63,10 @@ class SignalPath {
   /// Installs (or clears, with nullptr) the pulse filter.
   void set_pulse_filter(PulseFilter filter);
 
+  /// Makes the path read every input fall as an event: a Trojan hook may
+  /// filter, force or inject on it at any time (TrojanController::arm).
+  void keep_fall_events();
+
   /// Injects one positive pulse of `width` onto the output.  If the output
   /// is currently high, the injection retries after `width` so distinct
   /// pulses never merge (the paper's pulse generator waits for a gap
@@ -72,7 +84,14 @@ class SignalPath {
 
  private:
   void on_input_edge(sim::Edge e);
+  void deliver_rise();
   void update_output();
+  /// Before the path acts on pass_level_: a fall it forwarded without an
+  /// event that has not landed becomes its propagation event; one that
+  /// has landed takes pass_level_ low.
+  void settle_forwarded_fall();
+  void file_fall(sim::Tick t, std::uint64_t seq) override;
+  void fall_dropped() override { forwarded_ = false; }
 
   sim::Scheduler& sched_;
   sim::Wire& in_;
@@ -87,6 +106,8 @@ class SignalPath {
 
   bool pass_level_ = false;  // pass-through contribution (post delay)
   bool inj_level_ = false;   // injection contribution
+  bool keep_fall_events_ = false;
+  bool forwarded_ = false;   // out_ holds a fall this path passed on
 
   std::uint64_t passed_ = 0;
   std::uint64_t dropped_ = 0;

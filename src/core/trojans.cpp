@@ -437,6 +437,11 @@ TrojanController::TrojanController(Fpga& fpga) : fpga_(fpga) {}
 void TrojanController::arm(const TrojanSuiteConfig& config) {
   if (armed_) throw Error("TrojanController::arm: already armed");
   armed_ = true;
+  // Trojan hooks filter, force and inject on the paths at any time, so
+  // an armed board forwards every fall as an event.
+  for (std::size_t i = 0; i < sim::kPinCount; ++i) {
+    fpga_.path(static_cast<sim::Pin>(i)).keep_fall_events();
+  }
   if (config.t1) {
     add(std::make_unique<T1AxisShift>(fpga_, *config.t1),
         config.t1->delay_after_homing_s);

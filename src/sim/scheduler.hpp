@@ -22,6 +22,14 @@
 // members and flushed to the registry in batches so the per-event cost is
 // an increment and a compare, not atomic RMWs and clock reads (see
 // execute_instrumented).
+//
+// A component may also take a sequence number without filing a key
+// (`reserve`): `sim::Wire` lands a STEP-pulse fall that nothing reads at
+// such a reserved (time, seq) place, judged by `passed`, and files it
+// with `schedule_reserved` only if it must become an event after all.
+// Reserved places are not events: `pending()`, `idle()` and `executed()`
+// leave them out, and `run_all` advances `now()` past the last of them,
+// where the run would have ended had each been an event.
 #pragma once
 
 #include <algorithm>
@@ -67,16 +75,7 @@ class Scheduler {
       t = std::max(now_, time_warp_(now_, t));
       ++warped_events_;
     }
-    std::uint32_t slot = 0;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(std::move(cb));
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(cb);
-    }
-    push(Key{t, next_seq_++, slot});
+    push(Key{t, next_seq_++, store(std::move(cb))});
   }
 
   /// Timing-fault hook (`sim::FaultInjector`): maps each requested event
@@ -93,6 +92,33 @@ class Scheduler {
   /// Schedules `cb` to run `dt` ticks from now.
   void schedule_in(Tick dt, Callback cb) {
     schedule_at(now_ + dt, std::move(cb));
+  }
+
+  /// Takes the sequence number an event scheduled now for `t` would get,
+  /// without filing one.  The caller owns the (t, seq) place: it acts
+  /// there through passed(), or files an event there with
+  /// schedule_reserved().  No time warp applies to a reserved place.
+  [[nodiscard]] std::uint64_t reserve(Tick t) {
+    if (t > reserved_until_) reserved_until_ = t;
+    return next_seq_++;
+  }
+
+  /// Files `cb` at a (t, seq) place taken with reserve() that the drain
+  /// has not passed yet: it runs exactly where an event scheduled at the
+  /// reservation would have.
+  void schedule_reserved(Tick t, std::uint64_t seq, Callback cb) {
+    if (passed(t, seq)) {
+      throw Error("Scheduler::schedule_reserved: place already passed");
+    }
+    push(Key{t, seq, store(std::move(cb))});
+  }
+
+  /// True once the run has drained past (t, seq): an event there would
+  /// already have run.  Inside a callback that is every place before the
+  /// running event; after run_until(t) or a drained run_all(), every
+  /// place up to now().
+  [[nodiscard]] bool passed(Tick t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq < drained_seq_);
   }
 
   /// Number of events currently pending.
@@ -131,7 +157,7 @@ class Scheduler {
   std::size_t run_until(Tick t) {
     std::size_t n = 0;
     while (!stop_requested_ && step_if_before(t)) ++n;
-    if (!stop_requested_ && now_ < t) now_ = t;
+    if (!stop_requested_) drained_to(t);
 #if OFFRAMPS_OBS_ENABLED
     if (obs_batch_events_ != 0) flush_obs();
 #endif
@@ -153,6 +179,7 @@ class Scheduler {
       step();
       ++n;
     }
+    if (!stop_requested_) drained_to(std::max(now_, reserved_until_));
 #if OFFRAMPS_OBS_ENABLED
     if (obs_batch_events_ != 0) flush_obs();
 #endif
@@ -189,6 +216,26 @@ class Scheduler {
     }
   };
 
+  /// Puts a callback into a free slot and returns the slot.
+  std::uint32_t store(Callback&& cb) {
+    if (free_slots_.empty()) {
+      slots_.push_back(std::move(cb));
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+    return slot;
+  }
+
+  /// Every event due by `t` has run: moves now() up to `t` and marks each
+  /// place at now() passed.
+  void drained_to(Tick t) {
+    if (t < now_) return;
+    now_ = t;
+    drained_seq_ = ~std::uint64_t{0};
+  }
+
   /// Files a key in (time, seq) order, scanning from the earliest end,
   /// where near-future keys land: only the keys due before it move.
   void push(const Key& key) {
@@ -208,6 +255,7 @@ class Scheduler {
     Callback cb = std::move(slots_[key.slot]);
     free_slots_.push_back(key.slot);
     now_ = key.time;
+    drained_seq_ = key.seq;
     ++executed_;
 #if OFFRAMPS_OBS_ENABLED
     // One relaxed load + untaken branch on the everyday path (bench_obs
@@ -272,6 +320,11 @@ class Scheduler {
   std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;
   Tick now_ = 0;
+  /// Places at now() with a lower seq have passed (the running event's
+  /// seq, or all of them once the run has drained to now()).
+  std::uint64_t drained_seq_ = 0;
+  /// Latest tick of a reserve()d place.
+  Tick reserved_until_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t warped_events_ = 0;

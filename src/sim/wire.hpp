@@ -16,6 +16,12 @@
 // per edge, and the scheduler runs same-tick events in the order they
 // were scheduled, so simultaneous edges keep a deterministic listener
 // interleaving.
+//
+// Each listener says which edges it reads (`Reads`).  A STEP pulse's fall
+// that no listener reads is not scheduled: it takes the sequence number
+// its event would have had and lands at that (tick, seq) place in drain
+// order (`Wire::pulse`), and a forwarder passes it on to its output the
+// same way.  Nothing that reads the net can tell the difference.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +41,35 @@ namespace offramps::sim {
 /// Direction of a digital transition.
 enum class Edge : std::uint8_t { kRising, kFalling };
 
+/// Which edges a listener reads.  A wire schedules a pulse's fall as an
+/// event only when a listener may read it (see Wire::pulse).
+enum class Reads : std::uint8_t {
+  /// Both edges: taps, duty meters, falling-edge filters.  The default.
+  kEveryEdge,
+  /// Rising edges only (step counters): falls are never delivered.
+  kRisingEdges,
+  /// A jumper or FPGA path driving another wire.  It gets both edges,
+  /// and passes on a fall that lands without an event as another such
+  /// fall on its output, or asks for the event (see "Forwarders" below).
+  kForwarding,
+};
+
+/// The owner of a fall that a wire lands without an event on behalf of a
+/// forwarder (an FPGA path).  Told when that fall must become an event
+/// after all, or is dropped.
+class FallSource {
+ public:
+  /// The fall must become an event: file the one the forwarder would
+  /// have filed, at the reserved place (t, seq).
+  virtual void file_fall(Tick t, std::uint64_t seq) = 0;
+  /// The fall is dropped: the input fall it followed became an event,
+  /// which reaches the forwarder as an edge.
+  virtual void fall_dropped() = 0;
+
+ protected:
+  ~FallSource() = default;
+};
+
 /// One digital net.  Not copyable or movable: listeners capture `this`.
 class Wire {
  public:
@@ -49,13 +84,14 @@ class Wire {
   Wire& operator=(const Wire&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] bool level() const { return level_; }
+  [[nodiscard]] bool level() const { return level_ && !fall_landed(); }
 
   /// Drives the wire to `level` at the current simulation time.  A no-op if
   /// the level is unchanged; otherwise all edge listeners fire immediately.
   /// While a fault is forced onto the net the drive is recorded but masked:
   /// observers keep seeing the fault level.
   void set(bool level) {
+    settle();
     driven_ = level;
     if (fault_.has_value()) {
       if (level != level_) ++fault_masked_drives_;
@@ -70,6 +106,7 @@ class Wire {
   /// This is the hook `sim::FaultInjector` uses for stuck-at and glitch
   /// faults; it is not part of the normal driver API.
   void force_fault(std::optional<bool> level) {
+    file_pending_fall();
     fault_ = level;
     apply(level.value_or(driven_));
   }
@@ -81,25 +118,48 @@ class Wire {
   }
 
   /// Emits a positive pulse: rising edge now, falling edge `width` later.
+  ///
+  /// The fall is an event only when something may read it: a listener of
+  /// every edge, a forwarder that asks for it, a fault on the net, a
+  /// scheduler time warp, or a wire that was already high.  Otherwise it
+  /// takes the sequence number its event would have had and lands without
+  /// one: level(), set(), force_fault(), falling_count() and last_change()
+  /// treat it as done once the run has passed that (tick, seq) place.  It
+  /// becomes its event again, at that place, when a reader of falls
+  /// registers or a fault is forced while it waits, and when the next
+  /// pulse starts first.
   void pulse(Tick width) {
+    file_pending_fall();
+    const Tick fall = sched_.now() + width;
+    arming_ = !level_ && can_land_unread();
+    arming_fall_ = fall;
     set(true);
-    sched_.schedule_in(width, [this] { set(false); });
+    if (std::exchange(arming_, false)) {
+      hold_fall(fall, nullptr);
+    } else {
+      sched_.schedule_in(width, [this] { set(false); });
+    }
   }
 
-  /// Registers a listener invoked on every edge.  Returns an id usable with
-  /// remove_listener().
-  ListenerId on_edge(EdgeCallback cb) {
+  /// Registers a listener for the edges it `reads`.  Returns an id usable
+  /// with remove_listener().  A listener that reads falls turns a fall
+  /// waiting to land without an event back into its event.
+  ListenerId on_edge(EdgeCallback cb, Reads reads = Reads::kEveryEdge) {
+    if (reads != Reads::kRisingEdges) {
+      arming_ = false;
+      file_pending_fall();
+    }
+    if (reads == Reads::kEveryEdge) ++fall_readers_;
     const ListenerId id = next_listener_id_++;
-    listeners_.emplace_back(id, std::move(cb));
+    listeners_.emplace_back(Listener{id, reads, std::move(cb)});
     return id;
   }
 
   /// Convenience: listener fired only on rising edges.
   template <typename F>
   ListenerId on_rising(F cb) {
-    return on_edge([f = std::move(cb)](Edge e, Tick t) mutable {
-      if (e == Edge::kRising) f(t);
-    });
+    return on_edge([f = std::move(cb)](Edge, Tick t) mutable { f(t); },
+                   Reads::kRisingEdges);
   }
 
   /// Convenience: listener fired only on falling edges.
@@ -115,11 +175,12 @@ class Wire {
   /// in flight, so jumper re-routing cannot grow the listener storage (or
   /// the per-edge scan) without bound.
   void remove_listener(ListenerId id) {
-    for (auto& [lid, cb] : listeners_) {
-      if (lid == id) {
-        if (cb != nullptr) {
-          cb = nullptr;
+    for (auto& l : listeners_) {
+      if (l.id == id) {
+        if (l.cb != nullptr) {
+          l.cb = nullptr;
           ++dead_listeners_;
+          if (l.reads == Reads::kEveryEdge) --fall_readers_;
         }
         break;
       }
@@ -140,13 +201,130 @@ class Wire {
   /// Number of rising edges since construction.
   [[nodiscard]] std::uint64_t rising_count() const { return rising_count_; }
   /// Number of falling edges since construction.
-  [[nodiscard]] std::uint64_t falling_count() const { return falling_count_; }
+  [[nodiscard]] std::uint64_t falling_count() const {
+    return falling_count_ + (level_ && fall_landed() ? 1 : 0);
+  }
   /// Time of the most recent transition (0 if never driven).
-  [[nodiscard]] Tick last_change() const { return last_change_; }
+  [[nodiscard]] Tick last_change() const {
+    return level_ && fall_landed() ? fall_tick_ : last_change_;
+  }
 
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
 
+  // --- Forwarders (Reads::kForwarding) -------------------------------------
+  //
+  // In its rising-edge callback a forwarder reads arming_fall() and may
+  // ask for the fall as an event (keep_fall_event).  When the rise
+  // reaches its output, it takes on the fall still waiting here
+  // (follow_pending_fall) and lands its output's fall at that tick plus
+  // its delay (land_unread_at).  If this fall becomes an event after all,
+  // the follower's fall is dropped, since the event reaches the forwarder
+  // as an edge; a forwarder that gets a falling edge calls unfollow() and
+  // drops its output's fall itself.
+
+  /// Inside the rising-edge callback of pulse(): the tick of a fall that
+  /// will land without an event, or nullopt when the fall is an event.
+  [[nodiscard]] std::optional<Tick> arming_fall() const {
+    return arming_ ? std::optional<Tick>(arming_fall_) : std::nullopt;
+  }
+  /// Inside that callback: makes the fall an event after all.
+  void keep_fall_event() { arming_ = false; }
+
+  /// True when nothing needs this wire's falls as events.
+  [[nodiscard]] bool can_land_unread() const {
+    return fall_readers_ == 0 && !fault_.has_value() &&
+           !sched_.time_warp_active();
+  }
+
+  /// The tick of the fall still waiting to land here without an event,
+  /// now followed by `follower`; nullopt when none waits.  A fall another
+  /// wire already follows becomes its event instead, so both see it.
+  std::optional<Tick> follow_pending_fall(Wire& follower) {
+    settle();
+    if (!fall_pending_) return std::nullopt;
+    if (follower_ != nullptr && follower_ != &follower) {
+      file_pending_fall();
+      return std::nullopt;
+    }
+    follower_ = &follower;
+    return fall_tick_;
+  }
+
+  /// Stops `follower` following the waiting fall.  True if it did.
+  bool unfollow(const Wire& follower) {
+    if (follower_ != &follower) return false;
+    follower_ = nullptr;
+    return true;
+  }
+
+  /// Lands a fall at `t` without an event, taking its sequence number now
+  /// (a forwarded pulse's fall).  `source`, when set, files or hears about
+  /// dropping it.  Call only while can_land_unread().
+  void land_unread_at(Tick t, FallSource* source = nullptr) {
+    file_pending_fall();
+    hold_fall(t, source);
+  }
+
+  /// Turns a fall still waiting to land without an event into its event,
+  /// at its reserved place.  A no-op when none waits.
+  void file_pending_fall() {
+    settle();
+    if (!fall_pending_) return;
+    fall_pending_ = false;
+    if (Wire* f = std::exchange(follower_, nullptr)) f->drop_pending_fall();
+    if (FallSource* s = std::exchange(fall_source_, nullptr)) {
+      s->file_fall(fall_tick_, fall_seq_);
+    } else {
+      sched_.schedule_reserved(fall_tick_, fall_seq_, [this] { set(false); });
+    }
+  }
+
+  /// Forgets a fall still waiting to land without an event: the input
+  /// fall it was forwarded from became an event, or never will reach it.
+  void drop_pending_fall() {
+    settle();
+    if (!fall_pending_) return;
+    fall_pending_ = false;
+    if (Wire* f = std::exchange(follower_, nullptr)) f->drop_pending_fall();
+    if (FallSource* s = std::exchange(fall_source_, nullptr)) s->fall_dropped();
+  }
+
  private:
+  struct Listener {
+    ListenerId id = 0;
+    Reads reads = Reads::kEveryEdge;
+    EdgeCallback cb;
+  };
+
+  /// True once the run has passed the place of a fall waiting to land
+  /// without an event (settle() applies it on the next write).
+  [[nodiscard]] bool fall_landed() const {
+    return fall_pending_ && sched_.passed(fall_tick_, fall_seq_);
+  }
+
+  /// Applies a landed fall as its event would have: the drive and the
+  /// level fall, and no listener hears it, since none reads it.
+  void settle() {
+    if (!fall_landed()) return;
+    fall_pending_ = false;
+    follower_ = nullptr;
+    fall_source_ = nullptr;
+    driven_ = false;
+    if (level_) {
+      level_ = false;
+      last_change_ = fall_tick_;
+      ++falling_count_;
+    }
+  }
+
+  void hold_fall(Tick t, FallSource* source) {
+    fall_tick_ = t;
+    fall_seq_ = sched_.reserve(t);
+    fall_source_ = source;
+    follower_ = nullptr;
+    fall_pending_ = true;
+  }
+
   /// Switches the observable level and fires listeners (the body of the
   /// pre-fault `set()`).
   void apply(bool level) {
@@ -176,8 +354,9 @@ class Wire {
     } guard(*this);
     const std::size_t n = listeners_.size();
     for (std::size_t i = 0; i < n; ++i) {
-      if (listeners_[i].second != nullptr) {
-        listeners_[i].second.invoke_unchecked(e, t);
+      Listener& l = listeners_[i];
+      if (l.cb != nullptr && (level || l.reads != Reads::kRisingEdges)) {
+        l.cb.invoke_unchecked(e, t);
       }
     }
   }
@@ -189,8 +368,7 @@ class Wire {
         dead_listeners_ == 0) {
       return;
     }
-    listeners_.remove_if(
-        [](const auto& slot) { return slot.second == nullptr; });
+    listeners_.remove_if([](const Listener& l) { return l.cb == nullptr; });
     dead_listeners_ = 0;
   }
 
@@ -205,8 +383,21 @@ class Wire {
   std::uint64_t falling_count_ = 0;
   ListenerId next_listener_id_ = 0;
   std::size_t dead_listeners_ = 0;
+  /// Live Reads::kEveryEdge listeners.
+  std::size_t fall_readers_ = 0;
   int delivering_ = 0;
-  SmallVec<std::pair<ListenerId, EdgeCallback>, 2> listeners_;
+  SmallVec<Listener, 2> listeners_;
+  /// A fall waiting to land without an event at (fall_tick_, fall_seq_).
+  bool fall_pending_ = false;
+  Tick fall_tick_ = 0;
+  std::uint64_t fall_seq_ = 0;
+  FallSource* fall_source_ = nullptr;
+  /// The wire a forwarder passed the waiting fall on to.
+  Wire* follower_ = nullptr;
+  /// Inside pulse(): the fall may still land without an event, at
+  /// arming_fall_.
+  bool arming_ = false;
+  Tick arming_fall_ = 0;
 };
 
 /// One analog net carrying a slowly varying value (ADC counts or volts).
@@ -290,9 +481,13 @@ class Connection {
   ~Connection() { disconnect(); }
 
   /// Detaches the forwarding listener; the destination keeps its last level.
+  /// A source fall still waiting to land without an event becomes its
+  /// event, which drops the fall passed on for it: a jumper pulled before
+  /// its source falls does not forward that fall.
   void disconnect() {
     if (src_ != nullptr) {
       src_->remove_listener(id_);
+      src_->file_pending_fall();
       src_ = nullptr;
     }
   }
@@ -309,18 +504,42 @@ class Connection {
 /// via a dedicated fast-path listener: no scheduler trip and no per-edge
 /// delay branch.  The destination is immediately synchronized to the
 /// source's present level.  Returns a handle that detaches the forwarding
-/// when destroyed.
+/// when destroyed.  A delayed connection passes a pulse fall that lands
+/// without an event on as another such fall, `delay` later, while
+/// nothing reads the destination's falls (Reads::kForwarding).
 inline Connection connect(Wire& src, Wire& dst, Tick delay = 0) {
   dst.set(src.level());
   Wire::ListenerId id;
   if (delay == 0) {
     id = src.on_edge(
-        [&dst](Edge e, Tick) { dst.set(e == Edge::kRising); });
+        [&src, &dst](Edge e, Tick) {
+          src.keep_fall_event();
+          dst.set(e == Edge::kRising);
+        },
+        Reads::kForwarding);
   } else {
-    id = src.on_edge([&dst, delay](Edge e, Tick) {
-      const bool lvl = (e == Edge::kRising);
-      dst.scheduler().schedule_in(delay, [&dst, lvl] { dst.set(lvl); });
-    });
+    id = src.on_edge(
+        [&src, &dst, delay](Edge e, Tick t) {
+          Scheduler& sched = dst.scheduler();
+          if (e == Edge::kFalling) {
+            if (src.unfollow(dst)) dst.drop_pending_fall();
+            sched.schedule_in(delay, [&dst] { dst.set(false); });
+            return;
+          }
+          if (const auto fall = src.arming_fall();
+              fall && (*fall < t + delay || !dst.can_land_unread())) {
+            src.keep_fall_event();
+          }
+          sched.schedule_in(delay, [&src, &dst, delay] {
+            dst.set(true);
+            if (!dst.can_land_unread()) {
+              src.file_pending_fall();
+            } else if (const auto fall = src.follow_pending_fall(dst)) {
+              dst.land_unread_at(*fall + delay);
+            }
+          });
+        },
+        Reads::kForwarding);
   }
   return Connection(src, id);
 }

@@ -307,18 +307,23 @@ class GoldenFreeChannel final : public DetectionChannel {
 /// One physical side channel (power, acoustic, vibration): per-window
 /// mean compare of its samples against its golden trace.  For acoustic
 /// this is the audio-signing check - the golden trace's window levels
-/// (detect::window_means, taken in arm()) are the signature.
+/// (detect::window_means, taken once per reference) are the signature.
 class SideChannel final : public DetectionChannel {
  public:
   using Golden = const plant::SideTrace* ChannelRefs::*;
+  using Means = const WindowMeans* ChannelRefs::*;
 
   SideChannel(Channel id, SampleKind kind,
-              const detect::SideSignatureOptions& options, Golden golden)
+              const detect::SideSignatureOptions& options, Golden golden,
+              Means means)
       : DetectionChannel(id), kind_(kind), options_(options),
-        golden_(golden) {}
+        golden_(golden), means_(means) {}
 
   void arm(const ChannelRefs& refs) override {
-    if (const plant::SideTrace* golden = refs.*golden_) {
+    const WindowMeans* means = refs.*means_;
+    if (means != nullptr && means->window_s == options_.window_s) {
+      stream_.arm(means->means, options_);
+    } else if (const plant::SideTrace* golden = refs.*golden_) {
       stream_.arm(detect::window_means(*golden, options_.window_s),
                   options_);
     }
@@ -347,6 +352,7 @@ class SideChannel final : public DetectionChannel {
   SampleKind kind_;
   detect::SideSignatureOptions options_;
   Golden golden_;
+  Means means_;
   WindowStream stream_;
 };
 
@@ -446,17 +452,17 @@ std::vector<std::unique_ptr<DetectionChannel>> make_channels(
   if (set.power) {
     out.push_back(std::make_unique<SideChannel>(
         Channel::kPower, SampleKind::kPower, options.power,
-        &ChannelRefs::golden_power));
+        &ChannelRefs::golden_power, &ChannelRefs::power_means));
   }
   if (set.acoustic) {
     out.push_back(std::make_unique<SideChannel>(
         Channel::kAcoustic, SampleKind::kAcoustic, options.acoustic,
-        &ChannelRefs::golden_acoustic));
+        &ChannelRefs::golden_acoustic, &ChannelRefs::acoustic_means));
   }
   if (set.vibration) {
     out.push_back(std::make_unique<SideChannel>(
         Channel::kVibration, SampleKind::kVibration, options.vibration,
-        &ChannelRefs::golden_vibration));
+        &ChannelRefs::golden_vibration, &ChannelRefs::vibration_means));
   }
   if (set.steps && options.final_checks) {
     out.push_back(std::make_unique<FinalCountsChannel>());

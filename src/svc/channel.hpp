@@ -88,15 +88,27 @@ struct ChannelSet {
   bool operator==(const ChannelSet&) const = default;
 };
 
+/// A golden side-channel trace's per-window means (detect::window_means)
+/// at `window_s`, computed once per reference rather than per session.
+struct WindowMeans {
+  double window_s = 0.0;
+  std::vector<double> means;
+};
+
 /// The references a channel may arm against.  All pointers are borrowed
 /// and must outlive the detector; a null (or empty) reference leaves
-/// the channels needing it unarmed but reported.
+/// the channels needing it unarmed but reported.  A side channel arms
+/// from its `*_means` when they were taken at its window, and otherwise
+/// computes them from its golden trace.
 struct ChannelRefs {
   const core::Capture* golden = nullptr;
   const analyze::Oracle* oracle = nullptr;
   const plant::SideTrace* golden_power = nullptr;
   const plant::SideTrace* golden_acoustic = nullptr;
   const plant::SideTrace* golden_vibration = nullptr;
+  const WindowMeans* power_means = nullptr;
+  const WindowMeans* acoustic_means = nullptr;
+  const WindowMeans* vibration_means = nullptr;
 };
 
 /// Per-channel attribution row of the fused verdict.

@@ -86,6 +86,7 @@ class ReferenceResolver {
     }
     try {
       Reference r = compute(cube_mm, height_mm, key);
+      r.set_means(options_.detector);
       std::lock_guard<std::mutex> lk(mu_);
       slot->data = std::move(r);
       slot->done = true;

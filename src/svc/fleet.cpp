@@ -16,6 +16,7 @@
 
 #include "analyze/analyzer.hpp"
 #include "core/strict_parse.hpp"
+#include "detect/side_channel.hpp"
 #include "gcode/flaw3d.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
@@ -452,6 +453,16 @@ Reference Reference::slice(double cube_mm, double height_mm,
   return ref;
 }
 
+void Reference::set_means(const OnlineDetectorOptions& detector) {
+  const auto take = [](WindowMeans& out, const plant::SideTrace& trace,
+                       double window_s) {
+    out = {window_s, detect::window_means(trace, window_s)};
+  };
+  take(power_means, entry.golden_power, detector.power.window_s);
+  take(acoustic_means, entry.golden_acoustic, detector.acoustic.window_s);
+  take(vibration_means, entry.golden_vibration, detector.vibration.window_s);
+}
+
 void Reference::print(const ServiceOptions& options, const ChannelSet& probes,
                       const SupervisorOptions& watchdog,
                       const std::string& phase) {
@@ -845,6 +856,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
         Reference ref =
             reference_phase(options_, supervisor, cache.get(), i, objects[i],
                             resumed.references, ref_guards[i]);
+        ref.set_means(options_.detector);
         ref_seconds[i] = obs::us_since(t0) / 1e6;
         return ref;
       });

@@ -154,6 +154,10 @@ struct Reference {
   gcode::Program program;
   analyze::Oracle oracle;
   RefEntry entry;  // golden capture + side-channel traces
+  /// The golden traces' window means, once set_means() has run.
+  WindowMeans power_means;
+  WindowMeans acoustic_means;
+  WindowMeans vibration_means;
 
   /// Slices the cube and computes its static oracle; `entry` stays empty.
   static Reference slice(double cube_mm, double height_mm,
@@ -167,11 +171,19 @@ struct Reference {
   void print(const ServiceOptions& options, const ChannelSet& probes,
              const SupervisorOptions& watchdog, const std::string& phase);
 
+  /// Takes each golden trace's window means at its side channel's
+  /// window in `detector`, once for every session armed from refs().
+  void set_means(const OnlineDetectorOptions& detector);
+
   /// The detector references: the static oracle only when the campaign
   /// uses it and it armed.
   [[nodiscard]] ChannelRefs refs(bool use_oracle) const {
-    return entry.refs(use_oracle && oracle.counters_armed ? &oracle
-                                                          : nullptr);
+    ChannelRefs r = entry.refs(use_oracle && oracle.counters_armed ? &oracle
+                                                                   : nullptr);
+    r.power_means = &power_means;
+    r.acoustic_means = &acoustic_means;
+    r.vibration_means = &vibration_means;
+    return r;
   }
 };
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -299,6 +301,199 @@ TEST(WireCompaction, RemoveListenerIsIdempotent) {
   w.remove_listener(id);          // double-remove: no double counting
   w.remove_listener(id + 1000);   // unknown id: no-op
   EXPECT_EQ(w.live_listeners(), 0u);
+}
+
+// --- Pulse falls nothing reads ---------------------------------------------
+//
+// Each case drives a wire twice: bare, where a pulse's fall lands without
+// an event, and with a witness listener of every edge, which keeps the
+// fall an event.  What events at the fall tick read, filed before and
+// after the fall's place, must agree.
+
+/// One read of the wire: when, and its level, fall count and last change.
+struct Seen {
+  Tick at = 0;
+  bool level = false;
+  std::uint64_t falls = 0;
+  Tick last = 0;
+  std::uint64_t masked = 0;
+  bool operator==(const Seen&) const = default;
+};
+
+struct FallBench {
+  Scheduler s;
+  Wire w{s, "w"};
+  std::vector<Seen> seen;
+
+  explicit FallBench(bool witness) {
+    if (witness) w.on_edge([](Edge, Tick) {});
+  }
+  void probe() {
+    seen.push_back({s.now(), w.level(), w.falling_count(), w.last_change(),
+                    w.fault_masked_drives()});
+  }
+  /// Files a probe at `t` now, so it runs after everything already filed
+  /// for `t` and before anything filed later.
+  void probe_at(Tick t) {
+    s.schedule_at(t, [this] { probe(); });
+  }
+};
+
+/// The reads of both runs, and whether the bare one ran fewer events.
+template <typename Drive>
+void expect_same_reads(Drive drive, bool fewer_events = true) {
+  FallBench bare(false);
+  FallBench seen(true);
+  drive(bare);
+  drive(seen);
+  EXPECT_EQ(bare.seen, seen.seen);
+  if (fewer_events) {
+    EXPECT_LT(bare.s.executed(), seen.s.executed());
+  } else {
+    EXPECT_EQ(bare.s.executed(), seen.s.executed());
+  }
+}
+
+TEST(UnreadFall, ReadsAtTheFallTickMatchTheEvent) {
+  expect_same_reads([](FallBench& b) {
+    b.probe_at(us(3));  // filed before the fall's place
+    b.s.schedule_at(us(1), [&b] {
+      b.w.pulse(us(2));
+      b.probe_at(us(3));  // filed after it
+    });
+    b.s.run_until(us(2));
+    b.probe();
+    b.s.run_until(us(3));
+    b.probe();
+    b.s.run_all();
+    b.probe();
+  });
+  FallBench b(false);
+  b.w.pulse(us(2));
+  EXPECT_TRUE(b.s.idle());  // the fall is no event...
+  b.s.run_all();            // ...but the run still ends where it would
+  EXPECT_EQ(b.s.now(), us(2));
+  EXPECT_FALSE(b.w.level());
+  EXPECT_EQ(b.w.falling_count(), 1u);
+  EXPECT_EQ(b.w.last_change(), us(2));
+}
+
+TEST(UnreadFall, ReaderRegisteredMidPulseGetsTheFallInPlace) {
+  const auto run = [](bool witness) {
+    FallBench b(witness);
+    std::vector<std::string> order;
+    b.s.schedule_at(us(3), [&] { order.emplace_back("before"); });
+    b.s.schedule_at(us(1), [&] {
+      b.w.pulse(us(2));
+      b.s.schedule_at(us(3), [&] { order.emplace_back("after"); });
+    });
+    b.s.schedule_at(us(2), [&] {
+      b.w.on_edge([&](Edge e, Tick t) {
+        order.push_back((e == Edge::kFalling ? "fall@" : "rise@") +
+                        std::to_string(t));
+      });
+    });
+    b.s.run_all();
+    return order;
+  };
+  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(false),
+            (std::vector<std::string>{"before", "fall@3000", "after"}));
+}
+
+TEST(UnreadFall, FaultForcedMidPulse) {
+  expect_same_reads(
+      [](FallBench& b) {
+        b.s.schedule_at(us(1), [&b] { b.w.pulse(us(2)); });
+        b.s.schedule_at(us(2), [&b] { b.w.force_fault(true); });
+        b.probe_at(us(3));
+        b.s.schedule_at(us(4), [&b] { b.w.force_fault(std::nullopt); });
+        b.probe_at(us(4));
+        b.s.run_all();
+        b.probe();
+      },
+      /*fewer_events=*/false);
+}
+
+TEST(UnreadFall, TimeWarpKeepsTheFallAnEvent) {
+  const auto run = [](bool witness) {
+    FallBench b(witness);
+    b.s.set_time_warp([](Tick, Tick requested) { return requested + 7; });
+    b.w.pulse(us(2));
+    b.probe_at(us(2) + 7);
+    b.s.run_all();
+    b.probe();
+    return std::pair{b.seen, b.s.warped_events()};
+  };
+  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(false).second, 2u);  // the fall and the probe
+}
+
+TEST(UnreadFall, SecondPulseWhileTheFirstFallWaits) {
+  expect_same_reads([](FallBench& b) {
+    b.s.schedule_at(0, [&b] { b.w.pulse(us(5)); });
+    b.s.schedule_at(us(1), [&b] { b.w.pulse(us(1)); });  // first still high
+    b.probe_at(us(2));
+    b.probe_at(us(5));
+    b.s.schedule_at(us(7), [&b] { b.w.pulse(us(2)); });
+    b.s.schedule_at(us(8), [&b] { b.w.pulse(us(2)); });
+    b.probe_at(us(9));
+    b.probe_at(us(10));
+    b.s.schedule_at(us(12), [&b] { b.w.pulse(us(1)); });
+    b.s.run_all();
+    b.probe();
+  });
+}
+
+TEST(UnreadFall, DirectDrivesAroundAWaitingFall) {
+  expect_same_reads([](FallBench& b) {
+    b.s.schedule_at(0, [&b] { b.w.pulse(us(5)); });
+    b.s.schedule_at(us(1), [&b] { b.w.set(false); });
+    b.probe_at(us(2));
+    b.s.schedule_at(us(3), [&b] { b.w.set(true); });  // falls again at 5 us
+    b.probe_at(us(5));
+    b.s.schedule_at(us(8), [&b] { b.w.pulse(us(1)); });
+    // Pulled low, then pulsed again before the first fall's place: that
+    // fall still ends the second pulse early.
+    b.s.schedule_at(us(20), [&b] { b.w.pulse(us(5)); });
+    b.s.schedule_at(us(21), [&b] { b.w.set(false); });
+    b.s.schedule_at(us(22), [&b] { b.w.pulse(us(10)); });
+    b.probe_at(us(25));
+    b.probe_at(us(30));
+    b.s.run_all();
+    b.probe();
+  });
+}
+
+TEST(UnreadFall, DelayedConnectionPassesTheFallOn) {
+  const auto run = [](bool witness) {
+    Scheduler s;
+    Wire a(s, "a"), b(s, "b");
+    if (witness) b.on_edge([](Edge, Tick) {});
+    Connection conn = connect(a, b, ns(1));
+    std::vector<Seen> seen;
+    const auto probe = [&] {
+      seen.push_back({s.now(), b.level(), b.falling_count(), b.last_change(),
+                      0});
+    };
+    for (int i = 0; i < 3; ++i) {
+      s.schedule_at(us(static_cast<std::uint64_t>(10 * i)),
+                    [&a] { a.pulse(us(1)); });
+      s.schedule_at(us(static_cast<std::uint64_t>(10 * i + 1)) + 1, probe);
+    }
+    // Disconnected while the second pulse is high: its fall is not passed
+    // on, as a jumper pulled mid-pulse would not.
+    s.schedule_at(us(10) + 500, [&conn] { conn.disconnect(); });
+    s.run_all();
+    probe();
+    return std::pair{seen, s.executed()};
+  };
+  const auto bare = run(false);
+  const auto seen = run(true);
+  EXPECT_EQ(bare.first, seen.first);
+  EXPECT_LT(bare.second, seen.second);
+  EXPECT_EQ(bare.first.back().falls, 1u);
+  EXPECT_TRUE(bare.first.back().level);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/capture.hpp"
+#include "detect/side_channel.hpp"
 #include "host/rig.hpp"
 #include "svc/channel.hpp"
 #include "svc/fleet.hpp"
@@ -192,6 +193,37 @@ TEST(Fusion, VibrationAloneTripsAndIsAttributed) {
   ASSERT_NE(vibration, nullptr);
   EXPECT_TRUE(vibration->tripped);
   EXPECT_EQ(report.verdict(Channel::kAcoustic)->tripped, false);
+}
+
+// svc::Reference takes each golden trace's window means once for all its
+// sessions; a side channel armed from them judges as one that takes its
+// own, and means taken at another window are not used.
+TEST(Fusion, SideChannelArmsFromMeansTakenOncePerReference) {
+  SideTrace golden;
+  for (double t = 0.0; t < 20.0; t += 0.05) {
+    golden.push_back({t, 40.0 + 10.0 * static_cast<double>(
+                                    static_cast<int>(t) % 3)});
+  }
+  const OnlineDetectorOptions options = quiet_options();
+  const double window_s = options.acoustic.window_s;
+  const offramps::svc::WindowMeans taken{
+      window_s, offramps::detect::window_means(golden, window_s)};
+  const offramps::svc::WindowMeans elsewhere{
+      2.0 * window_s, offramps::detect::window_means(golden, 2.0 * window_s)};
+  const auto judge = [&](const offramps::svc::ChannelRefs& refs) {
+    OnlineDetector det(options, refs);
+    for (const auto& s : golden) {
+      det.submit_sample(SampleKind::kAcoustic, s.t_s,
+                        s.t_s < 8.0 ? s.value : s.value + 20.0);
+    }
+    return det.report().to_string();
+  };
+  const std::string own = judge({.golden_acoustic = &golden});
+  EXPECT_NE(own.find("acoustic"), std::string::npos);
+  EXPECT_EQ(judge({.acoustic_means = &taken}), own);
+  EXPECT_EQ(judge({.golden_acoustic = &golden, .acoustic_means = &elsewhere}),
+            own);
+  EXPECT_NE(judge({.acoustic_means = &elsewhere}), own);
 }
 
 TEST(Fusion, UnarmedSideChannelsReportButNeverJudge) {
