@@ -14,7 +14,6 @@ SignalPath::SignalPath(sim::Scheduler& sched, sim::Wire& in, sim::Wire& out,
 
 SignalPath::~SignalPath() {
   in_.remove_listener(listener_);
-  in_.unfollow(out_);
   if (forwarded_) out_.drop_pending_fall();
 }
 
@@ -76,20 +75,19 @@ void SignalPath::on_input_edge(sim::Edge e) {
     if (filter_ && !filter_()) {
       suppressing_pulse_ = true;
       ++dropped_;
-      in_.keep_fall_event();  // its fall ends the suppression
+      in_.file_pending_fall();  // its fall ends the suppression
       return;
     }
     ++passed_;
-    if (const auto fall = in_.arming_fall();
-        fall && (keep_fall_events_ || *fall < sched_.now() + delay_ ||
-                 forced_.has_value() || inj_level_ ||
-                 !out_.can_land_unread())) {
-      in_.keep_fall_event();
+    if (reads_falls()) {
+      in_.file_pending_fall();
+    } else {
+      in_.forward_rising_edge(delay_);
     }
     sched_.schedule_in(delay_, [this] { deliver_rise(); });
   } else {
     // A fall that is an event replaces the one passed on without one.
-    if (in_.unfollow(out_)) out_.drop_pending_fall();
+    in_.forward_falling_edge(out_);
     if (suppressing_pulse_) {
       suppressing_pulse_ = false;
       return;
@@ -104,14 +102,12 @@ void SignalPath::on_input_edge(sim::Edge e) {
 void SignalPath::deliver_rise() {
   settle_forwarded_fall();
   pass_level_ = true;
-  update_output();
   if (!active_) return;
-  if (keep_fall_events_ || forced_.has_value() || inj_level_ ||
-      !out_.can_land_unread()) {
+  if (reads_falls()) {
     in_.file_pending_fall();  // the path reads the fall as an edge
-  } else if (const auto fall = in_.follow_pending_fall(out_)) {
-    out_.land_unread_at(*fall + delay_, this);
-    forwarded_ = true;
+    update_output();
+  } else {
+    forwarded_ = in_.forward_rise(out_, delay_, this);
   }
 }
 

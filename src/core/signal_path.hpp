@@ -19,11 +19,12 @@
 //
 // A pulse fall that lands on the input without an event (sim::Wire::pulse)
 // is passed on as one on the output, `prop_delay` later, when the rise
-// reaches the output: no propagation event is scheduled for it.  The path
-// reads its input's falls as events instead while anything may see the
-// difference: a reader of the output's falls, a fault on it, a force or
-// an injection in progress, a pulse filter dropping the pulse, or a
-// Trojan suite armed on the board (keep_fall_events).
+// reaches the output (sim::Wire::forward_rise): no propagation event is
+// scheduled for it.  The path reads its input's falls as events instead
+// while anything may see the difference: a reader of the output's falls,
+// a fault on it, a force or an injection in progress, a pulse filter
+// dropping the pulse, or a Trojan suite armed on the board
+// (keep_fall_events).
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,11 @@ class SignalPath final : private sim::FallSource {
  private:
   void on_input_edge(sim::Edge e);
   void deliver_rise();
+  /// True while the output's level is more than the delayed input's: the
+  /// path then reads its input's falls as edges.
+  [[nodiscard]] bool reads_falls() const {
+    return keep_fall_events_ || forced_.has_value() || inj_level_;
+  }
   void update_output();
   /// Before the path acts on pass_level_: a fall it forwarded without an
   /// event that has not landed becomes its propagation event; one that

@@ -28,8 +28,9 @@
 // such a reserved (time, seq) place, judged by `passed`, and files it
 // with `schedule_reserved` only if it must become an event after all.
 // Reserved places are not events: `pending()`, `idle()` and `executed()`
-// leave them out, and `run_all` advances `now()` past the last of them,
-// where the run would have ended had each been an event.
+// leave them out.  A place the owner gives up (`unreserve`) is forgotten;
+// `run_all` advances `now()` to the last place still reserved, where the
+// run would have ended had each been an event.
 #pragma once
 
 #include <algorithm>
@@ -75,7 +76,8 @@ class Scheduler {
       t = std::max(now_, time_warp_(now_, t));
       ++warped_events_;
     }
-    push(Key{t, next_seq_++, store(std::move(cb))});
+    const std::uint32_t slot = store(std::move(cb));
+    push(Key{t, next_seq_++, slot});
   }
 
   /// Timing-fault hook (`sim::FaultInjector`): maps each requested event
@@ -96,22 +98,23 @@ class Scheduler {
 
   /// Takes the sequence number an event scheduled now for `t` would get,
   /// without filing one.  The caller owns the (t, seq) place: it acts
-  /// there through passed(), or files an event there with
-  /// schedule_reserved().  No time warp applies to a reserved place.
+  /// there through passed(), files an event there with
+  /// schedule_reserved(), or gives it up with unreserve().  No time warp
+  /// applies to a reserved place.
   [[nodiscard]] std::uint64_t reserve(Tick t) {
+    if (reserved_.size() >= forget_reserved_at_) forget_passed_places();
+    reserved_.push_back(Key{t, next_seq_, 0});
     if (t > reserved_until_) reserved_until_ = t;
     return next_seq_++;
   }
 
+  /// Gives up a place taken with reserve(): no event will run there.
+  void unreserve(Tick t, std::uint64_t seq);
+
   /// Files `cb` at a (t, seq) place taken with reserve() that the drain
   /// has not passed yet: it runs exactly where an event scheduled at the
   /// reservation would have.
-  void schedule_reserved(Tick t, std::uint64_t seq, Callback cb) {
-    if (passed(t, seq)) {
-      throw Error("Scheduler::schedule_reserved: place already passed");
-    }
-    push(Key{t, seq, store(std::move(cb))});
-  }
+  void schedule_reserved(Tick t, std::uint64_t seq, Callback cb);
 
   /// True once the run has drained past (t, seq): an event there would
   /// already have run.  Inside a callback that is every place before the
@@ -216,17 +219,23 @@ class Scheduler {
     }
   };
 
-  /// Puts a callback into a free slot and returns the slot.
+  /// Puts `cb` into a free slot and returns the slot.
   std::uint32_t store(Callback&& cb) {
+    std::uint32_t slot = 0;
     if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
       slots_.push_back(std::move(cb));
-      return static_cast<std::uint32_t>(slots_.size() - 1);
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(cb);
     }
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(cb);
     return slot;
   }
+
+  /// Drops the reserved places the run has passed, and lets the list
+  /// grow to twice what is left before the next sweep.
+  void forget_passed_places();
 
   /// Every event due by `t` has run: moves now() up to `t` and marks each
   /// place at now() passed.
@@ -320,11 +329,6 @@ class Scheduler {
   std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;
   Tick now_ = 0;
-  /// Places at now() with a lower seq have passed (the running event's
-  /// seq, or all of them once the run has drained to now()).
-  std::uint64_t drained_seq_ = 0;
-  /// Latest tick of a reserve()d place.
-  Tick reserved_until_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t warped_events_ = 0;
@@ -338,6 +342,15 @@ class Scheduler {
   std::int64_t obs_depth_high_ = 0;
   std::uint32_t obs_sample_countdown_ = 1;
 #endif
+  /// Places at now() with a lower seq have passed (the running event's
+  /// seq, or all of them once the run has drained to now()).
+  std::uint64_t drained_seq_ = 0;
+  /// Places taken with reserve() and not given up or filed; some may
+  /// have passed since the last sweep.
+  std::vector<Key> reserved_;
+  std::size_t forget_reserved_at_ = 16;
+  /// Latest tick in reserved_ (or of a place that has since passed).
+  Tick reserved_until_ = 0;
 };
 
 }  // namespace offramps::sim

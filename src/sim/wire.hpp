@@ -21,7 +21,8 @@
 // that no listener reads is not scheduled: it takes the sequence number
 // its event would have had and lands at that (tick, seq) place in drain
 // order (`Wire::pulse`), and a forwarder passes it on to its output the
-// same way.  Nothing that reads the net can tell the difference.
+// same way, hop by hop (`Wire::forward_rise`).  Levels, counts and every
+// listener read what they read when each fall was an event.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +51,7 @@ enum class Reads : std::uint8_t {
   kRisingEdges,
   /// A jumper or FPGA path driving another wire.  It gets both edges,
   /// and passes on a fall that lands without an event as another such
-  /// fall on its output, or asks for the event (see "Forwarders" below).
+  /// fall on its output (see "Forwarders" below).
   kForwarding,
 };
 
@@ -129,14 +130,7 @@ class Wire {
   /// registers or a fault is forced while it waits, and when the next
   /// pulse starts first.
   void pulse(Tick width) {
-    file_pending_fall();
-    const Tick fall = sched_.now() + width;
-    arming_ = !level_ && can_land_unread();
-    arming_fall_ = fall;
-    set(true);
-    if (std::exchange(arming_, false)) {
-      hold_fall(fall, nullptr);
-    } else {
+    if (!raise_holding_fall(sched_.now() + width, nullptr)) {
       sched_.schedule_in(width, [this] { set(false); });
     }
   }
@@ -145,10 +139,7 @@ class Wire {
   /// with remove_listener().  A listener that reads falls turns a fall
   /// waiting to land without an event back into its event.
   ListenerId on_edge(EdgeCallback cb, Reads reads = Reads::kEveryEdge) {
-    if (reads != Reads::kRisingEdges) {
-      arming_ = false;
-      file_pending_fall();
-    }
+    if (reads != Reads::kRisingEdges) file_pending_fall();
     if (reads == Reads::kEveryEdge) ++fall_readers_;
     const ListenerId id = next_listener_id_++;
     listeners_.emplace_back(Listener{id, reads, std::move(cb)});
@@ -213,81 +204,59 @@ class Wire {
 
   // --- Forwarders (Reads::kForwarding) -------------------------------------
   //
-  // In its rising-edge callback a forwarder reads arming_fall() and may
-  // ask for the fall as an event (keep_fall_event).  When the rise
-  // reaches its output, it takes on the fall still waiting here
-  // (follow_pending_fall) and lands its output's fall at that tick plus
-  // its delay (land_unread_at).  If this fall becomes an event after all,
-  // the follower's fall is dropped, since the event reaches the forwarder
-  // as an edge; a forwarder that gets a falling edge calls unfollow() and
-  // drops its output's fall itself.
+  // A forwarder copies this wire's edges onto another wire `delay` later.
+  // It calls forward_rising_edge() on each rise and forward_rise() when
+  // that rise reaches its output, or file_pending_fall() on both when it
+  // must read the fall as an edge; and forward_falling_edge() on each
+  // fall.  Between them they pass a fall that lands here without an event
+  // on as one that lands on the output `delay` later, and make it an
+  // event again wherever a fall landing without one would be seen.
 
-  /// Inside the rising-edge callback of pulse(): the tick of a fall that
-  /// will land without an event, or nullopt when the fall is an event.
-  [[nodiscard]] std::optional<Tick> arming_fall() const {
-    return arming_ ? std::optional<Tick>(arming_fall_) : std::nullopt;
-  }
-  /// Inside that callback: makes the fall an event after all.
-  void keep_fall_event() { arming_ = false; }
-
-  /// True when nothing needs this wire's falls as events.
-  [[nodiscard]] bool can_land_unread() const {
-    return fall_readers_ == 0 && !fault_.has_value() &&
-           !sched_.time_warp_active();
-  }
-
-  /// The tick of the fall still waiting to land here without an event,
-  /// now followed by `follower`; nullopt when none waits.  A fall another
-  /// wire already follows becomes its event instead, so both see it.
-  std::optional<Tick> follow_pending_fall(Wire& follower) {
-    settle();
-    if (!fall_pending_) return std::nullopt;
-    if (follower_ != nullptr && follower_ != &follower) {
-      file_pending_fall();
-      return std::nullopt;
-    }
-    follower_ = &follower;
-    return fall_tick_;
-  }
-
-  /// Stops `follower` following the waiting fall.  True if it did.
-  bool unfollow(const Wire& follower) {
-    if (follower_ != &follower) return false;
-    follower_ = nullptr;
-    return true;
-  }
-
-  /// Lands a fall at `t` without an event, taking its sequence number now
-  /// (a forwarded pulse's fall).  `source`, when set, files or hears about
-  /// dropping it.  Call only while can_land_unread().
-  void land_unread_at(Tick t, FallSource* source = nullptr) {
-    file_pending_fall();
-    hold_fall(t, source);
-  }
-
-  /// Turns a fall still waiting to land without an event into its event,
-  /// at its reserved place.  A no-op when none waits.
-  void file_pending_fall() {
-    settle();
-    if (!fall_pending_) return;
-    fall_pending_ = false;
-    if (Wire* f = std::exchange(follower_, nullptr)) f->drop_pending_fall();
-    if (FallSource* s = std::exchange(fall_source_, nullptr)) {
-      s->file_fall(fall_tick_, fall_seq_);
+  /// In a forwarder's rising-edge callback, for a rise it delivers
+  /// `delay` later.  The fall that ends this high stays an event if it
+  /// would land before then (a pulse narrower than the delay), or if it
+  /// was not one this wire's rise announced (see raise_holding_fall).
+  void forward_rising_edge(Tick delay) {
+    if (arming_) {
+      if (arming_fall_ < sched_.now() + delay) arming_ = false;
     } else {
-      sched_.schedule_reserved(fall_tick_, fall_seq_, [this] { set(false); });
+      file_pending_fall();
     }
   }
 
-  /// Forgets a fall still waiting to land without an event: the input
-  /// fall it was forwarded from became an event, or never will reach it.
-  void drop_pending_fall() {
-    settle();
-    if (!fall_pending_) return;
-    fall_pending_ = false;
-    if (Wire* f = std::exchange(follower_, nullptr)) f->drop_pending_fall();
-    if (FallSource* s = std::exchange(fall_source_, nullptr)) s->fall_dropped();
+  /// When a forwarded rise reaches `dst`: raises it, and passes the fall
+  /// waiting here on as a fall of `dst` `delay` later that also lands
+  /// without an event, announced to dst's own listeners as its rise's
+  /// fall.  Where dst or its listeners need the fall as an event, the
+  /// fall here becomes one instead and reaches the forwarder as an edge.
+  /// `source`, when set, files dst's fall as the forwarder's own event
+  /// if it must become one later.  True when dst holds the fall.
+  bool forward_rise(Wire& dst, Tick delay, FallSource* source = nullptr) {
+    if (fall_pending_) return forward_held_fall(dst, delay, source);
+    dst.set(true);
+    return false;
   }
+
+  /// In a forwarder's falling-edge callback: the fall reached it as an
+  /// edge, so the fall passed on to `dst` for it is dropped.
+  void forward_falling_edge(Wire& dst) {
+    if (follower_ != &dst) return;
+    follower_ = nullptr;
+    dst.drop_pending_fall();
+  }
+
+  /// Makes the fall that ends this high an event: one waiting to land
+  /// without an event is filed at its place (which drops the fall passed
+  /// on for it), and inside the rise of pulse() or forward_rise() the
+  /// fall is scheduled as an event.
+  void file_pending_fall() {
+    arming_ = false;
+    if (fall_pending_) file_held_fall();
+  }
+
+  /// Forgets a fall still waiting to land without an event (a forwarder
+  /// going away while its output holds one).
+  void drop_pending_fall();
 
  private:
   struct Listener {
@@ -302,27 +271,45 @@ class Wire {
     return fall_pending_ && sched_.passed(fall_tick_, fall_seq_);
   }
 
-  /// Applies a landed fall as its event would have: the drive and the
-  /// level fall, and no listener hears it, since none reads it.
+  /// Applies a landed fall as its event would have (land_fall).
   void settle() {
-    if (!fall_landed()) return;
-    fall_pending_ = false;
-    follower_ = nullptr;
-    fall_source_ = nullptr;
-    driven_ = false;
-    if (level_) {
-      level_ = false;
-      last_change_ = fall_tick_;
-      ++falling_count_;
-    }
+    if (fall_landed()) land_fall();
+  }
+  /// The drive and the level fall, and no listener hears it, since none
+  /// reads it.
+  void land_fall();
+  /// file_pending_fall() for a fall the wire holds.
+  void file_held_fall();
+  /// forward_rise() for a fall the wire holds.
+  bool forward_held_fall(Wire& dst, Tick delay, FallSource* source);
+
+  /// True when nothing needs this wire's falls as events.
+  [[nodiscard]] bool can_land_unread() const {
+    return fall_readers_ == 0 && !fault_.has_value() &&
+           !sched_.time_warp_active();
   }
 
-  void hold_fall(Tick t, FallSource* source) {
-    fall_tick_ = t;
-    fall_seq_ = sched_.reserve(t);
+  /// Raises the wire, announcing to the rise's listeners a fall at `fall`
+  /// (arming_fall_) that may land without an event.  A listener of the
+  /// rise keeps it an event through forward_rising_edge() or
+  /// file_pending_fall(); so do a reader of falls, a fault, a time warp
+  /// and a wire already high, whose rise no listener hears.  Otherwise
+  /// the fall takes its sequence number now, after everything the rise's
+  /// listeners filed, as its event would have, and the wire holds it
+  /// (on behalf of `source`, see FallSource).  False when the caller must
+  /// make the fall an event.
+  bool raise_holding_fall(Tick fall, FallSource* source) {
+    file_pending_fall();
+    arming_ = !level_ && can_land_unread();
+    arming_fall_ = fall;
+    set(true);
+    if (!std::exchange(arming_, false)) return false;
+    fall_tick_ = fall;
+    fall_seq_ = sched_.reserve(fall);
     fall_source_ = source;
     follower_ = nullptr;
     fall_pending_ = true;
+    return true;
   }
 
   /// Switches the observable level and fires listeners (the body of the
@@ -394,8 +381,8 @@ class Wire {
   FallSource* fall_source_ = nullptr;
   /// The wire a forwarder passed the waiting fall on to.
   Wire* follower_ = nullptr;
-  /// Inside pulse(): the fall may still land without an event, at
-  /// arming_fall_.
+  /// Inside raise_holding_fall(): the rise's fall, due at arming_fall_,
+  /// may still land without an event.
   bool arming_ = false;
   Tick arming_fall_ = 0;
 };
@@ -513,31 +500,23 @@ inline Connection connect(Wire& src, Wire& dst, Tick delay = 0) {
   if (delay == 0) {
     id = src.on_edge(
         [&src, &dst](Edge e, Tick) {
-          src.keep_fall_event();
+          if (e == Edge::kRising) src.file_pending_fall();
           dst.set(e == Edge::kRising);
         },
         Reads::kForwarding);
   } else {
     id = src.on_edge(
-        [&src, &dst, delay](Edge e, Tick t) {
+        [&src, &dst, delay](Edge e, Tick) {
           Scheduler& sched = dst.scheduler();
-          if (e == Edge::kFalling) {
-            if (src.unfollow(dst)) dst.drop_pending_fall();
+          if (e == Edge::kRising) {
+            src.forward_rising_edge(delay);
+            sched.schedule_in(delay, [&src, &dst, delay] {
+              src.forward_rise(dst, delay);
+            });
+          } else {
+            src.forward_falling_edge(dst);
             sched.schedule_in(delay, [&dst] { dst.set(false); });
-            return;
           }
-          if (const auto fall = src.arming_fall();
-              fall && (*fall < t + delay || !dst.can_land_unread())) {
-            src.keep_fall_event();
-          }
-          sched.schedule_in(delay, [&src, &dst, delay] {
-            dst.set(true);
-            if (!dst.can_land_unread()) {
-              src.file_pending_fall();
-            } else if (const auto fall = src.follow_pending_fall(dst)) {
-              dst.land_unread_at(*fall + delay);
-            }
-          });
         },
         Reads::kForwarding);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/board.hpp"
@@ -202,6 +203,7 @@ void expect_same_output(Drive drive, bool fewer_events = true) {
   drive(seen);
   EXPECT_EQ(bare.seen, seen.seen);
   EXPECT_EQ(bare.path.passed_pulses(), seen.path.passed_pulses());
+  EXPECT_EQ(bare.sched.now(), seen.sched.now());  // the run ends in place
   if (fewer_events) {
     EXPECT_LT(bare.sched.executed(), seen.sched.executed());
   } else {
@@ -283,7 +285,58 @@ TEST(ForwardedFall, DeactivatedPathLeavesItsOutputAlone) {
       b.sched.run_all();
       read_out(b.seen, b.sched, b.out);
     });
+    // Deactivated as the run's last act, while a fall waits: the run ends
+    // where it would have, at the input's fall (or, once the input has
+    // fallen, at the propagation event filed for it).
+    expect_same_output(
+        [when](ForwardBench& b) {
+          b.pulse_at(0);
+          b.sched.schedule_at(when, [&b] { b.path.set_active(false); });
+          b.sched.run_all();
+          read_out(b.seen, b.sched, b.out);
+        },
+        /*fewer_events=*/when > sim::us(1));
   }
+  ForwardBench b(false);
+  b.in.pulse(sim::us(1));
+  b.sched.schedule_at(500, [&b] { b.path.set_active(false); });
+  b.sched.run_all();
+  EXPECT_EQ(b.sched.now(), sim::us(1));
+  EXPECT_TRUE(b.out.level());
+}
+
+// Two paths in a row, the first's output the second's input: the fall
+// passes both hops without an event, and a pulse narrower than the second
+// hop's delay keeps it an event there.
+TEST(ForwardedFall, ChainedPathsPassTheFallOnHopByHop) {
+  const auto run = [](bool witness) {
+    sim::Scheduler s;
+    sim::Wire a(s, "a"), b(s, "b"), c(s, "c");
+    SignalPath ab(s, a, b, sim::ns(8));
+    SignalPath bc(s, b, c, sim::ns(13));
+    ab.set_active(true);
+    bc.set_active(true);
+    if (witness) c.on_edge([](sim::Edge, sim::Tick) {});
+    std::vector<OutRead> seen;
+    sim::Tick t = 0;
+    for (const sim::Tick width : {sim::ns(5), sim::ns(10), sim::ns(13),
+                                  sim::ns(20), sim::us(1)}) {
+      s.schedule_at(t, [&a, width] { a.pulse(width); });
+      for (sim::Tick at = t; at <= t + width + sim::ns(25); ++at) {
+        s.schedule_at(at, [&] { read_out(seen, s, c); });
+      }
+      t += sim::us(3);
+    }
+    s.run_all();
+    read_out(seen, s, c);
+    return std::tuple{seen, s.now(), s.executed()};
+  };
+  const auto bare = run(false);
+  const auto seen = run(true);
+  EXPECT_EQ(std::get<0>(bare), std::get<0>(seen));
+  EXPECT_EQ(std::get<1>(bare), std::get<1>(seen));
+  EXPECT_LT(std::get<2>(bare), std::get<2>(seen));
+  EXPECT_EQ(std::get<0>(bare).back().falls, 5u);
 }
 
 // The board's route changes mid-pulse, in every phase of a STEP pulse:

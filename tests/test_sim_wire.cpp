@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -347,6 +348,7 @@ void expect_same_reads(Drive drive, bool fewer_events = true) {
   drive(bare);
   drive(seen);
   EXPECT_EQ(bare.seen, seen.seen);
+  EXPECT_EQ(bare.s.now(), seen.s.now());  // the run ends where it would
   if (fewer_events) {
     EXPECT_LT(bare.s.executed(), seen.s.executed());
   } else {
@@ -494,6 +496,76 @@ TEST(UnreadFall, DelayedConnectionPassesTheFallOn) {
   EXPECT_LT(bare.second, seen.second);
   EXPECT_EQ(bare.first.back().falls, 1u);
   EXPECT_TRUE(bare.first.back().level);
+}
+
+// Two delayed connections in a row, a -> b -> c: each hop passes the fall
+// on, and a pulse narrower than either hop's delay keeps its fall an
+// event on that hop.  The witnesses read every edge of c, or of b and c.
+TEST(UnreadFall, ChainedConnectionsPassTheFallOnHopByHop) {
+  const auto run = [](int witnesses) {
+    Scheduler s;
+    Wire a(s, "a"), b(s, "b"), c(s, "c");
+    if (witnesses >= 1) c.on_edge([](Edge, Tick) {});
+    if (witnesses >= 2) b.on_edge([](Edge, Tick) {});
+    Connection ab = connect(a, b, ns(1));
+    Connection bc = connect(b, c, ns(5));
+    std::vector<Seen> seen;
+    const auto probe = [&] {
+      for (const Wire* w : {&b, &c}) {
+        seen.push_back(
+            {s.now(), w->level(), w->falling_count(), w->last_change(), 0});
+      }
+    };
+    // Widths around both delays: narrower than the first hop, between
+    // the two, equal to the second, and wide.
+    const Tick widths[] = {ns(3), 1, ns(1), ns(4), ns(5), ns(6), us(1)};
+    Tick t = 0;
+    for (const Tick width : widths) {
+      s.schedule_at(t, [&a, width] { a.pulse(width); });
+      for (Tick at = t; at <= t + width + ns(8); ++at) s.schedule_at(at, probe);
+      t += us(2);
+    }
+    s.run_all();
+    probe();
+    return std::tuple{seen, s.now(), s.executed()};
+  };
+  const auto bare = run(0);
+  for (const int witnesses : {1, 2}) {
+    const auto seen = run(witnesses);
+    EXPECT_EQ(std::get<0>(bare), std::get<0>(seen)) << witnesses;
+    EXPECT_EQ(std::get<1>(bare), std::get<1>(seen)) << witnesses;
+    EXPECT_LT(std::get<2>(bare), std::get<2>(seen)) << witnesses;
+  }
+  EXPECT_EQ(std::get<0>(bare).back().falls, 7u);  // c fell after each pulse
+  EXPECT_FALSE(std::get<0>(bare).back().level);
+}
+
+// A forwarder's input pulled low and driven high again while its pulse's
+// fall still waits: the re-rise ends at that fall, also when the fall
+// lands before the re-rise would reach the output.
+TEST(UnreadFall, ReRiseBeforeTheWaitingFallIsForwarded) {
+  for (const Tick rerise : {us(3), us(5) - ns(3), us(5) - 1}) {
+    const auto run = [rerise](bool witness) {
+      Scheduler s;
+      Wire a(s, "a"), b(s, "b");
+      if (witness) b.on_edge([](Edge, Tick) {});
+      Connection conn = connect(a, b, ns(5));
+      std::vector<Seen> seen;
+      s.schedule_at(0, [&a] { a.pulse(us(5)); });
+      s.schedule_at(us(1), [&a] { a.set(false); });
+      s.schedule_at(rerise, [&a] { a.set(true); });
+      for (Tick at = us(5) - ns(6); at <= us(5) + ns(8); ++at) {
+        s.schedule_at(at, [&] {
+          seen.push_back(
+              {s.now(), b.level(), b.falling_count(), b.last_change(), 0});
+        });
+      }
+      s.run_all();
+      return std::pair{seen, s.now()};
+    };
+    EXPECT_EQ(run(false), run(true)) << rerise;
+    EXPECT_FALSE(run(false).first.back().level) << rerise;
+  }
 }
 
 }  // namespace
