@@ -4,8 +4,10 @@
 #   scripts/check.sh          configure + build (warnings-as-errors) +
 #                             clang-tidy lint + full test suite
 #   scripts/check.sh --quick  build + lint, then only the labelled ctest
-#                             suites, the src reach check and the perf
-#                             smokes listed below
+#                             suites (cli, fleet, obs, chaos, daemon,
+#                             determinism, fuzz, fusion and the lint
+#                             label's analyzer suite), the src reach
+#                             check and the perf smokes listed below
 #   scripts/check.sh --fuzz   build the fuzz preset (ASan+UBSan) and run
 #                             each fuzz target for a short budget
 #                             (OFFRAMPS_FUZZ_SECONDS per target,
@@ -108,6 +110,11 @@ else
   # and the multi-modal CLI acceptance drill.
   echo "==> fusion suite (ctest -L fusion)"
   ctest --preset default -L fusion -j "${jobs}"
+  # ...and the static analyzer: the pass list and its emission order,
+  # pass selection and severity overrides, the lint CLI contracts, and
+  # the static checks of every Flaw3D variant.
+  echo "==> analyzer suite (ctest -L lint)"
+  ctest --preset default -L lint -j "${jobs}"
   # ...and the perf gates as smoke runs: events/s floor,
   # metrics-enabled fleet overhead, cold-vs-warm reference-cache
   # speedup.  On plain builds the thresholds enforce by

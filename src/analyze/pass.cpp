@@ -41,89 +41,45 @@ void PassContext::emit(FindingCode code, Severity severity, std::size_t index,
   emit(Finding{code, severity, index, value, bound, std::move(message), {}});
 }
 
-// --- PassRegistry ------------------------------------------------------------
-
-PassRegistry& PassRegistry::global() {
-  // Leaked singleton: analyses run on parallel workers until process
-  // exit; a destructed registry would race them.
-  static PassRegistry* registry = [] {
-    auto* r = new PassRegistry();
-    detail::register_builtin_passes(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-bool PassRegistry::add(PassInfo info, PassFactory factory) {
-  const std::scoped_lock lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == info.id) return false;
-  }
-  entries_.push_back(Entry{std::move(info), std::move(factory)});
-  return true;
-}
-
-std::vector<PassInfo> PassRegistry::list() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<PassInfo> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.info);
-  return out;
-}
-
-bool PassRegistry::has(const std::string& id) const {
-  const std::scoped_lock lock(mutex_);
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const Entry& e) { return e.info.id == id; });
-}
-
-std::unique_ptr<Pass> PassRegistry::make(const std::string& id) const {
-  PassFactory factory;
-  {
-    const std::scoped_lock lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.info.id == id) {
-        factory = e.factory;
-        break;
-      }
-    }
-  }
-  return factory ? factory() : nullptr;
-}
-
 // --- PassManager -------------------------------------------------------------
 
 PassManager::PassManager(const fw::Config& config,
                          const AnalyzeOptions& options)
     : config_(config), options_(options) {
-  const PassRegistry& registry = PassRegistry::global();
+  std::vector<std::unique_ptr<Pass>> all = make_passes();
+  std::vector<std::string> ids;
+  ids.reserve(all.size());
+  for (const auto& pass : all) ids.push_back(pass->info().id);
+  const auto known = [&ids](const std::string& id) {
+    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  };
 
   for (const auto& [id, severity] : options.pass_severity) {
     (void)severity;
-    if (!registry.has(id)) {
+    if (!known(id)) {
       throw Error("analyze: unknown pass '" + id + "' in severity override");
     }
   }
   for (const std::string& id : options.passes) {
-    if (!registry.has(id)) {
+    if (!known(id)) {
       throw Error("analyze: unknown pass '" + id + "'");
     }
   }
 
-  // Instantiate in *registry* order regardless of the order the user
+  // Keep the passes in *list* order regardless of the order the user
   // listed them: emission order is part of the deterministic-output
   // contract (fleet reports are hashed at any worker count).
-  for (const PassInfo& info : registry.list()) {
+  for (std::size_t i = 0; i < all.size(); ++i) {
     if (!options.passes.empty() &&
-        std::find(options.passes.begin(), options.passes.end(), info.id) ==
+        std::find(options.passes.begin(), options.passes.end(), ids[i]) ==
             options.passes.end()) {
       continue;
     }
     ActivePass active;
-    active.pass = registry.make(info.id);
-    active.id = info.id;
+    active.pass = std::move(all[i]);
+    active.id = std::move(ids[i]);
     for (const auto& [id, severity] : options.pass_severity) {
-      if (id == info.id) {
+      if (id == active.id) {
         active.has_severity_override = true;
         active.severity_override = severity;
       }

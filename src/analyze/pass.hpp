@@ -4,23 +4,22 @@
 // manager*: the manager interprets the program exactly once - modal
 // resolution, arc expansion, software-endstop clamping, thermal
 // setpoints, counter arming, retraction debt - maintaining one shared
-// flow-sensitive `ProgramState`, and a set of registered `Pass` objects
+// flow-sensitive `ProgramState`, and a fixed list of `Pass` objects
 // observe the walk and emit `Finding`s.  Passes never mutate the
 // interpreter state, so any subset of them can be enabled without
 // changing what the others see; per-pass severity overrides let a
 // deployment demote a whole pass to notes without forking the analyzer.
 //
-// Third-party checks register through `PassRegistry::global().add(...)`
-// and ride the same walk; registration order is emission order within a
-// command, which keeps reports deterministic (the fleet reference phase
-// runs analyses on parallel workers and hashes the output).
+// The pass list is fixed: `make_passes` builds the eight builtin passes
+// (passes.cpp).  List order is emission order within a command, which
+// keeps reports deterministic (the fleet reference phase runs analyses
+// on parallel workers and hashes the output), so a new check is one
+// `Pass` subclass plus one `make_passes` row.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -153,39 +152,15 @@ class Pass {
   }
 };
 
-using PassFactory = std::function<std::unique_ptr<Pass>()>;
+/// The builtin passes, one fresh instance each, in emission order (also
+/// the --list-passes order): thermal, kinematics-limits, extrusion,
+/// structure, reachability, taint, oracle, baseline-compare.
+[[nodiscard]] std::vector<std::unique_ptr<Pass>> make_passes();
 
-/// Process-wide pass registry.  Builtin passes self-register on first
-/// access; third-party passes may `add` more at any time.  Thread-safe
-/// (the fleet reference phase analyzes on parallel workers).
-class PassRegistry {
- public:
-  static PassRegistry& global();
-
-  /// Registers a pass factory.  Returns false (and registers nothing)
-  /// when the id is already taken.
-  bool add(PassInfo info, PassFactory factory);
-
-  /// Registered passes in registration order (= emission order).
-  [[nodiscard]] std::vector<PassInfo> list() const;
-  [[nodiscard]] bool has(const std::string& id) const;
-
-  /// Instantiates one pass; nullptr for an unknown id.
-  [[nodiscard]] std::unique_ptr<Pass> make(const std::string& id) const;
-
- private:
-  PassRegistry() = default;
-  struct Entry {
-    PassInfo info;
-    PassFactory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
-
-/// Drives one analysis: instantiates the enabled passes and walks the
-/// program once, threading the shared ProgramState through every hook.
-/// Throws offramps::Error on an unknown pass id in the options.
+/// Drives one analysis: keeps the enabled passes of make_passes() and
+/// walks the program once, threading the shared ProgramState through
+/// every hook.  Throws offramps::Error on an unknown pass id in the
+/// options.
 class PassManager {
  public:
   PassManager(const fw::Config& config, const AnalyzeOptions& options);
@@ -233,11 +208,5 @@ class PassManager {
 /// grammar the firmware uses); shared by the manager and the thermal
 /// pass so both model the same setpoint.
 double pass_thermal_target(const gcode::Command& cmd);
-
-namespace detail {
-/// Registers the builtin passes (passes.cpp); called once from
-/// PassRegistry::global().
-void register_builtin_passes(PassRegistry& registry);
-}  // namespace detail
 
 }  // namespace offramps::analyze

@@ -1,4 +1,4 @@
-// The builtin analysis passes.  Registration order here is finding
+// The builtin analysis passes.  The order of make_passes() is finding
 // emission order within one command - it reproduces the exact report the
 // pre-pass-manager analyzer emitted (the Flaw3D acceptance corpus pins
 // the --json output byte-for-byte modulo the added "pass" field).
@@ -490,29 +490,22 @@ class BaselineComparePass final : public Pass {
   }
 };
 
-template <typename P>
-void add(PassRegistry& registry) {
-  const PassInfo info = P{}.info();
-  registry.add(info, [] { return std::make_unique<P>(); });
-}
-
 }  // namespace
 
-namespace detail {
-
-void register_builtin_passes(PassRegistry& registry) {
+std::vector<std::unique_ptr<Pass>> make_passes() {
   // Order = emission order within one command (and the --list-passes
   // order): thermal findings precede envelope findings precede blob
   // findings on the same move, matching the historical report layout.
-  add<ThermalPass>(registry);
-  add<KinematicsLimitsPass>(registry);
-  add<ExtrusionPass>(registry);
-  add<StructurePass>(registry);
-  add<ReachabilityPass>(registry);
-  add<TaintPass>(registry);
-  add<OraclePass>(registry);
-  add<BaselineComparePass>(registry);
+  std::vector<std::unique_ptr<Pass>> passes;
+  passes.push_back(std::make_unique<ThermalPass>());
+  passes.push_back(std::make_unique<KinematicsLimitsPass>());
+  passes.push_back(std::make_unique<ExtrusionPass>());
+  passes.push_back(std::make_unique<StructurePass>());
+  passes.push_back(std::make_unique<ReachabilityPass>());
+  passes.push_back(std::make_unique<TaintPass>());
+  passes.push_back(std::make_unique<OraclePass>());
+  passes.push_back(std::make_unique<BaselineComparePass>());
+  return passes;
 }
 
-}  // namespace detail
 }  // namespace offramps::analyze

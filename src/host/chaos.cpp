@@ -100,13 +100,11 @@ ChaosSpec parse_chaos(const std::string& text) {
 
 ChaosInjector::ChaosInjector(const ChaosSpec& spec, std::uint32_t attempt)
     : spec_(spec), active_(spec.enabled() && attempt < spec.fires_for) {
-#if OFFRAMPS_OBS_ENABLED
   if (active_ && obs::enabled()) {
     static obs::Counter& injected =
         obs::Registry::instance().counter("host.chaos.injected");
     injected.add(1);
   }
-#endif
 }
 
 void ChaosInjector::arm(Rig& rig) const {

@@ -114,7 +114,7 @@ constexpr const char* kSpecHelp =
     "    \"ring_capacity\": 64,     detector ring-buffer depth\n"
     "    \"max_attempts\": 3,       supervised attempts per rig\n"
     "    \"backoff_ms\": 0,         base retry backoff\n"
-    "    \"stall_timeout_s\": 10,   watchdog no-progress limit (sim s)\n"
+    "    \"stall_timeout_s\": 10,   watchdog no-progress limit (sim s) (> 0)\n"
     "    \"checkpoint\": \"\",        campaign checkpoint file\n"
     "    \"checkpoint_every\": 1,\n"
     "    \"save_captures_dir\": \"\",\n"
@@ -395,7 +395,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
-    std::fprintf(stdout, "[fleetd] wrote %s\n", out_path.c_str());
+    // stderr, like the trace notice: stdout carries only the report.
+    std::fprintf(stderr, "[fleetd] wrote %s\n", out_path.c_str());
   }
   if (!report.complete) return 75;  // partial campaign: resume to finish
   if (report.alarmed() > 0 ||

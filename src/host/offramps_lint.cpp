@@ -143,7 +143,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (list_passes) {
-    for (const auto& info : offramps::analyze::PassRegistry::global().list()) {
+    for (const auto& pass : offramps::analyze::make_passes()) {
+      const offramps::analyze::PassInfo info = pass->info();
       std::fprintf(stdout, "%-18s %s\n", info.id.c_str(),
                    info.description.c_str());
     }

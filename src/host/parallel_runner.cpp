@@ -28,7 +28,6 @@ std::exception_ptr call(const Fn& fn) {
 ParallelRunner::ParallelRunner(std::size_t workers)
     : workers_(workers == 0 ? default_workers() : workers) {
   if (workers_ <= 1) return;  // Inline mode: no threads.
-#if OFFRAMPS_OBS_ENABLED
   // Handles are registered up front (one registry lock per pool, off the
   // job path) so per-worker balance shows up keyed deterministically:
   // host.pool.worker.<i>.executed.
@@ -38,7 +37,6 @@ ParallelRunner::ParallelRunner(std::size_t workers)
   }
   parks_ = &obs::Registry::instance().counter("host.pool.parks");
   unparks_ = &obs::Registry::instance().counter("host.pool.unparks");
-#endif
   threads_.reserve(workers_);
   for (std::size_t i = 0; i < workers_; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -126,11 +124,10 @@ void ParallelRunner::drain() {
   }
 }
 
-void ParallelRunner::worker_loop([[maybe_unused]] std::size_t self) {
+void ParallelRunner::worker_loop(std::size_t self) {
   std::unique_lock<std::mutex> lk(mu_);
   const auto ready = [this] { return shutdown_ || !jobs_.empty(); };
   while (true) {
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled() && !ready()) {
       // A park is a worker actually going to sleep on the condition
       // variable (the predicate was false on arrival); the matching
@@ -142,18 +139,13 @@ void ParallelRunner::worker_loop([[maybe_unused]] std::size_t self) {
     } else {
       work_cv_.wait(lk, ready);
     }
-#else
-    work_cv_.wait(lk, ready);
-#endif
     // Shutdown waits for the queue to empty, so a job queued before the
     // destructor still runs.
     if (jobs_.empty()) return;
     Job job = std::move(jobs_.front());
     jobs_.pop_front();
     lk.unlock();
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) executed_[self]->add(1);
-#endif
     std::exception_ptr err = call(job.fn);
     job.fn = nullptr;  // captures die before the latch reports done
     lk.lock();

@@ -99,14 +99,12 @@ class ParallelRunner {
 
   std::size_t workers_;
   std::vector<std::thread> threads_;
-#if OFFRAMPS_OBS_ENABLED
   /// obs:: registry handles, bound at construction so the job and park
   /// paths pay no registry lookup; increments are gated on
   /// obs::enabled().
   std::vector<obs::Counter*> executed_;  // jobs each worker ran
   obs::Counter* parks_ = nullptr;
   obs::Counter* unparks_ = nullptr;
-#endif
 
   std::mutex mu_;
   std::condition_variable work_cv_;

@@ -20,24 +20,8 @@ std::size_t shard_index() {
 }
 }  // namespace detail
 
-namespace {
-std::atomic<std::uint32_t> g_latency_sample_every{64};
-}  // namespace
-
-void set_latency_sample_every(std::uint32_t n) {
-  g_latency_sample_every.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-}
-
-std::uint32_t latency_sample_every() {
-  return g_latency_sample_every.load(std::memory_order_relaxed);
-}
-
 void set_enabled(bool on) {
-#if OFFRAMPS_OBS_ENABLED
   detail::g_enabled.store(on, std::memory_order_seq_cst);
-#else
-  (void)on;
-#endif
 }
 
 Histogram::Histogram(std::vector<double> bounds)

@@ -7,18 +7,18 @@
 // worker-pool balance, detector window timings) that the fleet tools can
 // export without perturbing the thing they measure.
 //
-// Cost model, in order of increasing spend:
+// Cost model.  Every site is compiled in; obs::enabled() is the layer's
+// one switch:
 //
-//   * compiled out          - OFFRAMPS_OBS_ENABLED=0 removes every
-//                             instrumentation site at preprocessing time
-//                             (the CMake option OFFRAMPS_OBS=OFF sets it
-//                             project-wide);
-//   * compiled in, disabled - the everyday path.  Each site is one
-//                             relaxed atomic load and an untaken branch;
-//                             bench_obs enforces < 2% on the event loop;
-//   * enabled               - obs::set_enabled(true).  Hot-path updates
-//                             are lock-free atomic ops on pre-registered
-//                             handles: no allocation, no registry lock.
+//   * disabled - the everyday path.  Each site is one relaxed atomic
+//                load and an untaken branch; bench_obs enforces < 2% on
+//                the event loop;
+//   * enabled  - obs::set_enabled(true).  Hot-path updates are
+//                lock-free atomic ops on pre-registered handles: no
+//                allocation, no registry lock.  Wall-clock latency
+//                histograms on per-event paths time 1 call in
+//                kLatencySampleEvery; counters and gauges count every
+//                call.
 //
 // Handles returned by Registry are valid for the process lifetime, so
 // call sites register once (function-local static or constructor) and
@@ -34,10 +34,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef OFFRAMPS_OBS_ENABLED
-#define OFFRAMPS_OBS_ENABLED 1
-#endif
 
 namespace offramps::obs {
 
@@ -58,15 +54,10 @@ std::size_t shard_index();
 /// True when instrumentation sites should record.  One relaxed load -
 /// this is the only cost the disabled path pays.
 inline bool enabled() {
-#if OFFRAMPS_OBS_ENABLED
   return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
-/// Turns recording on/off process-wide.  A no-op (always off) when the
-/// layer is compiled out.
+/// Turns recording on/off process-wide.
 void set_enabled(bool on);
 
 /// Microseconds elapsed since `t0` (histogram convenience).
@@ -160,14 +151,12 @@ class Histogram {
 /// Default bucket ladder for latency histograms, in microseconds.
 const std::vector<double>& latency_buckets_us();
 
-/// Sampling interval for per-event wall-clock latency observations on
-/// the scheduler hot path: 1-in-N events pays the two steady_clock reads
-/// and the histogram update.  Default 64.  Set 1 to time every event
-/// (exact counts, old behavior); 0 is clamped to 1.  Counters and gauges
-/// are never sampled - only the wall-clock histogram, whose values are
-/// nondeterministic anyway.
-void set_latency_sample_every(std::uint32_t n);
-[[nodiscard]] std::uint32_t latency_sample_every();
+/// Sampling interval for per-event wall-clock latency observations (the
+/// scheduler's callbacks, the detector's windows): the first call and
+/// every 64th after it pay the two steady_clock reads and the histogram
+/// update.  Counters and gauges are never sampled - only the wall-clock
+/// histograms, whose values are nondeterministic anyway.
+inline constexpr std::uint32_t kLatencySampleEvery = 64;
 
 /// Process-wide name -> instrument map.  Registration (the only locking
 /// path) returns a stable reference; the same name always yields the

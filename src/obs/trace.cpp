@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <vector>
@@ -22,8 +23,6 @@ struct TraceEvent {
 struct State {
   std::mutex mu;
   std::atomic<bool> active{false};
-  std::atomic<std::uint32_t> sample_every{1};
-  std::atomic<std::uint64_t> span_counter{0};
   std::chrono::steady_clock::time_point t0;
   std::vector<TraceEvent> events;
 };
@@ -57,21 +56,6 @@ void TraceSession::stop() {
 
 bool TraceSession::active() {
   return state().active.load(std::memory_order_relaxed);
-}
-
-void TraceSession::set_sample_every(std::uint32_t n) {
-  state().sample_every.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-}
-
-std::uint32_t TraceSession::sample_every() {
-  return state().sample_every.load(std::memory_order_relaxed);
-}
-
-bool TraceSession::sample_this_span() {
-  State& s = state();
-  const std::uint32_t n = s.sample_every.load(std::memory_order_relaxed);
-  if (n <= 1) return true;
-  return s.span_counter.fetch_add(1, std::memory_order_relaxed) % n == 0;
 }
 
 std::size_t TraceSession::event_count() {

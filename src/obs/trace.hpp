@@ -10,19 +10,16 @@
 //
 // Cost contract (mirrors obs::metrics): with no session active a Span
 // constructor is one relaxed atomic load and an untaken branch; nothing
-// is allocated by the span itself and nothing is recorded.  Recording
+// is allocated by the span itself and nothing is recorded.  With a
+// session active every span records (spans are not sampled): recording
 // appends to a mutex-guarded vector - spans mark phases (whole prints,
 // campaign cells), not per-event work, so contention is structural noise.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <utility>
-
-#ifndef OFFRAMPS_OBS_ENABLED
-#define OFFRAMPS_OBS_ENABLED 1
-#endif
 
 namespace offramps::obs {
 
@@ -47,16 +44,6 @@ class TraceSession {
   /// Called by ~Span; callable directly for spans that cannot be scoped.
   static void record(std::string name, std::string cat,
                      std::chrono::steady_clock::time_point t0);
-
-  /// Span sampling interval: 1-in-N spans record (process-wide modulo
-  /// over span constructions).  Default 1 = record every span; 0 is
-  /// clamped to 1.  For fleets whose span volume would otherwise swamp
-  /// the trace file.
-  static void set_sample_every(std::uint32_t n);
-  [[nodiscard]] static std::uint32_t sample_every();
-  /// True when the next span should record (applies the sampling
-  /// interval; advances the sample counter when the interval > 1).
-  [[nodiscard]] static bool sample_this_span();
 };
 
 /// RAII span: records a complete event covering its own lifetime, tagged
@@ -65,7 +52,7 @@ class TraceSession {
 class Span {
  public:
   explicit Span(std::string name, std::string cat = "offramps")
-      : armed_(TraceSession::active() && TraceSession::sample_this_span()) {
+      : armed_(TraceSession::active()) {
     if (!armed_) return;
     name_ = std::move(name);
     cat_ = std::move(cat);

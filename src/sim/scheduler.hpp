@@ -57,11 +57,9 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-#if OFFRAMPS_OBS_ENABLED
   ~Scheduler() {
     if (obs_batch_events_ != 0) flush_obs();
   }
-#endif
 
   /// Current simulation time.  Inside a callback this is the event's time.
   [[nodiscard]] Tick now() const { return now_; }
@@ -133,9 +131,7 @@ class Scheduler {
   /// Runs the single earliest pending event.  Returns false when idle.
   bool step() {
     if (keys_.empty()) {
-#if OFFRAMPS_OBS_ENABLED
       if (obs_batch_events_ != 0) flush_obs();
-#endif
       return false;
     }
     run_next();
@@ -146,9 +142,7 @@ class Scheduler {
   /// false when idle or the next event lies beyond `t`.
   bool step_if_before(Tick t) {
     if (keys_.empty() || keys_.back().time > t) {
-#if OFFRAMPS_OBS_ENABLED
       if (obs_batch_events_ != 0) flush_obs();
-#endif
       return false;
     }
     run_next();
@@ -161,9 +155,7 @@ class Scheduler {
     std::size_t n = 0;
     while (!stop_requested_ && step_if_before(t)) ++n;
     if (!stop_requested_) drained_to(t);
-#if OFFRAMPS_OBS_ENABLED
     if (obs_batch_events_ != 0) flush_obs();
-#endif
     return n;
   }
 
@@ -174,18 +166,14 @@ class Scheduler {
     std::size_t n = 0;
     while (!keys_.empty() && !stop_requested_) {
       if (n >= max_events) {
-#if OFFRAMPS_OBS_ENABLED
         if (obs_batch_events_ != 0) flush_obs();
-#endif
         throw Error("Scheduler::run_all: event limit exceeded (runaway?)");
       }
       step();
       ++n;
     }
     if (!stop_requested_) drained_to(std::max(now_, reserved_until_));
-#if OFFRAMPS_OBS_ENABLED
     if (obs_batch_events_ != 0) flush_obs();
-#endif
     return n;
   }
 
@@ -266,7 +254,6 @@ class Scheduler {
     now_ = key.time;
     drained_seq_ = key.seq;
     ++executed_;
-#if OFFRAMPS_OBS_ENABLED
     // One relaxed load + untaken branch on the everyday path (bench_obs
     // holds this under 2% of the event loop); the priced work lives in
     // the cold sibling below.
@@ -274,16 +261,14 @@ class Scheduler {
       execute_instrumented(cb);
       return;
     }
-#endif
     cb.invoke_unchecked();
   }
 
-#if OFFRAMPS_OBS_ENABLED
   /// Metered dispatch, only reachable while obs::set_enabled(true):
   /// process-wide event count, queue-depth gauge (high-water semantics:
   /// depth at dispatch, including the executing event), and a sampled
-  /// wall-clock callback latency histogram (1-in-N per
-  /// obs::latency_sample_every()).  Counts and depth accumulate in plain
+  /// wall-clock callback latency histogram (1 event in
+  /// obs::kLatencySampleEvery).  Counts and depth accumulate in plain
   /// members and flush to the registry per batch, so the per-event cost
   /// is increments and compares rather than shared atomic RMWs.  Wall
   /// time never feeds back into simulated time, so enabling metrics
@@ -301,7 +286,7 @@ class Scheduler {
     const auto depth = static_cast<std::int64_t>(keys_.size()) + 1;
     if (depth > obs_depth_high_) obs_depth_high_ = depth;
     if (--obs_sample_countdown_ == 0) {
-      obs_sample_countdown_ = obs::latency_sample_every();
+      obs_sample_countdown_ = obs::kLatencySampleEvery;
       const auto t0 = std::chrono::steady_clock::now();
       cb.invoke_unchecked();
       obs_latency_->observe(obs::us_since(t0));
@@ -321,7 +306,6 @@ class Scheduler {
   }
 
   static constexpr std::uint64_t kObsFlushEvery = 1024;
-#endif
 
   /// Pending keys sorted latest-first: the next event is keys_.back().
   std::vector<Key> keys_;
@@ -334,14 +318,12 @@ class Scheduler {
   std::uint64_t warped_events_ = 0;
   bool stop_requested_ = false;
   TimeWarp time_warp_;
-#if OFFRAMPS_OBS_ENABLED
   obs::Counter* obs_events_ = nullptr;
   obs::Gauge* obs_depth_ = nullptr;
   obs::Histogram* obs_latency_ = nullptr;
   std::uint64_t obs_batch_events_ = 0;
   std::int64_t obs_depth_high_ = 0;
   std::uint32_t obs_sample_countdown_ = 1;
-#endif
   /// Places at now() with a lower seq have passed (the running event's
   /// seq, or all of them once the run has drained to now()).
   std::uint64_t drained_seq_ = 0;

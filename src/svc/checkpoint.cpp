@@ -198,7 +198,6 @@ void Checkpoint::save(const std::string& path) const {
   const obs::Span span("checkpoint/save", "fleet");
   const auto t0 = std::chrono::steady_clock::now();
   core::write_file_atomic(path, to_binary(), "checkpoint");
-#if OFFRAMPS_OBS_ENABLED
   if (obs::enabled()) {
     static obs::Counter& saves =
         obs::Registry::instance().counter("svc.checkpoint.saves");
@@ -209,8 +208,6 @@ void Checkpoint::save(const std::string& path) const {
                         std::chrono::steady_clock::now() - t0)
                         .count());
   }
-#endif
-  (void)t0;
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {

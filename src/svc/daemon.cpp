@@ -118,11 +118,9 @@ class ReferenceResolver {
         return r;
       }
     }
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       obs::Registry::instance().counter("svc.ref.simulations").add(1);
     }
-#endif
     r.print(options_, options_.channels, SupervisorOptions{}, "reference");
     if (cache_) cache_->put(key, r.entry);
     return r;
@@ -174,7 +172,6 @@ FleetReport assemble_report(std::vector<SessionResult> results) {
   return report;
 }
 
-#if OFFRAMPS_OBS_ENABLED
 struct DaemonStats {
   obs::Counter* joins;
   obs::Counter* leaves;
@@ -191,14 +188,12 @@ DaemonStats& daemon_stats() {
                                            obs::latency_buckets_us())};
   return s;
 }
-#endif
 
 /// Registers every daemon-path instrument up front so a campaign that
 /// never touches one (e.g. a fully-warm cache: zero simulations) still
 /// exports it, with value 0 - the acceptance check greps for exactly
 /// that.
 void register_service_metrics() {
-#if OFFRAMPS_OBS_ENABLED
   if (!obs::enabled()) return;
   obs::Registry::instance().counter("svc.ref.simulations");
   obs::Registry::instance().counter("svc.cache.hit");
@@ -206,7 +201,6 @@ void register_service_metrics() {
   obs::Registry::instance().counter("svc.cache.evict");
   obs::Registry::instance().counter("svc.cache.rejected");
   daemon_stats();
-#endif
 }
 
 void fill_result(SessionResult& item, RigSession& session) {
@@ -376,9 +370,7 @@ FleetReport Daemon::serve_socket() {
 
   std::mutex results_mu;
   std::vector<SessionResult> results;
-#if OFFRAMPS_OBS_ENABLED
   std::atomic<std::int64_t> inflight{0};
-#endif
 
   // One posted job per accepted connection.  The read loop feeds the
   // session synchronously, so a slow detector simply stops reading and
@@ -387,12 +379,10 @@ FleetReport Daemon::serve_socket() {
   const auto run_session = [&](int fd, std::size_t seq) {
     FdCloser conn{fd};
     const auto t0 = std::chrono::steady_clock::now();
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       daemon_stats().joins->add(1);
       daemon_stats().sessions->set(++inflight);
     }
-#endif
     SessionResult item;
     item.arrival = seq;
     item.label = "conn-" + std::to_string(seq);
@@ -417,13 +407,11 @@ FleetReport Daemon::serve_socket() {
     [[maybe_unused]] const ssize_t sent =
         ::send(fd, &ack, 1, MSG_NOSIGNAL);  // best effort
     item.seconds = obs::us_since(t0) / 1e6;
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       daemon_stats().leaves->add(1);
       daemon_stats().sessions->set(--inflight);
       daemon_stats().session_us->observe(item.seconds * 1e6);
     }
-#endif
     std::lock_guard<std::mutex> lk(results_mu);
     results.push_back(std::move(item));
   };
@@ -481,12 +469,10 @@ FleetReport Daemon::serve_stdin() {
     item.label = "pipe-" + std::to_string(item.arrival);
     fill_result(item, *session);
     item.seconds = obs::us_since(t0) / 1e6;
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       daemon_stats().leaves->add(1);
       daemon_stats().session_us->observe(item.seconds * 1e6);
     }
-#endif
     results.push_back(std::move(item));
     session.reset();
   };
@@ -511,9 +497,7 @@ FleetReport Daemon::serve_stdin() {
         session = std::make_unique<RigSession>(resolver.session_options(),
                                                resolver.refs());
         t0 = std::chrono::steady_clock::now();
-#if OFFRAMPS_OBS_ENABLED
         if (obs::enabled()) daemon_stats().joins->add(1);
-#endif
       }
       const std::size_t used = session->feed(buf.data() + off, got - off);
       off += used;

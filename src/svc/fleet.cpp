@@ -545,11 +545,9 @@ Reference reference_phase(const FleetOptions& options,
   if (hit) {
     ref.entry = std::move(*hit);
   } else {
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       obs::Registry::instance().counter("svc.ref.simulations").add(1);
     }
-#endif
     // Key space: references live above the rig indices so backoff
     // jitter never correlates a reference with a same-index rig.
     guard = supervisor.run_guarded(
@@ -641,13 +639,11 @@ RigOutcome run_attempt(const FleetOptions& options, std::uint32_t index,
   };
   service = [&] {
     ++slots_run;
-#if OFFRAMPS_OBS_ENABLED
     if (obs::enabled()) {
       static obs::Counter& slots =
           obs::Registry::instance().counter("svc.pump.slots");
       slots.add(1);
     }
-#endif
     for (std::size_t p = 0; p < consumed.size(); ++p) {
       const plant::SideProbe& probe = *rig.probes()[p];
       if (probe.kind() == SampleKind::kPower && injector.jam_power()) {
@@ -832,11 +828,9 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
           ? nullptr
           : std::make_unique<RefCache>(RefCacheOptions{
                 options_.cache_dir, options_.cache_max_bytes});
-#if OFFRAMPS_OBS_ENABLED
   if (obs::enabled()) {
     obs::Registry::instance().counter("svc.ref.simulations");
   }
-#endif
 
   const std::uint64_t digest = campaign_digest(fleet, options_);
   Checkpoint resumed = resume_point(options_.resume_path, digest,
@@ -990,6 +984,11 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
       spec_integer(doc, "backoff_ms", options.supervisor.backoff_base_ms);
   options.supervisor.stall_timeout_s = doc.number_or(
       "stall_timeout_s", options.supervisor.stall_timeout_s);
+  if (!(options.supervisor.stall_timeout_s > 0.0)) {
+    throw Error(
+        "fleet spec: \"stall_timeout_s\" must be a positive number of "
+        "simulated seconds");
+  }
   options.checkpoint_path =
       doc.string_or("checkpoint", options.checkpoint_path);
   options.checkpoint_every =

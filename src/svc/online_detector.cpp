@@ -127,7 +127,6 @@ std::size_t OnlineDetector::drain() {
 }
 
 void OnlineDetector::process(const core::Transaction& txn) {
-#if OFFRAMPS_OBS_ENABLED
   if (obs::enabled()) {
     if (obs_windows_ == nullptr) {
       obs_windows_ = &obs::Registry::instance().counter(
@@ -137,7 +136,7 @@ void OnlineDetector::process(const core::Transaction& txn) {
     }
     obs_windows_->add(1);
     if (--obs_sample_countdown_ == 0) {
-      obs_sample_countdown_ = obs::latency_sample_every();
+      obs_sample_countdown_ = obs::kLatencySampleEvery;
       const auto t0 = std::chrono::steady_clock::now();
       process_impl(txn);
       obs_window_us_->observe(obs::us_since(t0));
@@ -146,7 +145,6 @@ void OnlineDetector::process(const core::Transaction& txn) {
     }
     return;
   }
-#endif
   process_impl(txn);
 }
 
@@ -168,7 +166,6 @@ void OnlineDetector::finish(const core::Capture& capture) {
   finished_ = true;
   report_.stream_finished = true;
 
-#if OFFRAMPS_OBS_ENABLED
   // Export the ring-buffer health this detector already tracks: the
   // gauge's max is the worst occupancy across every detector in the
   // process, the counter the fleet-wide stall total.
@@ -182,7 +179,6 @@ void OnlineDetector::finish(const core::Capture& capture) {
         .counter("svc.detector.backpressure_stalls")
         .add(backpressure_stalls_);
   }
-#endif
 
   std::vector<ChannelTrip> trips;
   for (auto& channel : channels_) {

@@ -208,16 +208,14 @@ class OnlineDetector {
   bool finished_ = false;
   bool draining_ = false;
 
-#if OFFRAMPS_OBS_ENABLED
   // Registry handles, bound lazily on the first metered window so a
   // detector that never runs with metrics enabled registers nothing
   // (keeping the exported document identical to pre-instrumentation
-  // runs).  The countdown samples the wall-clock window timer 1-in-N
-  // per obs::latency_sample_every(); the window *counter* stays exact.
+  // runs).  The countdown samples the wall-clock window timer 1 window
+  // in obs::kLatencySampleEvery; the window *counter* stays exact.
   obs::Counter* obs_windows_ = nullptr;
   obs::Histogram* obs_window_us_ = nullptr;
   std::uint32_t obs_sample_countdown_ = 1;
-#endif
 };
 
 }  // namespace offramps::svc

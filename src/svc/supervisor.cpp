@@ -59,31 +59,25 @@ GuardOutcome Supervisor::run_guarded(
                           : (ctx.degraded ? RigStatus::kDegraded
                                           : RigStatus::kRecovered);
       out.failure_cause = a == 0 ? std::string{} : cause;
-#if OFFRAMPS_OBS_ENABLED
       if (out.status == RigStatus::kDegraded && obs::enabled()) {
         static obs::Counter& degraded =
             obs::Registry::instance().counter("svc.supervisor.degraded");
         degraded.add(1);
       }
-#endif
       return out;
     } catch (const std::exception& e) {
       cause = e.what();
-#if OFFRAMPS_OBS_ENABLED
       if (obs::enabled()) {
         static obs::Counter& failures =
             obs::Registry::instance().counter("svc.supervisor.failures");
         failures.add(1);
       }
-#endif
       if (a + 1 < max_attempts) {
-#if OFFRAMPS_OBS_ENABLED
         if (obs::enabled()) {
           static obs::Counter& retries =
               obs::Registry::instance().counter("svc.supervisor.retries");
           retries.add(1);
         }
-#endif
         const std::uint64_t delay = backoff_delay_ms(options_, key, a);
         if (delay > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(delay));
@@ -94,13 +88,11 @@ GuardOutcome Supervisor::run_guarded(
   out.status = RigStatus::kLost;
   out.attempts = max_attempts;
   out.failure_cause = cause;
-#if OFFRAMPS_OBS_ENABLED
   if (obs::enabled()) {
     static obs::Counter& quarantined =
         obs::Registry::instance().counter("svc.supervisor.quarantined");
     quarantined.add(1);
   }
-#endif
   return out;
 }
 

@@ -1,12 +1,11 @@
-// Pass-framework tests: registry contents, pass subset selection,
+// Pass-framework tests: the fixed pass list, pass subset selection,
 // per-pass severity overrides, the two new flow-sensitive checks
-// (post-abort reachability, M220/M221/M104 override taint), third-party
-// pass registration, and the --json schema's pass field.
+// (post-abort reachability, M220/M221/M104 override taint), and the
+// --json schema's pass field.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/analyzer.hpp"
@@ -26,32 +25,38 @@ const char* kPreamble =
     "G21\nG90\nM83\nG28\nM109 S200\n"
     "G1 X10 Y10 F3000 E2\n";  // printing starts here
 
-// --- registry ----------------------------------------------------------------
+// --- pass list ---------------------------------------------------------------
 
-TEST(PassRegistry, ListsBuiltinPassesInEmissionOrder) {
-  const std::vector<PassInfo> infos = PassRegistry::global().list();
-  std::vector<std::string> ids;
-  ids.reserve(infos.size());
-  for (const auto& info : infos) ids.push_back(info.id);
-  const std::vector<std::string> builtin = {
-      "thermal",       "kinematics-limits", "extrusion", "structure",
-      "reachability",  "taint",             "oracle",    "baseline-compare"};
-  // Third-party passes may have been appended by other tests; the
-  // builtin prefix and its order are the contract.
-  ASSERT_GE(ids.size(), builtin.size());
-  for (std::size_t i = 0; i < builtin.size(); ++i) {
-    EXPECT_EQ(ids[i], builtin[i]);
+TEST(PassList, MakesTheEightBuiltinPassesInEmissionOrder) {
+  // The exact --list-passes rows: list order is finding emission order
+  // within one command, so a reordered or renamed pass changes reports.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"thermal",
+       "cold-extrusion, cold-extrusion-risk, thermal-overtemp, "
+       "temp-override (heater setpoint model)"},
+      {"kinematics-limits", "axis-limit, feedrate-limit (machine envelope)"},
+      {"extrusion",
+       "inplace-extrusion (stationary advance beyond the retraction debt: "
+       "relocation blob dumps)"},
+      {"structure", "unknown-command (words the firmware would ignore)"},
+      {"reachability",
+       "unreachable-commands, post-abort-motion (flow-sensitive dead-code "
+       "scan after M112)"},
+      {"taint",
+       "feedrate-override-taint, flow-override-taint, temp-override-taint "
+       "(mid-print M220/M221/M104 overrides)"},
+      {"oracle",
+       "step-count oracle (segments, expected counts), rehome-uncertainty, "
+       "counters-not-armed"},
+      {"baseline-compare",
+       "move-count/segment/step-count/extrusion-total/ratio mismatches "
+       "against a known-good baseline"}};
+  std::vector<std::pair<std::string, std::string>> listed;
+  for (const auto& pass : make_passes()) {
+    const PassInfo info = pass->info();
+    listed.emplace_back(info.id, info.description);
   }
-}
-
-TEST(PassRegistry, RejectsDuplicateIds) {
-  EXPECT_FALSE(PassRegistry::global().add(
-      PassInfo{"thermal", "impostor"},
-      [] { return std::unique_ptr<Pass>(); }));
-}
-
-TEST(PassRegistry, MakeUnknownIdReturnsNull) {
-  EXPECT_EQ(PassRegistry::global().make("no-such-pass"), nullptr);
+  EXPECT_EQ(listed, expected);
 }
 
 // --- pass selection ----------------------------------------------------------
@@ -233,41 +238,6 @@ TEST(TaintPass, ReportsEachOverrideSiteOnce) {
   const AnalysisResult res = analyze_program(program);
   EXPECT_EQ(res.count(FindingCode::kFlowOverrideTaint), 2u)
       << res.to_string();
-}
-
-// --- third-party pass registration -------------------------------------------
-
-class CountingPass final : public Pass {
- public:
-  [[nodiscard]] PassInfo info() const override {
-    return {"test-counting", "counts moves (test-only pass)"};
-  }
-  void on_move(PassContext& ctx, const gcode::Command&,
-               const fw::ResolvedMove&, std::size_t index) override {
-    ++moves_;
-    if (moves_ == 1) {
-      ctx.emit(FindingCode::kUnknownCommand, Severity::kNote, index, 0.0,
-               0.0, "first move (test pass)");
-    }
-  }
-
- private:
-  int moves_ = 0;
-};
-
-TEST(ThirdPartyPass, RegistersAndRidesTheWalk) {
-  static const bool registered = PassRegistry::global().add(
-      PassInfo{"test-counting", "counts moves (test-only pass)"},
-      [] { return std::make_unique<CountingPass>(); });
-  ASSERT_TRUE(registered);
-
-  AnalyzeOptions options;
-  options.passes = {"test-counting"};
-  const AnalysisResult res =
-      analyze_program(parse("G28\nG1 X5 F3000\nG1 X6\n"), {}, options);
-  ASSERT_EQ(res.findings.size(), 1u);
-  EXPECT_EQ(res.findings[0].pass, "test-counting");
-  EXPECT_EQ(res.findings[0].message, "first move (test pass)");
 }
 
 // --- schema ------------------------------------------------------------------

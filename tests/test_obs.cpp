@@ -127,16 +127,11 @@ TEST_F(ObsTest, DisabledGateSuppressesSchedulerInstrumentation) {
 TEST_F(ObsTest, EnabledSchedulerRecordsEventsDepthAndLatency) {
   obs::set_enabled(true);
   ASSERT_TRUE(obs::enabled());
-  // Time every callback for this test (the production default samples
-  // the wall-clock histogram 1-in-64; counts and depth are always exact).
-  const auto prev_sample = obs::latency_sample_every();
-  obs::set_latency_sample_every(1);
   sim::Scheduler sched;
   for (int i = 0; i < 100; ++i) {
     sched.schedule_in(sim::Tick(i + 1), [] {});
   }
   sched.run_all();
-  obs::set_latency_sample_every(prev_sample);
   obs::set_enabled(false);
 
   EXPECT_EQ(obs::Registry::instance().counter("sim.scheduler.events").value(),
@@ -144,34 +139,40 @@ TEST_F(ObsTest, EnabledSchedulerRecordsEventsDepthAndLatency) {
   // All 100 events were queued up-front, so the depth high-water saw them.
   EXPECT_EQ(obs::Registry::instance().gauge("sim.scheduler.queue_depth").max(),
             100);
+  // The wall-clock histogram times 1 event in 64: the 1st and the 65th.
   EXPECT_EQ(obs::Registry::instance()
                 .histogram("sim.scheduler.callback_us",
                            obs::latency_buckets_us())
                 .count(),
-            100u);
+            2u);
 }
 
 TEST_F(ObsTest, LatencySamplingThinsHistogramButNotCounters) {
+  static_assert(obs::kLatencySampleEvery == 64);
+  const auto run = [](sim::Scheduler& sched, int events) {
+    for (int i = 0; i < events; ++i) {
+      sched.schedule_in(sim::Tick(i + 1), [] {});
+    }
+    sched.run_all();
+  };
+  const auto timed = [] {
+    return obs::Registry::instance()
+        .histogram("sim.scheduler.callback_us", obs::latency_buckets_us())
+        .count();
+  };
   obs::set_enabled(true);
-  const auto prev_sample = obs::latency_sample_every();
-  obs::set_latency_sample_every(10);
   sim::Scheduler sched;
-  for (int i = 0; i < 100; ++i) {
-    sched.schedule_in(sim::Tick(i + 1), [] {});
-  }
-  sched.run_all();
-  obs::set_latency_sample_every(prev_sample);
-  obs::set_enabled(false);
-
-  // Counter stays exact under sampling; the wall-clock histogram takes
-  // 1-in-10 observations (the first event is always sampled).
+  // The first event is timed, the next 63 are only counted...
+  run(sched, 64);
+  EXPECT_EQ(timed(), 1u);
   EXPECT_EQ(obs::Registry::instance().counter("sim.scheduler.events").value(),
-            100u);
-  EXPECT_EQ(obs::Registry::instance()
-                .histogram("sim.scheduler.callback_us",
-                           obs::latency_buckets_us())
-                .count(),
-            10u);
+            64u);
+  // ...and the 65th is timed again: the countdown spans run_all calls.
+  run(sched, 1);
+  obs::set_enabled(false);
+  EXPECT_EQ(timed(), 2u);
+  EXPECT_EQ(obs::Registry::instance().counter("sim.scheduler.events").value(),
+            65u);
 }
 
 TEST_F(ObsTest, SpansAreInertWithoutASession) {

@@ -1,6 +1,6 @@
-// Concurrency tests for the striped obs::Counter (PR 7) and the
-// sampling knobs.  Run under TSan via the `determinism` label: the
-// stripes must be provably race-free while keeping totals exact.
+// Concurrency tests for the striped obs::Counter, the gauge and the
+// histogram.  Run under TSan via the `determinism` label: the stripes
+// must be provably race-free while keeping totals exact.
 
 #include <atomic>
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -119,38 +118,6 @@ TEST(ObsSharded, HistogramConcurrentObservesCountExactly) {
   std::uint64_t bucket_total = 0;
   for (const auto n : h.counts()) bucket_total += n;
   EXPECT_EQ(bucket_total, h.count());
-}
-
-TEST(ObsSampling, LatencySampleKnobClampsAndRoundTrips) {
-  const auto prev = offramps::obs::latency_sample_every();
-  offramps::obs::set_latency_sample_every(16);
-  EXPECT_EQ(offramps::obs::latency_sample_every(), 16u);
-  offramps::obs::set_latency_sample_every(0);  // clamped, never div-by-zero
-  EXPECT_EQ(offramps::obs::latency_sample_every(), 1u);
-  offramps::obs::set_latency_sample_every(prev);
-}
-
-TEST(ObsSampling, SpanSampleKnobClampsAndRoundTrips) {
-  using offramps::obs::TraceSession;
-  const auto prev = TraceSession::sample_every();
-  TraceSession::set_sample_every(8);
-  EXPECT_EQ(TraceSession::sample_every(), 8u);
-  TraceSession::set_sample_every(0);
-  EXPECT_EQ(TraceSession::sample_every(), 1u);
-  TraceSession::set_sample_every(prev);
-}
-
-TEST(ObsSampling, SampledSpansRecordOneInN) {
-  using offramps::obs::Span;
-  using offramps::obs::TraceSession;
-  TraceSession::set_sample_every(4);
-  TraceSession::start();
-  for (int i = 0; i < 40; ++i) {
-    Span span("sampled", "test");
-  }
-  TraceSession::stop();
-  TraceSession::set_sample_every(1);
-  EXPECT_EQ(TraceSession::event_count(), 10u);
 }
 
 }  // namespace

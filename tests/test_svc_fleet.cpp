@@ -218,7 +218,9 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
                    "{ \"rigs\": [{\"sabotage\": \"bogus\"}] }", options),
                offramps::Error);
   // Integer fields: negative, fractional, out of range or non-finite
-  // numbers are spec errors that name the key, never silent casts.
+  // numbers are spec errors that name the key, never silent casts.  So
+  // is a watchdog limit that is not positive: it would declare a stall
+  // at the first check that sees no new transaction.
   for (const std::string& bad :
        {std::string("\"workers\": -1"), std::string("\"workers\": 2.5"),
         std::string("\"ring_capacity\": -1"),
@@ -227,7 +229,9 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
         std::string("\"max_attempts\": 4294967296"),
         std::string("\"backoff_ms\": 1e300"),
         std::string("\"reference_seed\": -42"),
-        std::string("\"cache_max_mb\": -1")}) {
+        std::string("\"cache_max_mb\": -1"),
+        std::string("\"stall_timeout_s\": -1"),
+        std::string("\"stall_timeout_s\": 0")}) {
     const std::string text = "{ " + bad + ", \"rigs\": [{}] }";
     try {
       FleetOptions o;
