@@ -1,4 +1,4 @@
-// Fuzz target: the fleet-spec JSON reader.
+// Fuzz target: the fleet-spec JSON reader and the spec reader on top.
 //
 // The fleet daemon parses operator-supplied spec files with this
 // recursive-descent reader; depth bombs, bad escapes, truncated
@@ -6,7 +6,10 @@
 // (with the depth ceiling keeping the stack bounded), never UB.  Every
 // string a document yields (member names too) must survive the repo's
 // one JSON string writer, obs::append_json_string, and a second parse
-// unchanged; a difference aborts.
+// unchanged; a difference aborts.  Every document that parses then goes
+// through svc::Fleet::specs_from_json, which must return or throw
+// offramps::Error (an unknown or mistyped key, a value out of range);
+// any other exception aborts.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +17,7 @@
 
 #include "obs/json.hpp"
 #include "sim/error.hpp"
+#include "svc/fleet.hpp"
 #include "svc/json.hpp"
 
 namespace {
@@ -51,11 +55,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   } catch (const offramps::Error&) {
     return 0;  // Malformed document, rejected by contract.
   }
-  // Walk the accessor surface the fleet spec loader uses.
-  (void)value.find("rigs");
-  (void)value.number_or("workers", 0.0);
-  (void)value.bool_or("strict", false);
-  (void)value.string_or("label", "");
   walk(value);
+  try {
+    offramps::svc::FleetOptions options;
+    (void)offramps::svc::Fleet::specs_from_json(text, options);
+  } catch (const offramps::Error&) {
+    // A spec error, rejected by contract.
+  } catch (...) {
+    std::abort();
+  }
   return 0;
 }

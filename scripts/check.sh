@@ -2,7 +2,8 @@
 # One-shot verification gate - the CI entrypoint.
 #
 #   scripts/check.sh          configure + build (warnings-as-errors) +
-#                             clang-tidy lint + full test suite
+#                             clang-tidy lint + full test suite + the
+#                             symbol reach check (a second, -O0 build)
 #   scripts/check.sh --quick  build + lint, then only the labelled ctest
 #                             suites (cli, fleet, obs, chaos, daemon,
 #                             determinism, fuzz, fusion and the lint
@@ -68,6 +69,11 @@ cmake --build --preset lint
 if [[ "${quick}" -eq 0 ]]; then
   echo "==> tests"
   ctest --preset default -j "${jobs}"
+  # ...then that every library function is linked by a run, not only by
+  # tests.  It builds the tree again at -O0 with gc-sections, which takes
+  # minutes, so it is a full-mode step and not a ctest.
+  echo "==> symbol reach (scripts/check_symbol_reach.sh)"
+  scripts/check_symbol_reach.sh
 else
   # Quick mode still checks every CLI's contract: the flag parser's
   # unit tests and each tool's exact exit code on an unknown flag, a

@@ -9,16 +9,6 @@
 
 namespace offramps::analyze {
 
-const char* segment_kind_name(SegmentKind k) {
-  switch (k) {
-    case SegmentKind::kTravel: return "travel";
-    case SegmentKind::kExtrusion: return "extrusion";
-    case SegmentKind::kRetraction: return "retraction";
-    case SegmentKind::kEOnly: return "e-only";
-  }
-  return "unknown";
-}
-
 bool AnalysisResult::clean() const {
   return std::none_of(findings.begin(), findings.end(), [](const Finding& f) {
     return f.severity != Severity::kNote;

@@ -33,8 +33,6 @@ enum class SegmentKind : std::uint8_t {
   kEOnly,       // positive filament advance without motion
 };
 
-const char* segment_kind_name(SegmentKind k);
-
 /// One resolved motion segment of the program.
 struct SegmentRecord {
   /// Index of the originating command in the analyzed program (arc

@@ -90,13 +90,6 @@ PassManager::PassManager(const fw::Config& config,
 
 PassManager::~PassManager() = default;
 
-std::vector<std::string> PassManager::enabled_passes() const {
-  std::vector<std::string> out;
-  out.reserve(passes_.size());
-  for (const ActivePass& p : passes_) out.push_back(p.id);
-  return out;
-}
-
 template <typename Hook>
 void PassManager::for_each_pass(PassContext& ctx, Hook&& hook) {
   for (ActivePass& active : passes_) {

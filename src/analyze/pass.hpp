@@ -176,9 +176,6 @@ class PassManager {
   std::size_t compare(const AnalysisResult& baseline,
                       AnalysisResult& suspect);
 
-  /// Ids of the passes this manager instantiated, in emission order.
-  [[nodiscard]] std::vector<std::string> enabled_passes() const;
-
  private:
   struct ActivePass {
     std::unique_ptr<Pass> pass;

@@ -2,15 +2,6 @@
 
 namespace offramps::core {
 
-const char* route_mode_name(RouteMode m) {
-  switch (m) {
-    case RouteMode::kDirect: return "direct (FPGA bypassed)";
-    case RouteMode::kFpgaMitm: return "FPGA machine-in-the-middle";
-    case RouteMode::kFpgaRecord: return "FPGA recording tap";
-  }
-  return "unknown";
-}
-
 Board::Board(sim::Scheduler& sched, BoardOptions options, RouteMode initial)
     : sched_(sched),
       options_(options),

@@ -24,8 +24,6 @@ namespace offramps::core {
 /// Jumper-selected signal path configuration (paper Figure 3).
 enum class RouteMode { kDirect, kFpgaMitm, kFpgaRecord };
 
-const char* route_mode_name(RouteMode m);
-
 /// Board construction parameters.
 struct BoardOptions {
   FpgaOptions fpga{};

@@ -239,8 +239,4 @@ void Capture::save_binary(const std::string& path) const {
   write_file_atomic(path, to_binary(), "Capture::save_binary");
 }
 
-Capture Capture::load_binary(const std::string& path) {
-  return from_binary(read_file(path, "Capture::load_binary"));
-}
-
 }  // namespace offramps::core

@@ -93,10 +93,10 @@ struct Capture {
     return from_binary(bytes.data(), bytes.size());
   }
 
-  /// File round trip via to_binary()/from_binary(); saves are atomic
-  /// (core::write_file_atomic).  Throws offramps::Error on I/O failure.
+  /// Writes to_binary() atomically (core::write_file_atomic); read it
+  /// back with from_binary(core::read_file(...)).  Throws
+  /// offramps::Error on I/O failure.
   void save_binary(const std::string& path) const;
-  static Capture load_binary(const std::string& path);
 };
 
 }  // namespace offramps::core

@@ -43,7 +43,6 @@ bool FabricGuard::transaction_mismatches(const Transaction& txn) const {
 void FabricGuard::on_transaction(const Transaction& txn) {
   if (alarmed_) return;
   if (transaction_mismatches(txn)) {
-    ++mismatches_;
     ++consecutive_;
   } else {
     consecutive_ = 0;

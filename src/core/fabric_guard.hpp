@@ -50,9 +50,6 @@ class FabricGuard {
 
   [[nodiscard]] bool alarmed() const { return alarmed_; }
   [[nodiscard]] std::uint32_t alarm_at_index() const { return alarm_index_; }
-  [[nodiscard]] std::uint64_t mismatched_transactions() const {
-    return mismatches_;
-  }
   /// The alarm output net (would drive a buzzer/relay on the real board).
   [[nodiscard]] sim::Wire& alarm_line() { return *alarm_line_; }
   [[nodiscard]] bool safe_stop_engaged() const { return safe_stopped_; }
@@ -70,7 +67,6 @@ class FabricGuard {
   bool alarmed_ = false;
   bool safe_stopped_ = false;
   std::uint32_t alarm_index_ = 0;
-  std::uint64_t mismatches_ = 0;
 };
 
 }  // namespace offramps::core

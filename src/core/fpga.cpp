@@ -63,7 +63,6 @@ void Fpga::set_mitm_active(bool active) {
 }
 
 void Fpga::set_monitors_enabled(bool enabled) {
-  monitors_enabled_ = enabled;
   homing_->set_enabled(enabled);
   for (auto& t : trackers_) t->set_connected(enabled);
 }

@@ -55,7 +55,6 @@ class Fpga {
   /// Enables or disables the monitoring gateware (disabled when the
   /// jumpers bypass the FPGA entirely and it sees no signals).
   void set_monitors_enabled(bool enabled);
-  [[nodiscard]] bool monitors_enabled() const { return monitors_enabled_; }
 
   /// The routed path for a net.
   [[nodiscard]] SignalPath& path(sim::Pin pin) {
@@ -106,7 +105,6 @@ class Fpga {
   sim::PinBank& fw_side_;
   sim::PinBank& printer_side_;
   bool mitm_active_ = false;
-  bool monitors_enabled_ = false;
 
   std::array<std::unique_ptr<SignalPath>, sim::kPinCount> paths_;
   std::array<std::unique_ptr<AxisTracker>, 4> trackers_;

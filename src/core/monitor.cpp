@@ -15,13 +15,6 @@ HomingDetector::HomingDetector(sim::Scheduler& sched, sim::Wire& x_min,
   }
 }
 
-void HomingDetector::reset() {
-  current_axis_ = 0;
-  sub_state_ = 0;
-  homed_ = false;
-  homed_at_ = 0;
-}
-
 void HomingDetector::on_endstop_edge(std::size_t axis, sim::Edge e,
                                      sim::Tick t) {
   if (!enabled_) return;
@@ -80,8 +73,6 @@ void AxisTracker::arm() {
   count_ = 0;
   saw_step_ = false;
 }
-
-void AxisTracker::disarm() { armed_ = false; }
 
 LayerMonitor::LayerMonitor(sim::Scheduler& sched, sim::Wire& z_step,
                            sim::Tick quiet_gap)

@@ -91,9 +91,6 @@ class HomingDetector {
     return anomalies_;
   }
 
-  /// Re-arms the FSM for another print.
-  void reset();
-
   /// True when the monitor is attached to live signals (board routing).
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
@@ -122,9 +119,6 @@ class AxisTracker {
 
   /// Begins counting from zero.
   void arm();
-  /// Stops counting (count is frozen).
-  void disarm();
-  void reset() { count_ = 0; saw_step_ = false; }
 
   /// Hardware gate: when the board's jumpers take the FPGA out of
   /// circuit it receives no signals at all, so the tracker sees nothing
@@ -168,7 +162,6 @@ class LayerMonitor {
   /// Adds a layer-event listener (multiple Trojans may subscribe).
   void on_layer(LayerCallback cb) { on_layer_.push_back(std::move(cb)); }
   [[nodiscard]] std::uint64_t layers_seen() const { return layers_; }
-  void reset() { layers_ = 0; last_z_step_ = 0; }
 
  private:
   EdgeDetector detector_;

@@ -1,7 +1,5 @@
 #include "core/pulse_generator.hpp"
 
-#include <cmath>
-
 #include "sim/error.hpp"
 
 namespace offramps::core {
@@ -10,30 +8,14 @@ void PulseGenerator::burst(const PulseTrain& train) {
   if (train.width == 0 || train.period <= train.width) {
     throw Error("PulseGenerator: period must exceed pulse width");
   }
-  const std::uint64_t gen = generation_;
   for (std::uint32_t i = 0; i < train.count; ++i) {
     const sim::Tick at = sim::align_to_fpga_clock(
         sched_.now() + static_cast<sim::Tick>(i) * train.period);
-    sched_.schedule_at(at, [this, gen, width = train.width] {
-      if (gen != generation_) return;
+    sched_.schedule_at(at, [this, width = train.width] {
       path_.inject_pulse(width);
       ++emitted_;
     });
   }
-}
-
-std::uint32_t PulseGenerator::burst_mm(double mm, double frequency_hz) {
-  if (frequency_hz <= 0.0) {
-    throw Error("PulseGenerator: frequency must be positive");
-  }
-  const auto count = static_cast<std::uint32_t>(
-      std::llround(std::abs(mm) * steps_per_mm_));
-  PulseTrain train;
-  train.count = count;
-  train.period = static_cast<sim::Tick>(
-      static_cast<double>(sim::kTicksPerSecond) / frequency_hz);
-  burst(train);
-  return count;
 }
 
 }  // namespace offramps::core

@@ -6,9 +6,9 @@
 // configuration."
 //
 // The generator emits bursts of injection pulses onto a SignalPath,
-// FPGA-clock aligned, expressing distance in millimeters through the
-// microstepping-derived steps/mm - so Trojan authors ask for "shift X by
-// 0.4 mm" rather than raw pulse counts.
+// FPGA-clock aligned.  A burst is a pulse count, a period and a width:
+// the Trojan configurations size their shifts in pulses, with the
+// millimeters they mean at the axis's steps/mm noted beside them.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +29,8 @@ struct PulseTrain {
 /// Configurable stepper-pulse generator bound to one signal path.
 class PulseGenerator {
  public:
-  /// `steps_per_mm` reflects the driver's microstep jumpers and the
-  /// axis mechanics (the "input parameters for micro stepping").
-  PulseGenerator(sim::Scheduler& sched, SignalPath& path,
-                 double steps_per_mm)
-      : sched_(sched), path_(path), steps_per_mm_(steps_per_mm) {}
+  PulseGenerator(sim::Scheduler& sched, SignalPath& path)
+      : sched_(sched), path_(path) {}
 
   PulseGenerator(const PulseGenerator&) = delete;
   PulseGenerator& operator=(const PulseGenerator&) = delete;
@@ -43,21 +40,11 @@ class PulseGenerator {
   /// semantics).  All start times are aligned to the fabric clock.
   void burst(const PulseTrain& train);
 
-  /// Convenience: emits enough pulses to move `mm` at the given pulse
-  /// `frequency_hz`.  Returns the number of pulses scheduled.
-  std::uint32_t burst_mm(double mm, double frequency_hz);
-
-  /// Cancels pulses not yet emitted.
-  void cancel() { ++generation_; }
-
   [[nodiscard]] std::uint64_t pulses_emitted() const { return emitted_; }
-  [[nodiscard]] double steps_per_mm() const { return steps_per_mm_; }
 
  private:
   sim::Scheduler& sched_;
   SignalPath& path_;
-  double steps_per_mm_;
-  std::uint64_t generation_ = 0;
   std::uint64_t emitted_ = 0;
 };
 

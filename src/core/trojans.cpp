@@ -13,8 +13,7 @@ constexpr sim::Tick kInjectedPulseWidth = sim::us(1);
 
 /// Builds the pulse generator a Trojan drives into one step path.
 std::unique_ptr<PulseGenerator> make_generator(Fpga& fpga, sim::Pin pin) {
-  return std::make_unique<PulseGenerator>(fpga.scheduler(), fpga.path(pin),
-                                          /*steps_per_mm=*/100.0);
+  return std::make_unique<PulseGenerator>(fpga.scheduler(), fpga.path(pin));
 }
 
 // --- T1: loose belt (random X/Y step injection) -----------------------------
@@ -406,22 +405,6 @@ class T10ThermistorSpoof final : public Trojan {
 
 // --- Base / controller ---------------------------------------------------------
 
-const char* trojan_name(TrojanId id) {
-  switch (id) {
-    case TrojanId::kT1: return "T1 loose-belt XY shift";
-    case TrojanId::kT2: return "T2 extrusion masking";
-    case TrojanId::kT3: return "T3 retraction tamper";
-    case TrojanId::kT4: return "T4 Z-wobble";
-    case TrojanId::kT5: return "T5 Z-layer shift";
-    case TrojanId::kT6: return "T6 heater disable";
-    case TrojanId::kT7: return "T7 forced thermal runaway";
-    case TrojanId::kT8: return "T8 stepper disable";
-    case TrojanId::kT9: return "T9 fan tamper";
-    case TrojanId::kT10: return "T10 thermistor spoof (extension)";
-  }
-  return "unknown";
-}
-
 void Trojan::set_enabled(bool enabled) {
   if (enabled == enabled_) return;
   enabled_ = enabled;
@@ -493,10 +476,6 @@ void TrojanController::add(std::unique_ptr<Trojan> trojan,
         sim::from_seconds(std::max(delay_after_homing_s, 0.0)),
         [raw] { raw->set_enabled(true); });
   });
-}
-
-void TrojanController::disarm_all() {
-  for (auto& t : trojans_) t->set_enabled(false);
 }
 
 Trojan* TrojanController::find(TrojanId id) {

@@ -39,8 +39,6 @@ enum class TrojanId : std::uint8_t {
   kT1, kT2, kT3, kT4, kT5, kT6, kT7, kT8, kT9, kT10
 };
 
-const char* trojan_name(TrojanId id);
-
 // --- Per-Trojan configuration ------------------------------------------------
 
 /// T1: arbitrary X/Y shifts every `period` (paper: every ten seconds).
@@ -159,7 +157,6 @@ class Trojan {
   Trojan& operator=(const Trojan&) = delete;
 
   [[nodiscard]] virtual TrojanId id() const = 0;
-  [[nodiscard]] const char* name() const { return trojan_name(id()); }
 
   /// Dynamically enables/disables the Trojan's effect (the multiplexer
   /// select of the paper's Trojan Control Module).
@@ -196,9 +193,6 @@ class TrojanController {
   /// `delay_after_homing_s` after the homing detector fires.  Call before
   /// the print starts; calling twice throws.
   void arm(const TrojanSuiteConfig& config);
-
-  /// Immediately disables every armed Trojan.
-  void disarm_all();
 
   [[nodiscard]] const std::vector<std::unique_ptr<Trojan>>& trojans() const {
     return trojans_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace offramps::detect {
 
@@ -58,53 +57,6 @@ SideReport compare_side(const plant::SideTrace& golden,
     }
   }
   return rep;
-}
-
-std::string SideReport::to_string(std::size_t max_lines) const {
-  std::string out;
-  char buf[128];
-  std::size_t shown = 0;
-  for (const auto& m : mismatches) {
-    if (shown++ >= max_lines) {
-      out += "...\n";
-      break;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "Window %zu: golden %.1f, observed %.1f\n", m.window,
-                  m.golden, m.observed);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "Windows compared: %zu; mismatches: %zu; largest delta "
-                "%.1f\n",
-                windows_compared, mismatches.size(), largest_delta);
-  out += buf;
-  out += sabotage_likely ? "Sabotage likely (side channel)!\n"
-                         : "No sabotage suspected (side channel).\n";
-  return out;
-}
-
-std::string SideReport::to_json() const {
-  std::string out = "{\n  \"sabotage_likely\": ";
-  out += sabotage_likely ? "true" : "false";
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                ",\n  \"windows_compared\": %zu,\n"
-                "  \"largest_delta\": %.6f",
-                windows_compared, largest_delta);
-  out += buf;
-  out += ",\n  \"mismatches\": [";
-  for (std::size_t i = 0; i < mismatches.size(); ++i) {
-    const SideMismatch& m = mismatches[i];
-    out += i == 0 ? "\n" : ",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"window\": %zu, \"golden\": %.6f, "
-                  "\"observed\": %.6f}",
-                  m.window, m.golden, m.observed);
-    out += buf;
-  }
-  out += mismatches.empty() ? "]\n}" : "\n  ]\n}";
-  return out;
 }
 
 }  // namespace offramps::detect

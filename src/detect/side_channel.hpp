@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "plant/side_channel.hpp"
@@ -50,9 +49,6 @@ struct SideReport {
   std::size_t windows_compared = 0;
   double largest_delta = 0.0;
   bool sabotage_likely = false;
-
-  [[nodiscard]] std::string to_string(std::size_t max_lines = 6) const;
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Reduces a side-channel trace to per-window mean levels.

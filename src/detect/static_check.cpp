@@ -1,7 +1,6 @@
 #include "detect/static_check.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 namespace offramps::detect {
 
@@ -32,32 +31,6 @@ StaticCheckReport static_check(const analyze::Oracle& oracle,
   }
   report.trojan_suspected = !report.mismatches.empty();
   return report;
-}
-
-std::string StaticCheckReport::to_string() const {
-  std::string out;
-  char buf[160];
-  if (!oracle_armed) {
-    return "static check inconclusive: program never homes all axes "
-           "(counters would not arm). Trojan likely!\n";
-  }
-  if (!print_completed) {
-    return "static check inconclusive: capture aborted mid-print. "
-           "Trojan likely!\n";
-  }
-  for (const auto& m : mismatches) {
-    std::snprintf(buf, sizeof(buf),
-                  "  %c: observed %lld steps vs %lld predicted (%.3f%%)\n",
-                  "XYZE"[m.axis], static_cast<long long>(m.observed),
-                  static_cast<long long>(m.expected), m.percent);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "static check: %zu axis mismatch(es), largest %.3f%%. %s\n",
-                mismatches.size(), largest_percent,
-                trojan_suspected ? "Trojan likely!" : "No Trojan detected.");
-  out += buf;
-  return out;
 }
 
 }  // namespace offramps::detect

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "analyze/oracle.hpp"
@@ -51,8 +50,6 @@ struct StaticCheckReport {
   /// False when the capture was aborted mid-print (counts incomparable).
   bool print_completed = false;
   bool trojan_suspected = false;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Compares the capture's final counters against the static oracle's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "sim/error.hpp"
@@ -12,25 +11,7 @@ namespace {
 
 constexpr sim::Tick kTempPollPeriod = sim::ms(250);
 
-std::string format_temp_report(const ThermalManager& tm) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "T:%.1f /%.1f B:%.1f /%.1f",
-                tm.current(Heater::kHotend), tm.target(Heater::kHotend),
-                tm.current(Heater::kBed), tm.target(Heater::kBed));
-  return buf;
-}
-
 }  // namespace
-
-const char* fw_state_name(FwState s) {
-  switch (s) {
-    case FwState::kIdle: return "idle";
-    case FwState::kRunning: return "running";
-    case FwState::kFinished: return "finished";
-    case FwState::kKilled: return "killed";
-  }
-  return "unknown";
-}
 
 Firmware::Firmware(sim::Scheduler& sched, Config config, sim::PinBank& io)
     : sched_(sched),
@@ -76,10 +57,6 @@ void Firmware::kill(const std::string& reason) {
   if (on_killed_) on_killed_(reason);
 }
 
-double Firmware::logical_mm(sim::Axis a) const {
-  return motion_.logical_mm(config_, a);
-}
-
 // --- Dispatch ---------------------------------------------------------------
 
 void Firmware::schedule_advance() {
@@ -106,7 +83,6 @@ void Firmware::advance() {
 
 void Firmware::command_done() {
   command_in_flight_ = false;
-  ++commands_executed_;
   schedule_advance();
 }
 
@@ -164,8 +140,8 @@ void Firmware::execute(const gcode::Command& cmd) {
         thermal_.set_target(Heater::kHotend, cmd.value_or('S', 0.0));
         command_done();
         return;
-      case 105:
-        report_temps();
+      case 105:  // temperature report: no host reads it
+      case 114:  // position report: no host reads it
         command_done();
         return;
       case 106:
@@ -182,10 +158,6 @@ void Firmware::execute(const gcode::Command& cmd) {
         return;
       case 112:
         kill("M112 emergency stop");
-        return;
-      case 114:
-        report_position();
-        command_done();
         return;
       case 140:
         thermal_.set_target(Heater::kBed, cmd.value_or('S', 0.0));
@@ -341,20 +313,6 @@ void Firmware::poll_temp(Heater h, std::uint64_t gen) {
     return;
   }
   sched_.schedule_in(kTempPollPeriod, [this, h, gen] { poll_temp(h, gen); });
-}
-
-void Firmware::report_temps() {
-  if (on_report_) on_report_(format_temp_report(thermal_));
-}
-
-void Firmware::report_position() {
-  if (on_report_) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "X:%.2f Y:%.2f Z:%.2f E:%.2f",
-                  logical_mm(sim::Axis::kX), logical_mm(sim::Axis::kY),
-                  logical_mm(sim::Axis::kZ), logical_mm(sim::Axis::kE));
-    on_report_(buf);
-  }
 }
 
 // --- Homing -----------------------------------------------------------------

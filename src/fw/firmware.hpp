@@ -17,6 +17,8 @@
 //   M105 temp report         M106/M107 fan
 //   M112 emergency stop      M114 position report
 //   M140/M190 bed temp       M220 feedrate %   M221 flow %
+// No host reads the serial console, so M105 and M114 are accepted and
+// finish at once without producing a report.
 #pragma once
 
 #include <array>
@@ -47,8 +49,6 @@ enum class FwState : std::uint8_t {
   kFinished,  // queue drained
   kKilled,    // fatal error; machine halted
 };
-
-const char* fw_state_name(FwState s);
 
 /// Firmware facade over planner + stepper engine + thermal manager.
 class Firmware {
@@ -82,26 +82,21 @@ class Firmware {
     return motion_.position_steps;
   }
   /// Logical position in mm (what M114 would report).
-  [[nodiscard]] double logical_mm(sim::Axis a) const;
+  [[nodiscard]] double logical_mm(sim::Axis a) const {
+    return motion_.logical_mm(config_, a);
+  }
   [[nodiscard]] bool homed(sim::Axis a) const {
     return motion_.homed[static_cast<std::size_t>(a)];
   }
   [[nodiscard]] bool all_homed() const {
     return motion_.homed[0] && motion_.homed[1] && motion_.homed[2];
   }
-  /// The modal/position state of the g-code interpreter (the pure
-  /// `fw::kinematics` translation state this firmware advances).
-  [[nodiscard]] const MotionState& motion_state() const { return motion_; }
-
   [[nodiscard]] ThermalManager& thermal() { return thermal_; }
   [[nodiscard]] const ThermalManager& thermal() const { return thermal_; }
   [[nodiscard]] StepperEngine& stepper() { return stepper_; }
   [[nodiscard]] double fan_duty() const { return fan_pwm_.duty(); }
   [[nodiscard]] const Config& config() const { return config_; }
 
-  [[nodiscard]] std::uint64_t commands_executed() const {
-    return commands_executed_;
-  }
   [[nodiscard]] std::uint64_t moves_executed() const {
     return moves_executed_;
   }
@@ -118,10 +113,6 @@ class Firmware {
   void on_killed(std::function<void(const std::string&)> cb) {
     on_killed_ = std::move(cb);
   }
-  /// Receives M105/M114 report lines (the host console).
-  void on_report(std::function<void(const std::string&)> cb) {
-    on_report_ = std::move(cb);
-  }
 
  private:
   // Dispatch.
@@ -137,8 +128,6 @@ class Firmware {
   void exec_dwell(const gcode::Command& cmd);
   void exec_set_position(const gcode::Command& cmd);
   void exec_wait_temp(Heater h, const gcode::Command& cmd);
-  void report_temps();
-  void report_position();
 
   // Homing sub-machine.
   struct HomingPhase {
@@ -184,7 +173,6 @@ class Firmware {
 
   std::vector<HomingPhase> homing_plan_;
 
-  std::uint64_t commands_executed_ = 0;
   std::uint64_t moves_executed_ = 0;
   std::uint64_t unknown_ = 0;
   std::uint64_t cold_extrusion_blocks_ = 0;
@@ -192,7 +180,6 @@ class Firmware {
 
   std::function<void()> on_finished_;
   std::function<void(const std::string&)> on_killed_;
-  std::function<void(const std::string&)> on_report_;
 };
 
 }  // namespace offramps::fw

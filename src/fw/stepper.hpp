@@ -62,7 +62,6 @@ class StepperEngine {
   }
 
  private:
-  void begin_pulses();
   void step_due(std::uint64_t gen);
   void confirm_endstop(std::uint64_t gen, std::uint32_t stable_samples);
   void finish(bool aborted);

@@ -180,7 +180,6 @@ void ThermalManager::check_protection(Heater h) {
 void ThermalManager::raise_fault(Heater h, ThermalFault f) {
   if (fault_ != ThermalFault::kNone) return;  // first fault wins
   fault_ = f;
-  fault_heater_ = h;
   shutdown();
   if (on_kill_) on_kill_(h, f);
 }

@@ -70,7 +70,6 @@ class ThermalManager {
   [[nodiscard]] bool at_target(Heater h) const;
 
   [[nodiscard]] ThermalFault fault() const { return fault_; }
-  [[nodiscard]] Heater fault_heater() const { return fault_heater_; }
 
  private:
   enum class WatchState { kInactive, kFirstHeating, kStable };
@@ -119,7 +118,6 @@ class ThermalManager {
   bool running_ = false;
   std::uint64_t generation_ = 0;
   ThermalFault fault_ = ThermalFault::kNone;
-  Heater fault_heater_ = Heater::kHotend;
 };
 
 }  // namespace offramps::fw

@@ -65,21 +65,10 @@ struct Command {
     params.push_back({l, v});
   }
 
-  /// Removes every parameter word with letter `l`.
-  void erase(char l) {
-    std::erase_if(params, [l](const Param& p) { return p.letter == l; });
-  }
-
   friend bool operator==(const Command&, const Command&) = default;
 };
 
 /// A whole g-code program in execution order.
 using Program = std::vector<Command>;
-
-/// Convenience builders used by the slicer-lite and by tests.
-Command make_linear_move(std::optional<double> x, std::optional<double> y,
-                         std::optional<double> z, std::optional<double> e,
-                         std::optional<double> feedrate_mm_min,
-                         bool rapid = false);
 
 }  // namespace offramps::gcode

@@ -114,11 +114,6 @@ double FaultCampaign::deviation_from_reference(const RunResult& r) const {
   return dev;
 }
 
-CellResult FaultCampaign::run_cell(const sim::FaultSpec& spec) {
-  run_reference();
-  return evaluate_cell(spec);
-}
-
 CellResult FaultCampaign::evaluate_cell(const sim::FaultSpec& spec) const {
   // One trace span per sweep cell: with --trace-out, the campaign's
   // per-worker timeline shows each cell's full print as one block.
@@ -155,19 +150,6 @@ CellResult FaultCampaign::evaluate_cell(const sim::FaultSpec& spec) const {
         deviates ? CellOutcome::kSilentCorruption : CellOutcome::kClean;
   }
   return cell;
-}
-
-CampaignReport FaultCampaign::run(const std::vector<sim::FaultSpec>& specs) {
-  run_reference();
-  CampaignReport report;
-  report.program_label = label_;
-  report.clean_transactions = golden_.size();
-  report.clean_filament_mm = reference_.part.total_filament_mm;
-  report.cells.reserve(specs.size());
-  for (const auto& spec : specs) {
-    report.cells.push_back(evaluate_cell(spec));
-  }
-  return report;
 }
 
 CampaignReport FaultCampaign::run(const std::vector<sim::FaultSpec>& specs,

@@ -81,20 +81,11 @@ class FaultCampaign {
   FaultCampaign(gcode::Program program, std::string label,
                 FaultCampaignOptions options = {});
 
-  /// Runs the clean reference print (golden capture + part baseline).
-  /// Called lazily by run_cell()/run() if not invoked explicitly.
-  void run_reference();
-
-  /// Runs and classifies one faulted, monitor-observed print.
-  [[nodiscard]] CellResult run_cell(const sim::FaultSpec& spec);
-
-  /// Runs the whole sweep sequentially.
-  [[nodiscard]] CampaignReport run(const std::vector<sim::FaultSpec>& specs);
-
-  /// Runs the whole sweep with cells distributed over `pool`.  Each cell
-  /// is an independent single-threaded Rig simulation, and results land
-  /// in spec order, so the report is bit-identical to the sequential
-  /// overload for any worker count.
+  /// Runs the clean reference print once, then the whole sweep with
+  /// cells distributed over `pool`.  Each cell is an independent
+  /// single-threaded Rig simulation, and results land in spec order, so
+  /// the report is bit-identical for any worker count; a 1-worker pool
+  /// runs the cells inline, one after another.
   [[nodiscard]] CampaignReport run(const std::vector<sim::FaultSpec>& specs,
                                    ParallelRunner& pool);
 
@@ -104,12 +95,16 @@ class FaultCampaign {
   /// false-positive control.
   [[nodiscard]] static std::vector<sim::FaultSpec> default_sweep();
 
-  [[nodiscard]] const core::Capture& golden() const { return golden_; }
   [[nodiscard]] const RunResult& reference() const { return reference_; }
 
  private:
-  /// run_cell() after the reference exists.  Const (and shared-state
-  /// read-only), so the pool may call it concurrently for distinct specs.
+  /// Runs the clean reference print (golden capture + part baseline),
+  /// once: later calls return at once.
+  void run_reference();
+
+  /// Runs and classifies one faulted, monitor-observed print against the
+  /// reference.  Const (and shared-state read-only), so the pool may
+  /// call it concurrently for distinct specs.
   [[nodiscard]] CellResult evaluate_cell(const sim::FaultSpec& spec) const;
 
   [[nodiscard]] double deviation_from_reference(const RunResult& r) const;

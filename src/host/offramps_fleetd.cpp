@@ -112,11 +112,11 @@ constexpr const char* kSpecHelp =
     "                             vibration (or \"all\")\n"
     "    \"reference_seed\": 42,    jitter seed of the golden prints\n"
     "    \"ring_capacity\": 64,     detector ring-buffer depth\n"
-    "    \"max_attempts\": 3,       supervised attempts per rig\n"
+    "    \"max_attempts\": 3,       supervised attempts per rig (>= 1)\n"
     "    \"backoff_ms\": 0,         base retry backoff\n"
     "    \"stall_timeout_s\": 10,   watchdog no-progress limit (sim s) (> 0)\n"
     "    \"checkpoint\": \"\",        campaign checkpoint file\n"
-    "    \"checkpoint_every\": 1,\n"
+    "    \"checkpoint_every\": 1,  rigs between checkpoint saves (>= 1)\n"
     "    \"save_captures_dir\": \"\",\n"
     "    \"cache\": \"\",             golden-reference cache dir\n"
     "    \"cache_max_mb\": 0,       cache LRU bound (0 = unbounded)\n"
@@ -127,6 +127,9 @@ constexpr const char* kSpecHelp =
     "      {\"seed\": 9}\n"
     "    ]\n"
     "  }\n"
+    "every key is optional except \"rigs\"; an unknown key, a value of\n"
+    "another JSON type than shown (null included) or a key given twice\n"
+    "is a spec error (exit 2)\n"
     "cube_mm, height_mm: in (0, 210] (the printer's travel)\n"
     "sabotage: \"clean\" | \"reduce:<factor>\" | \"relocate:<n>\"\n"
     "chaos: \"none\" | \"crash\" | \"stall\" | \"corrupt\" | \"truncate\"\n"

@@ -45,9 +45,4 @@ CarriageAxis& Printer::axis(sim::Axis a) {
   return *axes_[static_cast<std::size_t>(a)];
 }
 
-const CarriageAxis& Printer::axis(sim::Axis a) const {
-  if (a == sim::Axis::kE) throw Error("Printer::axis: E is not positional");
-  return *axes_[static_cast<std::size_t>(a)];
-}
-
 }  // namespace offramps::plant

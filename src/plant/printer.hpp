@@ -49,7 +49,6 @@ class Printer {
     return *motors_[static_cast<std::size_t>(a)];
   }
   [[nodiscard]] CarriageAxis& axis(sim::Axis a);
-  [[nodiscard]] const CarriageAxis& axis(sim::Axis a) const;
   [[nodiscard]] ExtruderDrive& extruder() { return *extruder_; }
   [[nodiscard]] HeaterPlant& hotend() { return *hotend_; }
   [[nodiscard]] HeaterPlant& bed() { return *bed_; }

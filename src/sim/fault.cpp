@@ -24,14 +24,6 @@ const char* fault_kind_name(FaultKind k) {
   return "unknown";
 }
 
-FaultKind fault_kind_from_name(const std::string& name) {
-  for (int i = 0; i <= static_cast<int>(FaultKind::kTimingJitter); ++i) {
-    const auto k = static_cast<FaultKind>(i);
-    if (name == fault_kind_name(k)) return k;
-  }
-  throw Error("fault_kind_from_name: unknown fault kind '" + name + "'");
-}
-
 bool fault_targets_digital(FaultKind k) {
   return k == FaultKind::kStuckHigh || k == FaultKind::kStuckLow ||
          k == FaultKind::kGlitch;

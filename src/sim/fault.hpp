@@ -47,9 +47,6 @@ enum class FaultKind : std::uint8_t {
 };
 
 const char* fault_kind_name(FaultKind k);
-/// Parses a name produced by fault_kind_name(); throws offramps::Error on
-/// unknown names (used by campaign CLIs).
-FaultKind fault_kind_from_name(const std::string& name);
 
 [[nodiscard]] bool fault_targets_digital(FaultKind k);
 [[nodiscard]] bool fault_targets_analog(FaultKind k);

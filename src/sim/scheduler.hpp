@@ -180,10 +180,7 @@ class Scheduler {
   /// Asks the current run_* loop to return after the in-flight event.
   void request_stop() { stop_requested_ = true; }
 
-  /// Clears a previous stop request so the scheduler can be driven again.
-  void clear_stop() { stop_requested_ = false; }
-
-  /// True if request_stop() was called and not yet cleared.
+  /// True once request_stop() was called.
   [[nodiscard]] bool stop_requested() const { return stop_requested_; }
 
   /// Total number of events executed over the scheduler's lifetime.

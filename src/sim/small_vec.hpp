@@ -45,8 +45,6 @@ class SmallVec {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
-  /// True while elements still live in the owner's inline buffer.
-  [[nodiscard]] bool inline_storage() const { return data() == inline_ptr(); }
 
   T& operator[](std::size_t i) { return data()[i]; }
   const T& operator[](std::size_t i) const { return data()[i]; }

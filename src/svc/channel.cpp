@@ -26,20 +26,6 @@ const char* channel_name(Channel c) {
   return "?";
 }
 
-std::string ChannelSet::to_string() const {
-  std::string out;
-  const auto append = [&out](const char* group) {
-    if (!out.empty()) out += ',';
-    out += group;
-  };
-  if (steps) append("steps");
-  if (power) append("power");
-  if (acoustic) append("acoustic");
-  if (vibration) append("vibration");
-  if (out.empty()) out = "none";
-  return out;
-}
-
 ChannelSet ChannelSet::parse(const std::string& text) {
   ChannelSet set{false, false, false, false};
   std::size_t pos = 0;

@@ -58,7 +58,9 @@ using plant::SampleKind;
 /// Which channel groups a fleet runs with.  `steps` covers every
 /// channel derived from the captured step stream (golden compare,
 /// stream length, golden-free, the end-of-print checks); the other
-/// three each gate one physical side channel.
+/// three each gate one physical side channel.  The set is read from
+/// `--channels` or a spec's "channels" (parse()); the campaign digest
+/// hashes its four flags, the reference-cache key its three probe flags.
 struct ChannelSet {
   bool steps = true;
   bool power = true;
@@ -77,9 +79,6 @@ struct ChannelSet {
                       acoustic && other.acoustic,
                       vibration && other.vibration};
   }
-  /// Canonical "steps,power,acoustic,vibration" subset string (digest
-  /// and CLI-round-trip stable).
-  [[nodiscard]] std::string to_string() const;
   /// Parses a comma-separated group list ("power,acoustic,vibration,
   /// steps", any order, "all" = everything).  Throws std::runtime_error
   /// on an unknown group or an empty set.

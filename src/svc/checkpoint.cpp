@@ -231,10 +231,13 @@ std::uint64_t campaign_digest(const std::vector<RigSpec>& specs,
   f.u64(static_cast<std::uint64_t>(options.pump.period));
   f.u64(options.pump.windows_per_slot);
   f.u64(options.supervisor.max_attempts);
-  f.u64(options.supervisor.degrade_channels ? 1 : 0);
-  f.f64(options.supervisor.watchdog_period_s);
+  // Constants, hashed in their old places so that checkpoints written
+  // while they were settings still resume: the degrade ladder (on), the
+  // watchdog cadence and the first-data limit.
+  f.u64(1);
+  f.f64(kWatchdogPeriodS);
   f.f64(options.supervisor.stall_timeout_s);
-  f.f64(options.supervisor.first_data_timeout_s);
+  f.f64(kFirstDataTimeoutS);
   hash_profile(f, options.profile);
 
   f.u64(specs.size());

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -341,11 +342,20 @@ FleetReport Daemon::serve_socket() {
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
+  // A stale socket from a previous run is replaced; any other file at
+  // the path is not ours to delete.
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) == 0) {
+    if (!S_ISSOCK(st.st_mode)) {
+      throw Error("daemon: " + path + " exists and is not a socket");
+    }
+    ::unlink(path.c_str());
+  }
+
   FdCloser listener{::socket(AF_UNIX, SOCK_STREAM, 0)};
   if (listener.fd < 0) {
     throw Error(std::string("daemon: socket(): ") + std::strerror(errno));
   }
-  ::unlink(path.c_str());  // stale socket from a previous run
   if (::bind(listener.fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) < 0) {
     throw Error("daemon: bind(" + path + "): " + std::strerror(errno));

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "analyze/analyzer.hpp"
@@ -122,10 +123,83 @@ void append_kv(std::string& out, const char* key, bool v) {
   out += v ? "true" : "false";
 }
 
-/// An optional integer member of a fleet spec.  Absent (or not a
-/// number) keeps `fallback`; a value that is not a finite integer in
-/// [min, T's maximum] throws, naming the key - a config typo must not
-/// reach a cast.
+using JsonKind = json::Value::Kind;
+
+/// One key a fleet-spec object may hold, and the JSON kind it takes.
+struct SpecKey {
+  const char* name;
+  JsonKind kind;
+};
+
+constexpr SpecKey kDocumentKeys[] = {
+    {"workers", JsonKind::kNumber},
+    {"safe_stop", JsonKind::kBool},
+    {"use_oracle", JsonKind::kBool},
+    {"use_power", JsonKind::kBool},
+    {"channels", JsonKind::kString},
+    {"reference_seed", JsonKind::kNumber},
+    {"save_captures_dir", JsonKind::kString},
+    {"cache", JsonKind::kString},
+    {"cache_max_mb", JsonKind::kNumber},
+    {"ring_capacity", JsonKind::kNumber},
+    {"max_attempts", JsonKind::kNumber},
+    {"backoff_ms", JsonKind::kNumber},
+    {"stall_timeout_s", JsonKind::kNumber},
+    {"checkpoint", JsonKind::kString},
+    {"checkpoint_every", JsonKind::kNumber},
+    {"rigs", JsonKind::kArray},
+};
+
+constexpr SpecKey kRigKeys[] = {
+    {"name", JsonKind::kString},    {"seed", JsonKind::kNumber},
+    {"cube_mm", JsonKind::kNumber}, {"height_mm", JsonKind::kNumber},
+    {"sabotage", JsonKind::kString}, {"chaos", JsonKind::kString},
+};
+
+const char* kind_name(JsonKind kind) {
+  switch (kind) {
+    case JsonKind::kNull: return "null";
+    case JsonKind::kBool: return "a boolean";
+    case JsonKind::kNumber: return "a number";
+    case JsonKind::kString: return "a string";
+    case JsonKind::kArray: return "an array";
+    case JsonKind::kObject: return "an object";
+  }
+  return "?";
+}
+
+/// Throws, naming the key, unless every member of `object` is one of
+/// `keys`, of the kind that key takes, and given once.  The `*_or` reads
+/// that follow treat a missing key and a key of another kind alike, so
+/// this check is what keeps a typo or a quoted number from reading as
+/// "not given".  `where` prefixes the message ("rig 3: ").
+void check_spec_keys(const json::Value& object, std::span<const SpecKey> keys,
+                     const std::string& where) {
+  for (std::size_t i = 0; i < object.fields.size(); ++i) {
+    const auto& [name, value] = object.fields[i];
+    const auto key =
+        std::find_if(keys.begin(), keys.end(),
+                     [&](const SpecKey& k) { return name == k.name; });
+    if (key == keys.end()) {
+      throw Error("fleet spec: " + where + "unknown key \"" + name + "\"");
+    }
+    if (value.kind != key->kind) {
+      throw Error("fleet spec: " + where + "\"" + name + "\" must be " +
+                  kind_name(key->kind) + ", not " + kind_name(value.kind));
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (object.fields[j].first == name) {
+        throw Error("fleet spec: " + where + "\"" + name +
+                    "\" is given twice");
+      }
+    }
+  }
+}
+
+/// An optional integer member of a fleet spec (check_spec_keys() has
+/// made sure it is a number).  Absent keeps `fallback`; a value that is
+/// not a finite integer in [min, T's maximum] throws, naming the key - a
+/// config typo must not reach a cast.
 template <typename T>
 T spec_integer(const json::Value& doc, const std::string& key, T fallback,
                T min = 0) {
@@ -945,20 +1019,30 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
                                             FleetOptions& options) {
   const json::Value doc = json::parse(text);
   if (!doc.is_object()) throw Error("fleet spec: root must be an object");
+  check_spec_keys(doc, kDocumentKeys, "");
+  if (const json::Value* rigs = doc.find("rigs"); rigs != nullptr) {
+    for (std::size_t i = 0; i < rigs->items.size(); ++i) {
+      const json::Value& r = rigs->items[i];
+      if (!r.is_object()) {
+        throw Error("fleet spec: every rig entry must be an object");
+      }
+      check_spec_keys(r, kRigKeys, "rig " + std::to_string(i) + ": ");
+    }
+  }
 
   options.workers = spec_integer(doc, "workers", options.workers);
   options.safe_stop = doc.bool_or("safe_stop", options.safe_stop);
   options.use_oracle = doc.bool_or("use_oracle", options.use_oracle);
   // Back-compat: "use_power" predates the channel set and only gates the
-  // power channel; "channels" (a ChannelSet::parse list) wins when given.
+  // power channel; "channels" (a ChannelSet::parse list) wins when given,
+  // and an empty list is an error, as it is for --channels.
   options.channels.power =
       doc.bool_or("use_power", options.channels.power);
-  const std::string channel_list = doc.string_or("channels", "");
-  if (!channel_list.empty()) {
+  if (const json::Value* channel_list = doc.find("channels")) {
     try {
-      options.channels = ChannelSet::parse(channel_list);
+      options.channels = ChannelSet::parse(channel_list->string);
     } catch (const std::exception& e) {
-      throw Error(std::string("fleet spec: ") + e.what());
+      throw Error(std::string("fleet spec: \"channels\": ") + e.what());
     }
   }
   options.reference_seed =
@@ -978,8 +1062,8 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
   options.cache_max_bytes = static_cast<std::uint64_t>(cache_bytes);
   options.detector.ring_capacity = spec_integer<std::size_t>(
       doc, "ring_capacity", options.detector.ring_capacity, 1);
-  options.supervisor.max_attempts =
-      spec_integer(doc, "max_attempts", options.supervisor.max_attempts);
+  options.supervisor.max_attempts = spec_integer<std::uint32_t>(
+      doc, "max_attempts", options.supervisor.max_attempts, 1);
   options.supervisor.backoff_base_ms =
       spec_integer(doc, "backoff_ms", options.supervisor.backoff_base_ms);
   options.supervisor.stall_timeout_s = doc.number_or(
@@ -991,8 +1075,8 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
   }
   options.checkpoint_path =
       doc.string_or("checkpoint", options.checkpoint_path);
-  options.checkpoint_every =
-      spec_integer(doc, "checkpoint_every", options.checkpoint_every);
+  options.checkpoint_every = spec_integer<std::size_t>(
+      doc, "checkpoint_every", options.checkpoint_every, 1);
 
   const json::Value* rigs = doc.find("rigs");
   if (rigs == nullptr || !rigs->is_array()) {
@@ -1001,9 +1085,6 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
   std::vector<RigSpec> specs;
   specs.reserve(rigs->items.size());
   for (const json::Value& r : rigs->items) {
-    if (!r.is_object()) {
-      throw Error("fleet spec: every rig entry must be an object");
-    }
     RigSpec spec;
     spec.name = r.string_or("name", "");
     spec.seed = spec_integer<std::uint64_t>(r, "seed", 1000 + specs.size());

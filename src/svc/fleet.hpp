@@ -300,9 +300,14 @@ class Fleet {
   ///   { "workers": 4, "safe_stop": true, "rigs": [
   ///       {"name": "a", "seed": 7, "cube_mm": 8, "height_mm": 3,
   ///        "sabotage": "reduce:0.85"}, ... ] }
-  /// Unknown keys are ignored; rig defaults are RigSpec's.  Throws
-  /// offramps::Error on malformed JSON, a malformed sabotage string or
-  /// an object size check_object() rejects.
+  /// (the keys `offramps_fleetd --spec-help` lists); rig defaults are
+  /// RigSpec's.  Throws offramps::Error, naming the key, on an unknown
+  /// key, a key of another JSON kind than it takes (null included) or a
+  /// key given twice, in the document or in a rig entry; and on
+  /// malformed JSON, an integer out of its range (`max_attempts` and
+  /// `checkpoint_every` take at least 1, as their flags do), a malformed
+  /// sabotage or chaos string, or an object size check_object()
+  /// rejects.
   static std::vector<RigSpec> specs_from_json(const std::string& text,
                                               FleetOptions& options);
 

@@ -1,5 +1,6 @@
 #include "svc/supervisor.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -26,15 +27,14 @@ std::uint64_t backoff_delay_ms(const SupervisorOptions& options,
   // base * 2^attempt, saturating at the cap before jitter so the jitter
   // range stays meaningful at the ceiling.
   std::uint64_t delay = options.backoff_base_ms;
-  for (std::uint32_t i = 0; i < attempt && delay < options.backoff_cap_ms;
-       ++i) {
+  for (std::uint32_t i = 0; i < attempt && delay < kBackoffCapMs; ++i) {
     delay *= 2;
   }
-  if (delay > options.backoff_cap_ms) delay = options.backoff_cap_ms;
+  if (delay > kBackoffCapMs) delay = kBackoffCapMs;
   // Jitter in [delay/2, delay]: a pure function of (seed, key, attempt),
   // so the schedule is reproducible yet decorrelated across rigs.
   const std::uint64_t h =
-      sim::mix64(options.backoff_seed ^ sim::mix64(key) ^
+      sim::mix64(kBackoffSeed ^ sim::mix64(key) ^
                  (std::uint64_t{attempt} << 32));
   const std::uint64_t half = delay / 2;
   return half + (half > 0 ? h % (half + 1) : 0);
@@ -50,8 +50,7 @@ GuardOutcome Supervisor::run_guarded(
   for (std::uint32_t a = 0; a < max_attempts; ++a) {
     AttemptContext ctx;
     ctx.attempt = a;
-    ctx.degraded =
-        options_.degrade_channels && max_attempts > 1 && a + 1 == max_attempts;
+    ctx.degraded = max_attempts > 1 && a + 1 == max_attempts;
     try {
       attempt(ctx);
       out.attempts = a + 1;
@@ -108,8 +107,8 @@ void StallWatchdog::check() {
     seen_progress_ = seen_progress_ || p > 0;
   } else {
     const double idle_s = sim::to_seconds(sched_.now() - last_change_);
-    const double limit_s = seen_progress_ ? options_.stall_timeout_s
-                                          : options_.first_data_timeout_s;
+    const double limit_s =
+        seen_progress_ ? options_.stall_timeout_s : kFirstDataTimeoutS;
     if (idle_s >= limit_s) {
       char buf[192];
       std::snprintf(buf, sizeof(buf),
@@ -120,16 +119,6 @@ void StallWatchdog::check() {
                     phase_.c_str(), idle_s,
                     sim::to_seconds(sched_.now()));
       throw Error(buf);
-    }
-  }
-
-  if (options_.wall_deadline_s > 0.0) {
-    const double wall_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start_)
-                              .count();
-    if (wall_s >= options_.wall_deadline_s) {
-      throw Error("watchdog: wall-clock deadline exceeded in phase " +
-                  phase_);
     }
   }
 

@@ -13,26 +13,27 @@
 //   recovered  a retry succeeded at full fidelity
 //   degraded   the final, reduced-fidelity attempt succeeded (the
 //              side-channel probes disabled, step counting alone - the
-//              ChannelSet::counts_only() subset)
+//              ChannelSet::counts_only() subset); with more than one
+//              attempt, the final one always runs degraded
 //   lost       every attempt failed; the rig is quarantined and the
 //              campaign degrades gracefully around it
 //   pending    not yet run (campaign checkpointed / stopped early)
 //
-// Retry pacing is exponential backoff with deterministic jitter: the
-// delay is a pure function of (seed, key, attempt), so two workers
-// retrying different rigs never thundering-herd the same instant, and
-// nothing wall-clock-dependent leaks into the fleet report - reports
-// stay byte-identical at any worker count.
+// Retry pacing is exponential backoff with deterministic jitter, capped
+// at kBackoffCapMs: the delay is a pure function of (kBackoffSeed, key,
+// attempt), so two workers retrying different rigs never
+// thundering-herd the same instant, and nothing wall-clock-dependent
+// leaks into the fleet report - reports stay byte-identical at any
+// worker count.
 //
 // The watchdog runs *on the rig's own simulation scheduler*: every
-// `watchdog_period_s` of sim time it checks that the capture stream is
-// still making progress while the firmware claims to be printing.  A
+// kWatchdogPeriodS (1 s) of sim time it checks that the capture stream
+// is still making progress while the firmware claims to be printing.  A
 // wedged producer (chaos kStall, a real tap bug) therefore trips
-// deterministically at the same sim tick on every run.  An optional
-// wall-clock deadline backstops true host-side hangs.
+// deterministically at the same sim tick on every run.  There is no
+// wall-clock deadline: every trigger is a sim-time one.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -53,32 +54,30 @@ enum class RigStatus : std::uint8_t {
 
 const char* rig_status_name(RigStatus s);
 
-/// Supervision tuning.
-struct SupervisorOptions {
-  /// Attempts per phase before quarantine (1 = no retry).
-  std::uint32_t max_attempts = 3;
-  /// Backoff before retry k is roughly base * 2^k (+ jitter), capped.
-  /// 0 disables sleeping entirely (tests, benches).
-  std::uint64_t backoff_base_ms = 0;
-  std::uint64_t backoff_cap_ms = 2000;
-  /// Jitter seed: the delay is a pure function of (seed, key, attempt).
-  std::uint64_t backoff_seed = 0x0FF7A305;
-  /// Final attempt runs on the count-channels subset alone (every
-  /// side-channel probe disabled - ChannelSet::counts_only()), trading
-  /// fidelity for a verdict: success there is kDegraded, not kRecovered.
-  bool degrade_channels = true;
+/// Backoff ceiling: base * 2^k saturates here before jitter.
+inline constexpr std::uint64_t kBackoffCapMs = 2000;
+/// Jitter seed: the delay is a pure function of (seed, key, attempt).
+inline constexpr std::uint64_t kBackoffSeed = 0x0FF7A305;
+/// Watchdog cadence, in *sim* time.
+inline constexpr double kWatchdogPeriodS = 1.0;
+/// Stream never started within this long (sim time) -> stalled.
+/// Generous: homing and heat-up legitimately precede the first
+/// transaction.
+inline constexpr double kFirstDataTimeoutS = 120.0;
 
-  /// Watchdog cadence, in *sim* time.
-  double watchdog_period_s = 1.0;
+/// Supervision tuning: each field has a flag and a fleet-spec key.
+struct SupervisorOptions {
+  /// Attempts per phase before quarantine (1 = no retry).  With more
+  /// than one, the final attempt runs on the count-channels subset alone
+  /// (every side-channel probe disabled - ChannelSet::counts_only()),
+  /// trading fidelity for a verdict: success there is kDegraded, not
+  /// kRecovered.
+  std::uint32_t max_attempts = 3;
+  /// Backoff before retry k is roughly base * 2^k (+ jitter), capped at
+  /// kBackoffCapMs.  0 disables sleeping entirely (tests, benches).
+  std::uint64_t backoff_base_ms = 0;
   /// Stream started, then froze for this long (sim time) -> stalled.
   double stall_timeout_s = 10.0;
-  /// Stream never started within this long (sim time) -> stalled.
-  /// Generous: homing and heat-up legitimately precede the first
-  /// transaction.
-  double first_data_timeout_s = 120.0;
-  /// Wall-clock ceiling per attempt; 0 disables.  The only
-  /// non-deterministic trigger - a true host-side hang backstop.
-  double wall_deadline_s = 0.0;
 };
 
 /// Deterministic backoff delay before retrying attempt `attempt` of the
@@ -92,8 +91,8 @@ struct SupervisorOptions {
 /// Handed to each attempt so it can honor the degrade ladder.
 struct AttemptContext {
   std::uint32_t attempt = 0;
-  /// True on the final attempt when degrade_channels is set: run with
-  /// the step-count channel subset only (no side-channel probes).
+  /// True on the final attempt of several: run with the step-count
+  /// channel subset only (no side-channel probes).
   bool degraded = false;
 };
 
@@ -129,8 +128,8 @@ class Supervisor {
 
 /// Sim-clocked no-progress watchdog (see file comment).  Construct it
 /// before running the rig; it throws offramps::Error out of the event
-/// loop when the stream wedges or the wall deadline passes, which the
-/// supervisor catches as an attempt failure.
+/// loop when the stream wedges, which the supervisor catches as an
+/// attempt failure.
 class StallWatchdog {
  public:
   using ProgressFn = std::function<std::uint64_t()>;
@@ -147,23 +146,16 @@ class StallWatchdog {
         progress_(std::move(progress)),
         active_(std::move(active)),
         phase_(std::move(phase)),
-        started_(sched.now()),
-        last_change_(sched.now()),
-        wall_start_(std::chrono::steady_clock::now()) {
+        last_change_(sched.now()) {
     schedule();
   }
 
   StallWatchdog(const StallWatchdog&) = delete;
   StallWatchdog& operator=(const StallWatchdog&) = delete;
 
-  /// Sim ticks between the last progress change and now.
-  [[nodiscard]] sim::Tick idle_ticks() const {
-    return sched_.now() - last_change_;
-  }
-
  private:
   void schedule() {
-    sched_.schedule_in(sim::from_seconds(options_.watchdog_period_s),
+    sched_.schedule_in(sim::from_seconds(kWatchdogPeriodS),
                        [this] { check(); });
   }
 
@@ -174,11 +166,9 @@ class StallWatchdog {
   ProgressFn progress_;
   ActiveFn active_;
   std::string phase_;
-  sim::Tick started_;
   sim::Tick last_change_;
   std::uint64_t last_progress_ = 0;
   bool seen_progress_ = false;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 }  // namespace offramps::svc

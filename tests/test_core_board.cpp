@@ -131,13 +131,5 @@ TEST_F(BoardFixture, MaxPropDelayMatchesPaperWorstCase) {
   EXPECT_EQ(board.fpga().max_prop_delay_pin(), sim::Pin::kYDir);
 }
 
-TEST(RouteModeNames, AreDescriptive) {
-  EXPECT_NE(std::string(route_mode_name(RouteMode::kDirect)).find("bypass"),
-            std::string::npos);
-  EXPECT_NE(std::string(route_mode_name(RouteMode::kFpgaMitm))
-                .find("middle"),
-            std::string::npos);
-}
-
 }  // namespace
 }  // namespace offramps::core

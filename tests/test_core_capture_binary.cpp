@@ -141,12 +141,13 @@ TEST(CaptureBinary, FileRoundTrip) {
   const std::filesystem::path path =
       std::filesystem::path(::testing::TempDir()) / "capture_rt.bin";
   cap.save_binary(path.string());
-  expect_equal(cap, Capture::load_binary(path.string()));
+  expect_equal(cap, Capture::from_binary(read_file(path.string(), "test")));
   std::filesystem::remove(path);
 }
 
 TEST(CaptureBinary, MissingFileThrows) {
-  EXPECT_THROW(Capture::load_binary("/nonexistent/dir/capture.bin"),
+  EXPECT_THROW(Capture::from_binary(
+                   read_file("/nonexistent/dir/capture.bin", "test")),
                offramps::Error);
 }
 

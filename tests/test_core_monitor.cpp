@@ -86,21 +86,6 @@ TEST_F(HomingFixture, PostHomingEndstopChatterIsAnomalous) {
   EXPECT_GT(det.out_of_order_events(), before);
 }
 
-TEST_F(HomingFixture, ResetReArmsTheFsm) {
-  home_axis(x);
-  home_axis(y);
-  home_axis(z);
-  ASSERT_TRUE(det.homed());
-  det.reset();
-  EXPECT_FALSE(det.homed());
-  int fired = 0;
-  det.on_homed([&](sim::Tick) { ++fired; });
-  home_axis(x);
-  home_axis(y);
-  home_axis(z);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST_F(HomingFixture, DisabledDetectorIgnoresEverything) {
   det.set_enabled(false);
   home_axis(x);
@@ -178,15 +163,6 @@ TEST_F(TrackerFixture, OnlyTheRisingStepEdgeSchedulesAClockSyncEvent) {
   EXPECT_EQ(tracker.first_step_at(), sim::ns(20));  // the sampled time
 }
 
-TEST_F(TrackerFixture, DisarmFreezesCount) {
-  tracker.arm();
-  dir.set(true);
-  pulse(5);
-  tracker.disarm();
-  pulse(5);
-  EXPECT_EQ(tracker.count(), 5);
-}
-
 struct LayerFixture : ::testing::Test {
   sim::Scheduler sched;
   sim::Wire zstep{sched, "Z"};
@@ -245,13 +221,6 @@ TEST_F(LayerFixture, ContinuousSteppingIsOneLayer) {
   sched.run_until(sim::seconds(1));
   z_burst(500);
   EXPECT_EQ(monitor.layers_seen(), 1u);
-}
-
-TEST_F(LayerFixture, ResetClearsCount) {
-  sched.run_until(sim::seconds(1));
-  z_burst(10);
-  monitor.reset();
-  EXPECT_EQ(monitor.layers_seen(), 0u);
 }
 
 }  // namespace

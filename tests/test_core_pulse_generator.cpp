@@ -13,7 +13,7 @@ struct PulseGenFixture : ::testing::Test {
   sim::Wire in{sched, "in"};
   sim::Wire out{sched, "out"};
   SignalPath path{sched, in, out, sim::ns(10)};
-  PulseGenerator gen{sched, path, /*steps_per_mm=*/100.0};
+  PulseGenerator gen{sched, path};
 
   void SetUp() override { path.set_active(true); }
 };
@@ -48,24 +48,6 @@ TEST_F(PulseGenFixture, PulsesAlignToFabricClock) {
   }
 }
 
-TEST_F(PulseGenFixture, BurstMmUsesMicrostepScale) {
-  sim::TraceRecorder trace(out, false);
-  const auto count = gen.burst_mm(0.4, 20'000.0);  // 0.4 mm at 100 st/mm
-  EXPECT_EQ(count, 40u);
-  sched.run_all();
-  EXPECT_EQ(trace.rising_edges(), 40u);
-}
-
-TEST_F(PulseGenFixture, CancelStopsPendingPulses) {
-  sim::TraceRecorder trace(out, false);
-  gen.burst({.count = 100, .period = sim::ms(1), .width = sim::us(1)});
-  sched.run_until(sched.now() + sim::ms(10));
-  gen.cancel();
-  sched.run_all();
-  EXPECT_LT(trace.rising_edges(), 15u);
-  EXPECT_GT(trace.rising_edges(), 5u);
-}
-
 TEST_F(PulseGenFixture, MergesWithPassthroughTraffic) {
   sim::TraceRecorder trace(out, false);
   // Original pulses every 200 us; injection every 190 us offset.
@@ -82,7 +64,8 @@ TEST_F(PulseGenFixture, InvalidTrainsThrow) {
   EXPECT_THROW(gen.burst({.count = 1, .period = sim::us(1),
                           .width = sim::us(1)}),
                offramps::Error);
-  EXPECT_THROW(gen.burst_mm(1.0, 0.0), offramps::Error);
+  EXPECT_THROW(gen.burst({.count = 1, .period = sim::us(50), .width = 0}),
+               offramps::Error);
 }
 
 }  // namespace

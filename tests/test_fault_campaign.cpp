@@ -140,39 +140,42 @@ TEST(DetectionUnderNoise, FabricSideTrojansAreOutsideTheTapsByDesign) {
 
 TEST(CampaignClassifier, CellsClassifyAsExpected) {
   FaultCampaign campaign(object(), "classifier-test");
+  ParallelRunner pool(1);
+  const CampaignReport report = campaign.run(
+      {// Zero intensity: the built-in control cell must come out clean.
+       {.kind = sim::FaultKind::kGlitch, .target = "ramps.X_STEP",
+        .intensity = 0.0},
+       // Shorted hotend thermistor: zero ADC counts decode as an
+       // impossibly hot sensor (NTC divider), so the firmware's MAXTEMP
+       // protection kills the run - detected AND deviating, the
+       // definition of fail-safe.
+       {.kind = sim::FaultKind::kAnalogShort, .target = "THERM_HOTEND",
+        .intensity = 1.0, .start = sim::seconds(5)},
+       // Heavy UART bit-flips: CRC framing discards the corrupt frames
+       // and the capture still matches the clean run transaction for
+       // transaction.
+       {.kind = sim::FaultKind::kUartBitFlip, .target = "uart",
+        .intensity = 0.01, .seed = 0xF11}},
+      pool);
+  ASSERT_EQ(report.cells.size(), 3u);
+  const CellResult& control = report.cells[0];
+  const CellResult& shorted = report.cells[1];
+  const CellResult& flips = report.cells[2];
 
-  // Zero intensity: the built-in control cell must come out clean.
-  const CellResult control = campaign.run_cell(
-      {.kind = sim::FaultKind::kGlitch, .target = "ramps.X_STEP",
-       .intensity = 0.0});
   EXPECT_EQ(control.outcome, CellOutcome::kClean);
   EXPECT_EQ(control.capture_transactions,
             campaign.reference().capture.size());
 
-  // Shorted hotend thermistor: zero ADC counts decode as an impossibly
-  // hot sensor (NTC divider), so the firmware's MAXTEMP protection kills
-  // the run - detected AND deviating, the definition of fail-safe.
-  const CellResult shorted = campaign.run_cell(
-      {.kind = sim::FaultKind::kAnalogShort, .target = "THERM_HOTEND",
-       .intensity = 1.0, .start = sim::seconds(5)});
   EXPECT_EQ(shorted.outcome, CellOutcome::kFailSafe);
   EXPECT_TRUE(shorted.killed);
   EXPECT_NE(shorted.kill_reason.find("MAXTEMP"), std::string::npos);
 
-  // Heavy UART bit-flips: CRC framing discards the corrupt frames and
-  // the capture still matches the clean run transaction for transaction.
-  const CellResult flips = campaign.run_cell(
-      {.kind = sim::FaultKind::kUartBitFlip, .target = "uart",
-       .intensity = 0.01, .seed = 0xF11});
   EXPECT_EQ(flips.outcome, CellOutcome::kClean);
   EXPECT_GT(flips.crc_rejected, 0u);
   EXPECT_EQ(flips.capture_transactions,
             campaign.reference().capture.size());
 
   // The report serializes every cell with its classification.
-  CampaignReport report;
-  report.program_label = "classifier-test";
-  report.cells = {control, shorted, flips};
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"fail_safe\""), std::string::npos);
   EXPECT_NE(json.find("\"analog_short\""), std::string::npos);

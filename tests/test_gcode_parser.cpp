@@ -111,8 +111,6 @@ TEST(Command, SetAndEraseParams) {
   c.set('X', 6.0);
   EXPECT_DOUBLE_EQ(*c.get('X'), 6.0);
   EXPECT_EQ(c.params.size(), 1u);
-  c.erase('X');
-  EXPECT_FALSE(c.has('X'));
 }
 
 TEST(Command, ValueOrFallsBack) {
@@ -122,16 +120,6 @@ TEST(Command, ValueOrFallsBack) {
   EXPECT_DOUBLE_EQ(c.value_or('S', 255.0), 255.0);
   c.set('S', 128.0);
   EXPECT_DOUBLE_EQ(c.value_or('S', 255.0), 128.0);
-}
-
-TEST(Command, MakeLinearMoveBuilder) {
-  const Command c = make_linear_move(1.0, std::nullopt, 3.0, std::nullopt,
-                                     1200.0, /*rapid=*/true);
-  EXPECT_TRUE(c.is('G', 0));
-  EXPECT_DOUBLE_EQ(*c.get('X'), 1.0);
-  EXPECT_FALSE(c.has('Y'));
-  EXPECT_DOUBLE_EQ(*c.get('Z'), 3.0);
-  EXPECT_DOUBLE_EQ(*c.get('F'), 1200.0);
 }
 
 }  // namespace

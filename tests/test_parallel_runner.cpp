@@ -334,19 +334,5 @@ TEST(ParallelDeterminism, CampaignJsonByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(report_with(8), seq);
 }
 
-TEST(ParallelDeterminism, PooledCampaignMatchesSequentialApi) {
-  const gcode::Program program = small_cube();
-  std::vector<sim::FaultSpec> sweep = host::FaultCampaign::default_sweep();
-  sweep.resize(4);
-
-  host::FaultCampaign sequential(program, "api-cmp");
-  const std::string a = sequential.run(sweep).to_json();
-
-  host::FaultCampaign pooled(program, "api-cmp");
-  host::ParallelRunner pool(4);
-  const std::string b = pooled.run(sweep, pool).to_json();
-  EXPECT_EQ(a, b);
-}
-
 }  // namespace
 }  // namespace offramps

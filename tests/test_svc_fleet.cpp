@@ -220,18 +220,33 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
   // Integer fields: negative, fractional, out of range or non-finite
   // numbers are spec errors that name the key, never silent casts.  So
   // is a watchdog limit that is not positive: it would declare a stall
-  // at the first check that sees no new transaction.
+  // at the first check that sees no new transaction, and an attempt or
+  // checkpoint count below the flags' minimum of 1.  An unknown key, a
+  // key of another JSON kind (null included) or a key given twice is an
+  // error too, never read as "not given".
   for (const std::string& bad :
        {std::string("\"workers\": -1"), std::string("\"workers\": 2.5"),
         std::string("\"ring_capacity\": -1"),
         std::string("\"ring_capacity\": 0"),
         std::string("\"checkpoint_every\": -3"),
+        std::string("\"checkpoint_every\": 0"),
         std::string("\"max_attempts\": 4294967296"),
+        std::string("\"max_attempts\": 0"),
         std::string("\"backoff_ms\": 1e300"),
         std::string("\"reference_seed\": -42"),
         std::string("\"cache_max_mb\": -1"),
         std::string("\"stall_timeout_s\": -1"),
-        std::string("\"stall_timeout_s\": 0")}) {
+        std::string("\"stall_timeout_s\": 0"),
+        std::string("\"stall_timout_s\": 1"),
+        std::string("\"safe_stop\": \"false\""),
+        std::string("\"use_power\": 0"),
+        std::string("\"channels\": [\"power\"]"),
+        std::string("\"channels\": \"\""),
+        std::string("\"channels\": \"sound\""),
+        std::string("\"workers\": null"),
+        std::string("\"workers\": \"4\""),
+        std::string("\"workers\": 2, \"workers\": 3"),
+        std::string("\"rigs\": [], \"rigs\": [{}]")}) {
     const std::string text = "{ " + bad + ", \"rigs\": [{}] }";
     try {
       FleetOptions o;
@@ -250,7 +265,14 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
        {std::string("\"cube_mm\": 1e6"), std::string("\"cube_mm\": 0"),
         std::string("\"cube_mm\": -8"), std::string("\"cube_mm\": 1e300"),
         std::string("\"height_mm\": 1e300"),
-        std::string("\"height_mm\": 211")}) {
+        std::string("\"height_mm\": 211"),
+        std::string("\"cube_mm\": \"12\""),
+        std::string("\"seed\": \"7\""),
+        std::string("\"sabotage\": 0.5"),
+        std::string("\"chaos\": null"),
+        std::string("\"name\": 3"),
+        std::string("\"nmae\": \"a\""),
+        std::string("\"seed\": 1, \"seed\": 2")}) {
     const std::string text = "{ \"rigs\": [{" + bad + "}] }";
     try {
       FleetOptions o;

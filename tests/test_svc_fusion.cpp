@@ -81,7 +81,10 @@ TEST(ChannelList, FusionOrderFilteredByTheGates) {
              OnlineDetector(options).report().channels) {
           got.emplace_back(channel_name(v.channel));
         }
-        EXPECT_EQ(got, want) << set.to_string()
+        EXPECT_EQ(got, want) << "steps=" << set.steps
+                             << " power=" << set.power
+                             << " acoustic=" << set.acoustic
+                             << " vibration=" << set.vibration
                              << " golden_free=" << golden_free
                              << " final_checks=" << final_checks;
       }

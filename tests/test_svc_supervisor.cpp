@@ -16,6 +16,7 @@ using offramps::Error;
 using offramps::svc::AttemptContext;
 using offramps::svc::backoff_delay_ms;
 using offramps::svc::GuardOutcome;
+using offramps::svc::kBackoffCapMs;
 using offramps::svc::rig_status_name;
 using offramps::svc::RigStatus;
 using offramps::svc::StallWatchdog;
@@ -31,8 +32,7 @@ TEST(Backoff, ZeroBaseDisablesSleeping) {
 
 TEST(Backoff, DeterministicAndJittered) {
   SupervisorOptions opt;
-  opt.backoff_base_ms = 100;
-  opt.backoff_cap_ms = 2000;
+  opt.backoff_base_ms = 300;  // 300, 600, 1200, then the 2000 ms cap
   for (std::uint64_t key = 0; key < 16; ++key) {
     for (std::uint32_t attempt = 0; attempt < 5; ++attempt) {
       const std::uint64_t a = backoff_delay_ms(opt, key, attempt);
@@ -40,11 +40,10 @@ TEST(Backoff, DeterministicAndJittered) {
       EXPECT_EQ(a, b) << "pure function of (seed, key, attempt)";
       // Exponential envelope with jitter in [delay/2, delay].
       std::uint64_t ceiling = opt.backoff_base_ms;
-      for (std::uint32_t i = 0; i < attempt && ceiling < opt.backoff_cap_ms;
-           ++i) {
+      for (std::uint32_t i = 0; i < attempt && ceiling < kBackoffCapMs; ++i) {
         ceiling *= 2;
       }
-      if (ceiling > opt.backoff_cap_ms) ceiling = opt.backoff_cap_ms;
+      if (ceiling > kBackoffCapMs) ceiling = kBackoffCapMs;
       EXPECT_GE(a, ceiling / 2);
       EXPECT_LE(a, ceiling);
     }
@@ -53,10 +52,9 @@ TEST(Backoff, DeterministicAndJittered) {
 
 TEST(Backoff, DecorrelatedAcrossKeys) {
   SupervisorOptions opt;
-  opt.backoff_base_ms = 1000;
-  opt.backoff_cap_ms = 1000;
+  opt.backoff_base_ms = 5000;  // capped to 2000 ms from the first retry
   // Same attempt, different keys: the jitter must not collapse to one
-  // value (thundering herd).  With a 500-wide window, 32 keys all equal
+  // value (thundering herd).  With a 1000-wide window, 32 keys all equal
   // would be astronomically unlikely.
   bool any_different = false;
   const std::uint64_t first = backoff_delay_ms(opt, 0, 0);
@@ -67,11 +65,19 @@ TEST(Backoff, DecorrelatedAcrossKeys) {
 }
 
 TEST(Backoff, CapSaturates) {
-  SupervisorOptions opt;
-  opt.backoff_base_ms = 100;
-  opt.backoff_cap_ms = 400;
-  for (std::uint32_t attempt = 0; attempt < 40; ++attempt) {
-    EXPECT_LE(backoff_delay_ms(opt, 1, attempt), 400u);
+  EXPECT_EQ(kBackoffCapMs, 2000u);
+  for (const std::uint64_t base : {100u, 1500u, 5000u, 1u << 30}) {
+    SupervisorOptions opt;
+    opt.backoff_base_ms = base;
+    for (std::uint32_t attempt = 0; attempt < 40; ++attempt) {
+      const std::uint64_t delay = backoff_delay_ms(opt, 1, attempt);
+      EXPECT_LE(delay, kBackoffCapMs) << base << " " << attempt;
+      // A base at or past the cap starts at the cap: jitter keeps at
+      // least half of it.
+      if (base >= kBackoffCapMs) {
+        EXPECT_GE(delay, kBackoffCapMs / 2) << base << " " << attempt;
+      }
+    }
   }
 }
 
@@ -141,19 +147,6 @@ TEST(Supervisor, SingleAttemptNeverDegrades) {
   EXPECT_FALSE(degraded) << "1 attempt = no degrade ladder";
 }
 
-TEST(Supervisor, DegradeLadderCanBeDisabled) {
-  SupervisorOptions opt = fast_options(2);
-  opt.degrade_channels = false;
-  const Supervisor sup(opt);
-  bool degraded = false;
-  const GuardOutcome out = sup.run_guarded(1, [&](const AttemptContext& ctx) {
-    degraded = ctx.degraded;
-    if (ctx.attempt == 0) throw Error("transient");
-  });
-  EXPECT_EQ(out.status, RigStatus::kRecovered);
-  EXPECT_FALSE(degraded);
-}
-
 TEST(Supervisor, StatusNames) {
   EXPECT_STREQ(rig_status_name(RigStatus::kOk), "ok");
   EXPECT_STREQ(rig_status_name(RigStatus::kRecovered), "recovered");
@@ -165,9 +158,7 @@ TEST(Supervisor, StatusNames) {
 TEST(StallWatchdog, ThrowsWhenProgressFreezes) {
   offramps::sim::Scheduler sched;
   SupervisorOptions opt;
-  opt.watchdog_period_s = 0.5;
   opt.stall_timeout_s = 2.0;
-  opt.first_data_timeout_s = 100.0;
 
   std::uint64_t progress = 0;
   // Progress advances for 3 sim-seconds, then wedges.
@@ -178,10 +169,11 @@ TEST(StallWatchdog, ThrowsWhenProgressFreezes) {
   StallWatchdog dog(
       sched, opt, [&progress] { return progress; }, [] { return true; },
       "test");
-  EXPECT_THROW(sched.run_until(offramps::sim::from_seconds(60.0)),
+  EXPECT_THROW(sched.run_until(offramps::sim::from_seconds(600.0)),
                offramps::Error);
-  // The stream made progress until t=3s; the stall must be detected at
-  // roughly 3s + stall_timeout, far before the 60 s horizon.
+  // The stream made progress until t=3s; the 1 s checks see the stall
+  // at 3s + stall_timeout, far before the 120 s first-data limit and
+  // the 600 s horizon.
   const double t = offramps::sim::to_seconds(sched.now());
   EXPECT_GE(t, 4.9);
   EXPECT_LE(t, 6.1);
@@ -190,24 +182,24 @@ TEST(StallWatchdog, ThrowsWhenProgressFreezes) {
 TEST(StallWatchdog, ThrowsWhenStreamNeverStarts) {
   offramps::sim::Scheduler sched;
   SupervisorOptions opt;
-  opt.watchdog_period_s = 0.5;
-  opt.stall_timeout_s = 100.0;
-  opt.first_data_timeout_s = 3.0;
+  opt.stall_timeout_s = 2.0;
 
   StallWatchdog dog(
       sched, opt, [] { return std::uint64_t{0}; }, [] { return true; },
       "test");
-  EXPECT_THROW(sched.run_until(offramps::sim::from_seconds(60.0)),
+  EXPECT_THROW(sched.run_until(offramps::sim::from_seconds(600.0)),
                offramps::Error);
-  EXPECT_LE(offramps::sim::to_seconds(sched.now()), 4.1);
+  // No progress ever: the stall timeout does not apply, the 120 s
+  // first-data limit does, at the 1 s check that reaches it.
+  const double t = offramps::sim::to_seconds(sched.now());
+  EXPECT_GE(t, 119.9);
+  EXPECT_LE(t, 121.1);
 }
 
 TEST(StallWatchdog, RetiresWhenInactive) {
   offramps::sim::Scheduler sched;
   SupervisorOptions opt;
-  opt.watchdog_period_s = 0.5;
   opt.stall_timeout_s = 1.0;
-  opt.first_data_timeout_s = 1.0;
 
   bool active = true;
   sched.schedule_at(offramps::sim::from_seconds(0.6),
@@ -215,9 +207,11 @@ TEST(StallWatchdog, RetiresWhenInactive) {
   StallWatchdog dog(
       sched, opt, [] { return std::uint64_t{0}; },
       [&active] { return active; }, "test");
-  // Once inactive the watchdog retires; no throw, and the scheduler
-  // drains instead of running to the horizon.
-  EXPECT_NO_THROW(sched.run_until(offramps::sim::from_seconds(60.0)));
+  // Once inactive the watchdog retires at its first check (t=1 s); no
+  // throw at the 120 s first-data limit, and the scheduler drains
+  // instead of running to the horizon.
+  EXPECT_NO_THROW(sched.run_until(offramps::sim::from_seconds(600.0)));
+  EXPECT_TRUE(sched.idle());
 }
 
 }  // namespace
