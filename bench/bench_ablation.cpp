@@ -20,6 +20,7 @@
 
 #include "common.hpp"
 #include "detect/align.hpp"
+#include "detect/compare.hpp"
 #include "detect/golden_free.hpp"
 #include "detect/side_channel.hpp"
 #include "gcode/flaw3d.hpp"
@@ -248,8 +249,7 @@ int main(int argc, char** argv) {
                               core::TrojanSuiteConfig{}) {
     host::RigOptions options;
     options.firmware.jitter_seed = seed;
-    options.power_probe = plant::PowerProbeOptions{};
-    options.power_probe->noise_seed = seed ^ 0xFACE;
+    options.probes[plant::SampleKind::kPower] = seed ^ 0xFACE;
     options.trojans = std::move(trojans);
     host::Rig rig(options);
     return rig.run(p);

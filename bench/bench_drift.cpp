@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "detect/compare.hpp"
 
 using namespace offramps;
 

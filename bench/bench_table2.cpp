@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "detect/compare.hpp"
 #include "gcode/flaw3d.hpp"
 
 using namespace offramps;

@@ -32,6 +32,7 @@
 #include <string>
 
 #include "core/cli.hpp"
+#include "detect/compare.hpp"
 #include "detect/golden_free.hpp"
 #include "detect/reconstruct.hpp"
 #include "gcode/flaw3d.hpp"

@@ -8,8 +8,10 @@
 // saving machine time and material - the paper's "all parts are checked,
 // not just a random subset" workflow.
 #include <cstdio>
+#include <vector>
 
 #include "core/cli.hpp"
+#include "detect/monitor.hpp"
 #include "gcode/flaw3d.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
@@ -17,6 +19,9 @@
 using namespace offramps;
 
 namespace {
+
+constexpr const char* kHalted =
+    "print halted by OFFRAMPS real-time Trojan monitor";
 
 gcode::Program part() {
   host::SliceProfile profile;
@@ -63,9 +68,13 @@ int main(int argc, char** argv) {
     host::RigOptions options;
     options.firmware.jitter_seed = job.seed;
     host::Rig rig(options);
-    const host::RunResult r = rig.run_monitored(
-        job.program, golden.capture, {}, /*abort_on_alarm=*/true);
-    if (r.aborted_by_monitor) {
+    detect::RealtimeMonitor monitor(rig.board().fpga().uart(),
+                                    golden.capture);
+    monitor.on_alarm([&rig](const std::vector<detect::Mismatch>&) {
+      rig.firmware().kill(kHalted);
+    });
+    const host::RunResult r = rig.run(job.program);
+    if (monitor.alarmed() && r.kill_reason == kHalted) {
       ++caught;
       const double saved =
           100.0 * (1.0 - static_cast<double>(r.capture.final_counts[3]) /
@@ -73,7 +82,7 @@ int main(int argc, char** argv) {
                                                      .final_counts[3]));
       std::printf("    %-24s HALTED at transaction %u of %zu "
                   "(~%.0f%% of material saved)\n",
-                  job.name, r.alarm_at_transaction, golden.capture.size(),
+                  job.name, monitor.alarmed_at_index(), golden.capture.size(),
                   saved);
     } else {
       std::printf("    %-24s completed clean (%zu transactions, "

@@ -10,10 +10,11 @@
 #                             label's analyzer suite), the src reach
 #                             check and the perf smokes listed below
 #   scripts/check.sh --fuzz   build the fuzz preset (ASan+UBSan) and run
-#                             each fuzz target for a short budget
-#                             (OFFRAMPS_FUZZ_SECONDS per target,
-#                             default 30) over its checked-in corpus;
-#                             any crash fails by exit code
+#                             each fuzz target the build lists in
+#                             build-fuzz/fuzz/fuzz_targets.txt for a
+#                             short budget (OFFRAMPS_FUZZ_SECONDS per
+#                             target, default 30) over its checked-in
+#                             corpus; any crash fails by exit code
 #
 # The lint step degrades to a skip message when clang-tidy is not
 # installed; everything else must pass.
@@ -36,24 +37,13 @@ if [[ "${fuzz}" -eq 1 ]]; then
   cmake --preset fuzz
   echo "==> build fuzz targets"
   cmake --build --preset fuzz -j "${jobs}"
-  for target in fuzz_gcode_parser fuzz_capture_binary fuzz_svc_json \
-                fuzz_session_wire fuzz_ref_cache fuzz_checkpoint \
-                fuzz_bytes_reader fuzz_cli_args; do
-    corpus="tests/fuzz_corpus/${target#fuzz_}"
-    case "${target}" in
-      fuzz_gcode_parser)   corpus=tests/fuzz_corpus/gcode ;;
-      fuzz_capture_binary) corpus=tests/fuzz_corpus/capture ;;
-      fuzz_svc_json)       corpus=tests/fuzz_corpus/json ;;
-      fuzz_session_wire)   corpus=tests/fuzz_corpus/session ;;
-      fuzz_ref_cache)      corpus=tests/fuzz_corpus/refcache ;;
-      fuzz_checkpoint)     corpus=tests/fuzz_corpus/checkpoint ;;
-      fuzz_bytes_reader)   corpus=tests/fuzz_corpus/bytes ;;
-      fuzz_cli_args)       corpus=tests/fuzz_corpus/cli_args ;;
-    esac
+  # fuzz/CMakeLists.txt lists every target with its corpus here.
+  manifest=build-fuzz/fuzz/fuzz_targets.txt
+  while read -r target corpus; do
     echo "==> ${target}: corpus replay + ${budget}s mutation run"
-    "./build-fuzz/fuzz/${target}" --time "${budget}" "${corpus}"
-  done
-  echo "==> all fuzz checks passed"
+    "./build-fuzz/fuzz/${target}" --time "${budget}" "${corpus}" </dev/null
+  done < "${manifest}"
+  echo "==> all $(wc -l < "${manifest}") fuzz targets passed"
   exit 0
 fi
 

@@ -2,9 +2,18 @@
 
 namespace offramps::core {
 
+namespace {
+
+/// Straight-jumper propagation delay (a trace, effectively instant).
+constexpr sim::Tick kJumperDelay = sim::ns(1);
+/// Analog (thermistor) pass-through delay via the XADC+DAC path in MITM
+/// mode.
+constexpr sim::Tick kAnalogMitmDelay = sim::us(2);
+
+}  // namespace
+
 Board::Board(sim::Scheduler& sched, BoardOptions options, RouteMode initial)
     : sched_(sched),
-      options_(options),
       arduino_(sched, "ard."),
       ramps_(sched, "rmp."),
       fpga_(sched, arduino_, ramps_, options.fpga),
@@ -18,7 +27,7 @@ Board::Board(sim::Scheduler& sched, BoardOptions options, RouteMode initial)
         // XADC sampling + fabric transform + DAC output: the firmware
         // reads whatever the FPGA chooses to synthesize.
         const double out = fpga_.apply_analog(apin, v);
-        sched_.schedule_in(options_.analog_mitm_delay, [this, apin, out] {
+        sched_.schedule_in(kAnalogMitmDelay, [this, apin, out] {
           arduino_.analog(apin).set(out);
         });
       } else {
@@ -38,7 +47,7 @@ void Board::connect_direct() {
         sim::pin_direction(pin) == sim::PinDirection::kFirmwareToPrinter;
     sim::Wire& src = fw_drives ? arduino_.wire(pin) : ramps_.wire(pin);
     sim::Wire& dst = fw_drives ? ramps_.wire(pin) : arduino_.wire(pin);
-    direct_.push_back(sim::connect(src, dst, options_.jumper_delay));
+    direct_.push_back(sim::connect(src, dst, kJumperDelay));
   }
 }
 

@@ -10,6 +10,10 @@
 //   kDirect     (3a) straight jumpers; the FPGA is out of circuit
 //   kFpgaMitm   (3b) all nets routed through the fabric (modifiable)
 //   kFpgaRecord (3c) straight jumpers + FPGA taps for lossless recording
+//
+// The jumpers' 1 ns trace delay and the analog nets' 2 us XADC+DAC detour
+// are fixed properties of the board (constants in board.cpp); the one
+// setting is the fabric's UART period (BoardOptions::fpga).
 #pragma once
 
 #include <vector>
@@ -27,11 +31,6 @@ enum class RouteMode { kDirect, kFpgaMitm, kFpgaRecord };
 /// Board construction parameters.
 struct BoardOptions {
   FpgaOptions fpga{};
-  /// Straight-jumper propagation delay (a trace, effectively instant).
-  sim::Tick jumper_delay = sim::ns(1);
-  /// Analog (thermistor) pass-through delay via the XADC+DAC path in MITM
-  /// mode.
-  sim::Tick analog_mitm_delay = sim::us(2);
 };
 
 /// The assembled OFFRAMPS board.
@@ -60,7 +59,6 @@ class Board {
   void connect_direct();
 
   sim::Scheduler& sched_;
-  BoardOptions options_;
   sim::PinBank arduino_;
   sim::PinBank ramps_;
   Fpga fpga_;

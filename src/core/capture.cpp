@@ -1,10 +1,12 @@
 #include "core/capture.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <concepts>
 #include <cstdio>
+#include <string_view>
 
 #include "core/bytes.hpp"
+#include "core/strict_parse.hpp"
 #include "sim/error.hpp"
 
 namespace offramps::core {
@@ -102,7 +104,43 @@ std::string Capture::to_csv() const {
   return out;
 }
 
+namespace {
+
+/// Splits one CSV line at its commas into exactly N fields, each trimmed
+/// of surrounding spaces; nullopt for any other field count.
+template <std::size_t N>
+std::optional<std::array<std::string_view, N>> split_fields(
+    std::string_view line) {
+  std::array<std::string_view, N> fields{};
+  for (std::size_t n = 0; n < N; ++n) {
+    const std::size_t comma = line.find(',');
+    std::string_view field = line.substr(0, comma);
+    while (!field.empty() && field.front() == ' ') field.remove_prefix(1);
+    while (!field.empty() && field.back() == ' ') field.remove_suffix(1);
+    fields[n] = field;
+    if (comma == std::string_view::npos) {
+      return n + 1 == N ? std::optional(fields) : std::nullopt;
+    }
+    line.remove_prefix(comma + 1);
+  }
+  return std::nullopt;  // a comma past the last field
+}
+
+/// One whole field as T (core::parse_int: no wrapping, no trailing bytes).
+template <std::integral T>
+T csv_field(std::string_view field, std::string_view line, const char* what) {
+  const std::optional<T> v = parse_int<T>(field);
+  if (!v) {
+    throw Error(std::string("Capture::from_csv: malformed ") + what + ": " +
+                std::string(line));
+  }
+  return *v;
+}
+
+}  // namespace
+
 Capture Capture::from_csv(const std::string& text, std::string label) {
+  constexpr std::string_view kFooter = "# final";
   Capture cap;
   cap.label = std::move(label);
   std::size_t pos = 0;
@@ -111,64 +149,41 @@ Capture Capture::from_csv(const std::string& text, std::string label) {
   while (pos < text.size()) {
     std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos) nl = text.size();
-    const std::string_view line(text.data() + pos, nl - pos);
+    std::string_view line(text.data() + pos, nl - pos);
     pos = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (line.front() == '#') {
-      // Footer: "# final, x, y, z, e, completed".
-      if (line.find("final") != std::string_view::npos) {
-        long long vals[5] = {0, 0, 0, 0, 0};
-        std::size_t cursor = line.find(',');
-        for (auto& val : vals) {
-          if (cursor == std::string_view::npos) break;
-          ++cursor;
-          while (cursor < line.size() && line[cursor] == ' ') ++cursor;
-          const auto [ptr, ec] = std::from_chars(
-              line.data() + cursor, line.data() + line.size(), val);
-          if (ec != std::errc{}) {
-            throw Error("Capture::from_csv: malformed footer: " +
-                        std::string(line));
-          }
-          cursor = line.find(',', static_cast<std::size_t>(
-                                      ptr - line.data()));
-        }
-        for (std::size_t i = 0; i < 4; ++i) cap.final_counts[i] = vals[i];
-        cap.print_completed = vals[4] != 0;
-        has_footer = true;
+      // Footer: "# final, x, y, z, e, completed"; other comments are
+      // skipped.
+      if (!line.starts_with(kFooter)) continue;
+      const auto f = split_fields<6>(line);
+      if (!f || (*f)[0] != kFooter || ((*f)[5] != "0" && (*f)[5] != "1") ||
+          has_footer) {
+        throw Error("Capture::from_csv: malformed footer: " +
+                    std::string(line));
       }
+      for (std::size_t i = 0; i < 4; ++i) {
+        cap.final_counts[i] =
+            csv_field<std::int64_t>((*f)[i + 1], line, "footer");
+      }
+      cap.print_completed = (*f)[5] == "1";
+      has_footer = true;
       continue;
     }
     if (!header_skipped) {
       header_skipped = true;
       if (line.find("Index") != std::string_view::npos) continue;
     }
-    Transaction t;
-    long long fields[5] = {0, 0, 0, 0, 0};
-    std::size_t field = 0;
-    std::size_t cursor = 0;
-    while (field < 5 && cursor < line.size()) {
-      while (cursor < line.size() &&
-             (line[cursor] == ' ' || line[cursor] == ',')) {
-        ++cursor;
-      }
-      const char* begin = line.data() + cursor;
-      const char* end = line.data() + line.size();
-      long long v = 0;
-      const auto [ptr, ec] = std::from_chars(begin, end, v);
-      if (ec != std::errc{}) {
-        throw Error("Capture::from_csv: malformed line: " +
-                    std::string(line));
-      }
-      fields[field++] = v;
-      cursor = static_cast<std::size_t>(ptr - line.data());
-    }
-    if (field != 5) {
+    const auto f = split_fields<5>(line);
+    if (!f) {
       throw Error("Capture::from_csv: expected 5 fields in line: " +
                   std::string(line));
     }
-    t.index = static_cast<std::uint32_t>(fields[0]);
+    Transaction t;
+    t.index = csv_field<std::uint32_t>((*f)[0], line, "line");
     for (std::size_t i = 0; i < 4; ++i) {
-      t.counts[i] = static_cast<std::int32_t>(fields[i + 1]);
+      t.counts[i] = csv_field<std::int32_t>((*f)[i + 1], line, "line");
     }
     cap.transactions.push_back(t);
   }

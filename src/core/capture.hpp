@@ -71,8 +71,12 @@ struct Capture {
 
   /// Renders the "Index, X, Y, Z, E" CSV shown in the paper's Figure 4.
   [[nodiscard]] std::string to_csv() const;
-  /// Parses a CSV produced by to_csv().  Throws offramps::Error on
-  /// malformed input.
+  /// Parses a CSV produced by to_csv().  Every row is exactly five
+  /// fields, a u32 index and four i32 counts; the footer is exactly
+  /// "# final" with four i64 finals and a 0 or 1 (a file without one
+  /// takes its last row's counts, completed).  Anything else - a value
+  /// out of its type's range, a missing or extra field - throws
+  /// offramps::Error.
   static Capture from_csv(const std::string& text, std::string label = {});
 
   /// Binary serialization, for fleet runs that persist/replay captures.

@@ -2,6 +2,15 @@
 
 namespace offramps::core {
 
+namespace {
+
+/// Quiet gap used by the layer monitor to split Z bursts into layers.
+constexpr sim::Tick kLayerQuietGap = sim::ms(500);
+/// Baud rate of the host serial link carrying the transactions.
+constexpr std::uint32_t kSerialBaud = 115'200;
+
+}  // namespace
+
 sim::Tick default_prop_delay(sim::Pin pin) {
   // Level shifter pair plus fabric routing: 8-13 ns depending on the route
   // the net takes across the die.  Y_DIR carries the longest route; its
@@ -37,7 +46,7 @@ Fpga::Fpga(sim::Scheduler& sched, sim::PinBank& fw_side,
       printer_side.min_endstop(sim::Axis::kZ));
   homing_->set_enabled(false);
   layers_ = std::make_unique<LayerMonitor>(
-      sched, fw_side.step(sim::Axis::kZ), options.layer_quiet_gap);
+      sched, fw_side.step(sim::Axis::kZ), kLayerQuietGap);
   uart_ = std::make_unique<UartReporter>(
       sched,
       std::array<AxisTracker*, 4>{&tracker(sim::Axis::kX),
@@ -50,8 +59,7 @@ Fpga::Fpga(sim::Scheduler& sched, sim::PinBank& fw_side,
   // net at the configured baud rate, as a framed (magic + CRC) burst so
   // the host side can survive wire corruption.
   uart_tx_line_ = std::make_unique<sim::Wire>(sched, "fpga.UART_TX", true);
-  uart_phy_ =
-      std::make_unique<UartTx>(sched, *uart_tx_line_, options.serial_baud);
+  uart_phy_ = std::make_unique<UartTx>(sched, *uart_tx_line_, kSerialBaud);
   uart_->on_frame([this](const std::vector<std::uint8_t>& bytes) {
     uart_phy_->send(bytes);
   });

@@ -8,6 +8,10 @@
 // Per-net propagation delays model the level shifters plus fabric routing;
 // the worst case lands on Y_DIR at 13 ns, the 1 ns-grid rounding of the
 // paper's reported 12.923 ns maximum.
+//
+// The fabric's one setting is the UART transaction period (FpgaOptions);
+// the layer monitor's 500 ms quiet gap and the host link's 115,200 baud
+// are constants in fpga.cpp.
 #pragma once
 
 #include <array>
@@ -26,10 +30,6 @@ namespace offramps::core {
 struct FpgaOptions {
   /// UART transaction period (paper: 0.1 s).
   sim::Tick uart_period = UartReporter::kDefaultPeriod;
-  /// Quiet gap used by the layer monitor to split Z bursts into layers.
-  sim::Tick layer_quiet_gap = sim::ms(500);
-  /// Baud rate of the host serial link carrying the 16-byte transactions.
-  std::uint32_t serial_baud = 115'200;
 };
 
 /// Default propagation delay (level shift + routing) for a net.

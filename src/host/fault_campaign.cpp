@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "detect/monitor.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/error.hpp"
@@ -124,14 +125,15 @@ CellResult FaultCampaign::evaluate_cell(const sim::FaultSpec& spec) const {
   // Observe-only monitoring: letting the print run to its natural end is
   // what makes false alarms (alarm + healthy part) distinguishable from
   // fail-safes (alarm + real deviation).
-  const RunResult r = rig.run_monitored(program_, golden_, options_.detect,
-                                        /*abort_on_alarm=*/false);
+  detect::RealtimeMonitor monitor(rig.board().fpga().uart(), golden_,
+                                  options_.detect);
+  const RunResult r = rig.run(program_);
 
   CellResult cell;
   cell.fault = spec;
   cell.finished = r.finished;
   cell.killed = r.killed;
-  cell.alarmed = r.monitor_alarmed;
+  cell.alarmed = monitor.alarmed();
   cell.kill_reason = r.kill_reason;
   cell.deviation = deviation_from_reference(r);
   cell.capture_transactions = r.capture.size();
@@ -139,7 +141,7 @@ CellResult FaultCampaign::evaluate_cell(const sim::FaultSpec& spec) const {
   cell.fault_events = r.fault_stats.total();
   cell.sim_seconds = r.sim_seconds;
 
-  const bool detected = r.killed || r.monitor_alarmed;
+  const bool detected = r.killed || cell.alarmed;
   const bool deviates =
       cell.deviation > options_.deviation_threshold || !r.finished;
   if (detected) {

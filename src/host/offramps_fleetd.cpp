@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
                                                         "offramps_fleetd"),
                          options);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "fleet spec error: %s\n", e.what());
+      std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
     for (const auto& [index, spec] : chaos) {

@@ -28,15 +28,12 @@ Rig::Rig(RigOptions options)
       firmware_.kill("MCU brown-out reset (logic rail sag)");
     }
   });
-  const auto attach = [this](const auto& probe) {
-    if (probe.has_value()) {
+  for (const plant::SampleKind kind : plant::kProbeKinds) {
+    if (const auto& seed = options_.probes[kind]) {
       probes_.push_back(plant::make_probe(sched_, printer_,
-                                          board_.ramps_side(), *probe));
+                                          board_.ramps_side(), kind, *seed));
     }
-  };
-  attach(options_.power_probe);
-  attach(options_.acoustic_probe);
-  attach(options_.vibration_probe);
+  }
   if (!options_.faults.empty()) bind_faults();
   if (options_.brownout.has_value()) {
     const BrownoutScenario& b = *options_.brownout;
@@ -52,6 +49,9 @@ Rig::Rig(RigOptions options)
 }
 
 namespace {
+
+/// Hard wall on simulated print time (safety backstop).
+constexpr double kMaxSimSeconds = 4000.0;
 
 /// Resolves a fault target like "ramps.X_STEP" / "X_MIN" to a header side
 /// and bare net name.  The default side is ramps: that is the motor and
@@ -118,25 +118,6 @@ void Rig::bind_faults() {
 }
 
 RunResult Rig::run(const gcode::Program& program) {
-  return execute(program, nullptr);
-}
-
-RunResult Rig::run_monitored(const gcode::Program& program,
-                             const core::Capture& golden,
-                             const detect::CompareOptions& detect_options,
-                             bool abort_on_alarm) {
-  detect::RealtimeMonitor monitor(board_.fpga().uart(), golden,
-                                  detect_options);
-  if (abort_on_alarm) {
-    monitor.on_alarm([this](const std::vector<detect::Mismatch>&) {
-      firmware_.kill("print halted by OFFRAMPS real-time Trojan monitor");
-    });
-  }
-  return execute(program, &monitor);
-}
-
-RunResult Rig::execute(const gcode::Program& program,
-                       detect::RealtimeMonitor* monitor) {
   if (used_) throw Error("Rig::run: a Rig executes a single print");
   used_ = true;
 
@@ -160,31 +141,23 @@ RunResult Rig::execute(const gcode::Program& program,
   firmware_.enqueue_program(program);
   firmware_.start();
 
-  const sim::Tick deadline = sim::from_seconds(options_.max_sim_seconds);
+  const sim::Tick deadline = sim::from_seconds(kMaxSimSeconds);
   while (!sched_.stop_requested() && !sched_.idle() &&
          sched_.now() < deadline) {
     sched_.run_until(std::min<sim::Tick>(sched_.now() + sim::seconds(1),
                                          deadline));
   }
 
-  return collect(finished, killed, kill_reason, monitor);
+  return collect(finished, killed, kill_reason);
 }
 
-RunResult Rig::collect(bool finished, bool killed, std::string kill_reason,
-                       detect::RealtimeMonitor* monitor) {
+RunResult Rig::collect(bool finished, bool killed, std::string kill_reason) {
   RunResult r;
   board_.fpga().uart().finalize(finished);
   r.capture = board_.fpga().uart().take_capture();
   r.finished = finished;
   r.killed = killed;
   r.kill_reason = std::move(kill_reason);
-  if (monitor != nullptr) {
-    r.monitor_alarmed = monitor->alarmed();
-    r.alarm_at_transaction = monitor->alarmed_at_index();
-    r.aborted_by_monitor =
-        monitor->alarmed() &&
-        r.kill_reason.find("real-time Trojan monitor") != std::string::npos;
-  }
 
   r.part = printer_.deposition().report();
   r.commanded_steps = firmware_.stepper().lifetime_steps();

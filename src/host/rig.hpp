@@ -8,6 +8,10 @@
 // `Rig::run` executes one print end to end and gathers everything the
 // experiments need: the UART capture, part-quality metrics, firmware
 // outcome, thermal peaks, and step accounting on both sides of the board.
+// It is the only way to run a print: a live observer (the real-time
+// monitor, core::FabricGuard, the fleet's detector feed) subscribes to
+// `board().fpga().uart()` between construction and `run`, and may stop
+// the print through `firmware().kill`.
 #pragma once
 
 #include <array>
@@ -18,8 +22,6 @@
 #include <vector>
 
 #include "core/board.hpp"
-#include "detect/compare.hpp"
-#include "detect/monitor.hpp"
 #include "fw/firmware.hpp"
 #include "gcode/command.hpp"
 #include "plant/printer.hpp"
@@ -48,14 +50,10 @@ struct RigOptions {
   core::RouteMode route = core::RouteMode::kFpgaMitm;
   core::TrojanSuiteConfig trojans{};
   std::optional<BrownoutScenario> brownout{};
-  /// Attach a power side-channel probe (current clamp on the supply).
-  std::optional<plant::PowerProbeOptions> power_probe{};
-  /// Attach an acoustic probe (microphone near the gantry).
-  std::optional<plant::AcousticProbeOptions> acoustic_probe{};
-  /// Attach a vibration probe (frame-mounted accelerometer).
-  std::optional<plant::VibrationProbeOptions> vibration_probe{};
-  /// Hard wall on simulated print time (safety backstop).
-  double max_sim_seconds = 4000.0;
+  /// Side-channel probes to attach, by kind, each with its noise seed:
+  /// a current clamp on the supply (power), a microphone near the gantry
+  /// (acoustic), a frame-mounted accelerometer (vibration).
+  plant::ProbeSeeds probes{};
   /// How long to keep simulating after a firmware kill, to observe
   /// runaway physics (Trojan T7 keeps heating after the firmware dies).
   double post_kill_observation_s = 60.0;
@@ -73,9 +71,6 @@ struct RunResult {
   bool finished = false;
   bool killed = false;
   std::string kill_reason;
-  bool monitor_alarmed = false;     // real-time detection fired
-  bool aborted_by_monitor = false;  // ...and halted the print
-  std::uint32_t alarm_at_transaction = 0;  // index where the alarm fired
 
   plant::PartReport part;
   /// Steps the firmware commanded (Arduino side), signed, per axis.
@@ -125,7 +120,7 @@ class Rig {
   [[nodiscard]] fw::Firmware& firmware() { return firmware_; }
   [[nodiscard]] plant::Printer& printer() { return printer_; }
   /// Attached side-channel probes, in the order power, acoustic,
-  /// vibration (each present only when its RigOptions member is set).
+  /// vibration (each present only when its RigOptions slot is set).
   /// Live access (the traces grow during the run) lets a streaming
   /// consumer - the fleet service's detector pump - follow the side
   /// channels mid-print instead of waiting for the RunResult traces.
@@ -138,18 +133,8 @@ class Rig {
   /// one part per power cycle).
   RunResult run(const gcode::Program& program);
 
-  /// Runs with the real-time monitor comparing against `golden`;
-  /// `abort_on_alarm` halts the print the moment the alarm fires.
-  RunResult run_monitored(const gcode::Program& program,
-                          const core::Capture& golden,
-                          const detect::CompareOptions& detect_options = {},
-                          bool abort_on_alarm = true);
-
  private:
-  RunResult execute(const gcode::Program& program,
-                    detect::RealtimeMonitor* monitor);
-  RunResult collect(bool finished, bool killed, std::string kill_reason,
-                    detect::RealtimeMonitor* monitor);
+  RunResult collect(bool finished, bool killed, std::string kill_reason);
   void bind_faults();
 
   RigOptions options_;

@@ -55,27 +55,12 @@ class PowerRail {
   std::vector<SagCallback> listeners_;
 };
 
-/// Electrical behaviour thresholds for the machine.
-struct PowerModel {
-  /// Below this fraction of nominal motor-rail voltage, drivers begin to
-  /// skip: each step is lost with probability growing linearly toward
-  /// `stall_level`, where motion stops entirely.
-  double skip_level = 0.75;
-  double stall_level = 0.5;
-  /// Heater output scales as (V / nominal)^2.
-  /// Logic brown-out: below this fraction the MCU resets.
-  double mcu_brownout_level = 0.7;
-};
-
 /// Derating calculator shared by the plant components.
 class PowerIntegrity {
  public:
   PowerIntegrity(PowerRail& motor_rail, PowerRail& logic_rail,
-                 PowerModel model = {}, std::uint64_t seed = 0xB0B0)
-      : motor_rail_(motor_rail),
-        logic_rail_(logic_rail),
-        model_(model),
-        rng_(seed) {}
+                 std::uint64_t seed = 0xB0B0)
+      : motor_rail_(motor_rail), logic_rail_(logic_rail), rng_(seed) {}
 
   PowerIntegrity(const PowerIntegrity&) = delete;
   PowerIntegrity& operator=(const PowerIntegrity&) = delete;
@@ -89,26 +74,31 @@ class PowerIntegrity {
   /// Draws whether one motor step is lost to undervoltage right now.
   [[nodiscard]] bool step_lost() {
     const double l = motor_rail_.level();
-    if (l >= model_.skip_level) return false;
-    if (l <= model_.stall_level) return true;
-    const double p = (model_.skip_level - l) /
-                     (model_.skip_level - model_.stall_level);
+    if (l >= kSkipLevel) return false;
+    if (l <= kStallLevel) return true;
+    const double p = (kSkipLevel - l) / (kSkipLevel - kStallLevel);
     return rng_.chance(p);
   }
 
   /// True when the logic rail is too low for the MCU.
   [[nodiscard]] bool mcu_brownout() const {
-    return logic_rail_.level() < model_.mcu_brownout_level;
+    return logic_rail_.level() < kMcuBrownoutLevel;
   }
 
   [[nodiscard]] PowerRail& motor_rail() { return motor_rail_; }
   [[nodiscard]] PowerRail& logic_rail() { return logic_rail_; }
-  [[nodiscard]] const PowerModel& model() const { return model_; }
 
  private:
+  /// Below this fraction of nominal motor-rail voltage, drivers begin to
+  /// skip: each step is lost with probability growing linearly toward
+  /// `kStallLevel`, where motion stops entirely.
+  static constexpr double kSkipLevel = 0.75;
+  static constexpr double kStallLevel = 0.5;
+  /// Logic brown-out: below this fraction the MCU resets.
+  static constexpr double kMcuBrownoutLevel = 0.7;
+
   PowerRail& motor_rail_;
   PowerRail& logic_rail_;
-  PowerModel model_;
   sim::Rng rng_;
 };
 

@@ -8,7 +8,6 @@ Printer::Printer(sim::Scheduler& sched, sim::PinBank& ramps,
                  PrinterParams params)
     : params_(params), noise_(params.noise_seed) {
   power_ = std::make_unique<PowerIntegrity>(motor_rail_, logic_rail_,
-                                            params_.power,
                                             params_.noise_seed ^ 0xB0B0);
   for (std::size_t i = 0; i < 4; ++i) {
     const auto axis = static_cast<sim::Axis>(i);
@@ -33,8 +32,7 @@ Printer::Printer(sim::Scheduler& sched, sim::PinBank& ramps,
                                        ramps.analog(sim::APin::kThermBed),
                                        params_.bed, &noise_, sim::ms(10),
                                        derate);
-  fan_ = std::make_unique<FanPlant>(sched, ramps.wire(sim::Pin::kFan),
-                                    params_.fan_max_rpm);
+  fan_ = std::make_unique<FanPlant>(sched, ramps.wire(sim::Pin::kFan));
   deposition_ = std::make_unique<DepositionRecorder>(
       *motors_[3], *axes_[0], *axes_[1], *axes_[2], params_.steps_per_mm[3],
       params_.deposition_sample_every);

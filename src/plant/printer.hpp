@@ -27,11 +27,8 @@ struct PrinterParams {
   std::array<double, 3> initial_position_mm = {60.0, 55.0, 10.0};
   HeaterParams hotend = hotend_params();
   HeaterParams bed = bed_params();
-  double fan_max_rpm = 5000.0;
   std::uint32_t deposition_sample_every = 8;
   std::uint64_t noise_seed = 0x9a57;
-  /// Electrical thresholds for under-voltage behaviour.
-  PowerModel power{};
 };
 
 /// The full plant, wired to a RAMPS-side pin bank.

@@ -6,8 +6,10 @@
 // master-recording audio verification (arXiv:1705.06454).  To quantify
 // the paper's claim that direct signal access is "uniquely able to ...
 // analyze prints with no loss of data", these probes produce what such
-// defenses would see: a physical emission of the machine, sampled at a
-// fixed rate, through measurement noise.
+// defenses would see: a physical emission of the machine, sampled every
+// 50 ms, through measurement noise.  A probe is picked by its SampleKind
+// and takes only a noise seed: the parameters of each model below are
+// named constants beside it in side_channel.cpp.
 //
 // Power model (A4988/24 V class):
 //   * each enabled stepper draws a hold current (~4 W) plus a
@@ -33,6 +35,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "plant/printer.hpp"
@@ -60,55 +63,39 @@ struct SideSample {
 /// A whole print's worth of one side channel.
 using SideTrace = std::vector<SideSample>;
 
-/// Power probe configuration (current clamp on the supply, watts).
-struct PowerProbeOptions {
-  sim::Tick sample_period = sim::ms(50);
-  double motor_hold_w = 4.0;
-  double motor_switching_w = 4.0;     // additional at full step rate
-  double full_step_rate_hz = 10'000.0;
-  double fan_w = 2.0;                 // at 100% duty
-  double base_electronics_w = 5.0;
-  double noise_stddev_w = 1.5;        // clamp measurement noise
-  std::uint64_t noise_seed = 0x50C4;
+/// The probe kinds, in the order a rig attaches them.
+inline constexpr std::array<SampleKind, 3> kProbeKinds{
+    SampleKind::kPower, SampleKind::kAcoustic, SampleKind::kVibration};
+
+/// The noise seed of each attached probe, one slot per kind, so a kind
+/// is attached at most once; an empty slot attaches nothing.
+struct ProbeSeeds {
+  std::array<std::optional<std::uint64_t>, kProbeKinds.size()> slots{};
+
+  std::optional<std::uint64_t>& operator[](SampleKind kind) {
+    return slots[static_cast<std::size_t>(kind) - 1];
+  }
+  const std::optional<std::uint64_t>& operator[](SampleKind kind) const {
+    return slots[static_cast<std::size_t>(kind) - 1];
+  }
 };
 
-/// Acoustic probe configuration (microphone, arbitrary level units).
-struct AcousticProbeOptions {
-  sim::Tick sample_period = sim::ms(50);
-  double ambient_level = 30.0;          // room + electronics ambience
-  double idle_whine_per_motor = 0.5;    // enabled-but-still coil whine
-  /// Per-axis tone level at full step rate (X, Y, Z, E).
-  std::array<double, 4> tone_level{10.0, 10.0, 6.0, 4.0};
-  double fan_level = 4.0;               // at 100% duty
-  double full_step_rate_hz = 10'000.0;
-  double noise_stddev = 1.0;            // microphone noise
-  std::uint64_t noise_seed = 0xAC05;
-};
-
-/// Vibration probe configuration (frame accelerometer, milli-g).
-struct VibrationProbeOptions {
-  sim::Tick sample_period = sim::ms(50);
-  double floor_mg = 2.0;                // sensor/idle floor
-  /// Per-axis magnitude at full step rate (X, Y, Z, E).  The gantry
-  /// axes swing real mass; the extruder barely registers.
-  std::array<double, 4> axis_level_mg{25.0, 25.0, 10.0, 6.0};
-  double full_step_rate_hz = 10'000.0;
-  double noise_stddev_mg = 1.5;
-  std::uint64_t noise_seed = 0x51B8;
-};
+/// The kind's noise tag, the second argument of probe_noise_seed():
+/// 0x50C4 (power), 0xAC05 (acoustic), 0x51B8 (vibration).
+std::uint64_t probe_noise_tag(SampleKind kind);
 
 /// Derives a per-rig measurement-noise seed from the rig's seed and a
-/// per-channel tag (use the channel's default noise_seed as the tag).
-/// Every physical probe has its own sensor, so two rigs - and two
-/// channels on one rig - must never share a noise stream; mixing with
-/// sim::mix64 (splitmix64) guarantees that even for adjacent rig seeds.
+/// per-channel tag (probe_noise_tag()).  Every physical probe has its
+/// own sensor, so two rigs - and two channels on one rig - must never
+/// share a noise stream; mixing with sim::mix64 (splitmix64) guarantees
+/// that even for adjacent rig seeds.
 std::uint64_t probe_noise_seed(std::uint64_t rig_seed,
                                std::uint64_t channel_tag);
 
-/// Samples one physical emission of the machine at a fixed period,
-/// through gaussian measurement noise, clamped at zero.  The emission
-/// model - the noise-free level - is the only per-kind code; build a
-/// probe with make_probe().  The first sample is scheduled at
+/// Samples one physical emission of the machine every 50 ms, through
+/// gaussian measurement noise, clamped at zero.  The emission model -
+/// the noise-free level and the noise width - is the only per-kind code;
+/// build a probe with make_probe().  The first sample is scheduled at
 /// construction.
 class SideProbe {
  public:
@@ -121,8 +108,8 @@ class SideProbe {
   [[nodiscard]] SideTrace take_trace() { return std::move(trace_); }
 
  protected:
-  SideProbe(sim::Scheduler& sched, SampleKind kind, sim::Tick period,
-            double noise_stddev, std::uint64_t noise_seed);
+  SideProbe(sim::Scheduler& sched, SampleKind kind, double noise_stddev,
+            std::uint64_t noise_seed);
 
  private:
   /// Noise-free level over the `dt_s` seconds since the last sample.
@@ -131,24 +118,16 @@ class SideProbe {
 
   sim::Scheduler& sched_;
   SampleKind kind_;
-  sim::Tick period_;
   double noise_stddev_;
   sim::Rng noise_;
   SideTrace trace_;
 };
 
-/// The machine's aggregate power draw (`ramps` is the RAMPS-side bank,
-/// the supply side of the machine).
+/// A probe of `kind` (`ramps` is the RAMPS-side bank, the supply side
+/// of the machine) whose measurement noise draws from `noise_seed`.
 std::unique_ptr<SideProbe> make_probe(sim::Scheduler& sched,
                                       Printer& printer, sim::PinBank& ramps,
-                                      const PowerProbeOptions& options);
-/// The machine's acoustic emission.
-std::unique_ptr<SideProbe> make_probe(sim::Scheduler& sched,
-                                      Printer& printer, sim::PinBank& ramps,
-                                      const AcousticProbeOptions& options);
-/// The frame's vibration magnitude.
-std::unique_ptr<SideProbe> make_probe(sim::Scheduler& sched,
-                                      Printer& printer, sim::PinBank& ramps,
-                                      const VibrationProbeOptions& options);
+                                      SampleKind kind,
+                                      std::uint64_t noise_seed);
 
 }  // namespace offramps::plant

@@ -5,8 +5,8 @@
 // (consumer: the clock-slaved pump, draining in batches) through one of
 // these per rig.  Capacity is fixed at construction, so a stalled
 // consumer bounds memory instead of growing a queue without limit; the
-// occupancy high-water mark and push/pop counters make backpressure
-// observable from the fleet report.
+// occupancy high-water mark makes backpressure observable from the fleet
+// report.
 //
 // Within one rig the producer and consumer run on the same simulation
 // thread (scheduler callbacks), so no atomics are needed - the SPSC
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -43,7 +42,6 @@ class RingBuffer {
     if (full()) return false;
     slots_[(head_ + size_) % slots_.size()] = std::move(value);
     ++size_;
-    ++pushed_;
     if (size_ > high_water_) high_water_ = size_;
     return true;
   }
@@ -54,22 +52,17 @@ class RingBuffer {
     out = std::move(slots_[head_]);
     head_ = (head_ + 1) % slots_.size();
     --size_;
-    ++popped_;
     return true;
   }
 
   /// Highest occupancy ever reached (the backpressure gauge).
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
-  [[nodiscard]] std::uint64_t pushed() const { return pushed_; }
-  [[nodiscard]] std::uint64_t popped() const { return popped_; }
 
  private:
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   std::size_t high_water_ = 0;
-  std::uint64_t pushed_ = 0;
-  std::uint64_t popped_ = 0;
 };
 
 }  // namespace offramps::sim

@@ -11,11 +11,10 @@
 // Hot-path notes: listener lists live in `SmallVec` inline storage (most
 // nets have one forwarding connection plus at most one observer), so
 // wiring a board allocates nothing per net and edge delivery walks
-// memory inside the Wire itself.  A zero-delay connection forwards an
-// edge inside the event that made it; a delayed one schedules one event
-// per edge, and the scheduler runs same-tick events in the order they
-// were scheduled, so simultaneous edges keep a deterministic listener
-// interleaving.
+// memory inside the Wire itself.  A connection schedules one event per
+// forwarded edge, and the scheduler runs same-tick events in the order
+// they were scheduled, so simultaneous edges keep a deterministic
+// listener interleaving.
 //
 // Each listener says which edges it reads (`Reads`).  A STEP pulse's fall
 // that no listener reads is not scheduled: it takes the sequence number
@@ -487,39 +486,28 @@ class Connection {
 };
 
 /// Forwards every edge of `src` onto `dst` after a fixed propagation
-/// `delay`.  With delay == 0 the destination switches within the same event
-/// via a dedicated fast-path listener: no scheduler trip and no per-edge
-/// delay branch.  The destination is immediately synchronized to the
-/// source's present level.  Returns a handle that detaches the forwarding
-/// when destroyed.  A delayed connection passes a pulse fall that lands
-/// without an event on as another such fall, `delay` later, while
-/// nothing reads the destination's falls (Reads::kForwarding).
-inline Connection connect(Wire& src, Wire& dst, Tick delay = 0) {
+/// `delay` (the board's jumpers take 1 ns).  The destination is
+/// immediately synchronized to the source's present level.  Returns a
+/// handle that detaches the forwarding when destroyed.  A pulse fall
+/// that lands without an event is passed on as another such fall,
+/// `delay` later, while nothing reads the destination's falls
+/// (Reads::kForwarding).
+inline Connection connect(Wire& src, Wire& dst, Tick delay) {
   dst.set(src.level());
-  Wire::ListenerId id;
-  if (delay == 0) {
-    id = src.on_edge(
-        [&src, &dst](Edge e, Tick) {
-          if (e == Edge::kRising) src.file_pending_fall();
-          dst.set(e == Edge::kRising);
-        },
-        Reads::kForwarding);
-  } else {
-    id = src.on_edge(
-        [&src, &dst, delay](Edge e, Tick) {
-          Scheduler& sched = dst.scheduler();
-          if (e == Edge::kRising) {
-            src.forward_rising_edge(delay);
-            sched.schedule_in(delay, [&src, &dst, delay] {
-              src.forward_rise(dst, delay);
-            });
-          } else {
-            src.forward_falling_edge(dst);
-            sched.schedule_in(delay, [&dst] { dst.set(false); });
-          }
-        },
-        Reads::kForwarding);
-  }
+  const Wire::ListenerId id = src.on_edge(
+      [&src, &dst, delay](Edge e, Tick) {
+        Scheduler& sched = dst.scheduler();
+        if (e == Edge::kRising) {
+          src.forward_rising_edge(delay);
+          sched.schedule_in(delay, [&src, &dst, delay] {
+            src.forward_rise(dst, delay);
+          });
+        } else {
+          src.forward_falling_edge(dst);
+          sched.schedule_in(delay, [&dst] { dst.set(false); });
+        }
+      },
+      Reads::kForwarding);
   return Connection(src, id);
 }
 

@@ -4,14 +4,14 @@
 // The batch fleet (svc::Fleet) simulates its rigs itself; the daemon
 // inverts that: rigs are *clients* that join and leave mid-campaign,
 // streaming core::wire sessions at the service.  Each accepted session
-// is sharded onto the existing host::ParallelRunner workers (post()
-// service lane) and consumed through a RigSession, which preserves the
-// SPSC lossless-backpressure contract end to end: the daemon reads a
-// connection only as fast as the detector drains, so a slow detector
-// fills the kernel socket buffer and stalls the producer - it never
-// drops.  SIGTERM (or SIGINT, or stdin EOF) drains in-flight rigs and
-// yields the usual deterministic FleetReport, rigs ordered by their
-// hello's campaign index.
+// is one job post()ed to the host::ParallelRunner's job queue, so
+// sessions shard across its workers, and is consumed through a
+// RigSession, which preserves the SPSC lossless-backpressure contract
+// end to end: the daemon reads a connection only as fast as the
+// detector drains, so a slow detector fills the kernel socket buffer
+// and stalls the producer - it never drops.  SIGTERM (or SIGINT, or
+// stdin EOF) drains in-flight rigs and yields the usual deterministic
+// FleetReport, rigs ordered by their hello's campaign index.
 //
 // What a replay reproduces: a session re-runs the detector calls its live
 // attempt made (both go through svc::DetectorFeed), so a rig the live

@@ -172,7 +172,9 @@ const char* kind_name(JsonKind kind) {
 /// `keys`, of the kind that key takes, and given once.  The `*_or` reads
 /// that follow treat a missing key and a key of another kind alike, so
 /// this check is what keeps a typo or a quoted number from reading as
-/// "not given".  `where` prefixes the message ("rig 3: ").
+/// "not given".  `where` prefixes the message ("rig 3: ").  Like every
+/// spec check, it throws without the "fleet spec: " prefix, which
+/// Fleet::specs_from_json adds once.
 void check_spec_keys(const json::Value& object, std::span<const SpecKey> keys,
                      const std::string& where) {
   for (std::size_t i = 0; i < object.fields.size(); ++i) {
@@ -181,16 +183,15 @@ void check_spec_keys(const json::Value& object, std::span<const SpecKey> keys,
         std::find_if(keys.begin(), keys.end(),
                      [&](const SpecKey& k) { return name == k.name; });
     if (key == keys.end()) {
-      throw Error("fleet spec: " + where + "unknown key \"" + name + "\"");
+      throw Error(where + "unknown key \"" + name + "\"");
     }
     if (value.kind != key->kind) {
-      throw Error("fleet spec: " + where + "\"" + name + "\" must be " +
+      throw Error(where + "\"" + name + "\" must be " +
                   kind_name(key->kind) + ", not " + kind_name(value.kind));
     }
     for (std::size_t j = 0; j < i; ++j) {
       if (object.fields[j].first == name) {
-        throw Error("fleet spec: " + where + "\"" + name +
-                    "\" is given twice");
+        throw Error(where + "\"" + name + "\" is given twice");
       }
     }
   }
@@ -209,7 +210,7 @@ T spec_integer(const json::Value& doc, const std::string& key, T fallback,
   // 2^digits is the first value past T's range, exactly a double.
   const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
   if (!(d >= static_cast<double>(min) && d < limit) || d != std::floor(d)) {
-    throw Error("fleet spec: \"" + key + "\" must be an integer in [" +
+    throw Error("\"" + key + "\" must be an integer in [" +
                 std::to_string(min) + ", " +
                 std::to_string(std::numeric_limits<T>::max()) + "]");
   }
@@ -482,24 +483,17 @@ Fleet::Fleet(FleetOptions options) : options_(std::move(options)) {}
 
 void attach_probes(host::RigOptions& ro, const ChannelSet& channels,
                    std::uint64_t seed) {
-  // (Every run used to get the probe defaults verbatim, so the whole
-  // farm shared one noise sequence - two rigs' "independent" sensors
-  // were bit-identical.)
-  if (channels.power) {
-    plant::PowerProbeOptions po;
-    po.noise_seed = plant::probe_noise_seed(seed, po.noise_seed);
-    ro.power_probe = po;
-  }
-  if (channels.acoustic) {
-    plant::AcousticProbeOptions ao;
-    ao.noise_seed = plant::probe_noise_seed(seed, ao.noise_seed);
-    ro.acoustic_probe = ao;
-  }
-  if (channels.vibration) {
-    plant::VibrationProbeOptions vo;
-    vo.noise_seed = plant::probe_noise_seed(seed, vo.noise_seed);
-    ro.vibration_probe = vo;
-  }
+  // Each seed mixes the rig seed into the kind's tag: a probe seeded
+  // with its tag alone gives every rig in the farm the same sensor noise.
+  const auto attach = [&](SampleKind kind, bool enabled) {
+    if (enabled) {
+      ro.probes[kind] =
+          plant::probe_noise_seed(seed, plant::probe_noise_tag(kind));
+    }
+  };
+  attach(SampleKind::kPower, channels.power);
+  attach(SampleKind::kAcoustic, channels.acoustic);
+  attach(SampleKind::kVibration, channels.vibration);
 }
 
 void check_object(double cube_mm, double height_mm) {
@@ -1015,18 +1009,20 @@ std::vector<RigSpec> Fleet::demo_specs(std::size_t n,
   return specs;
 }
 
-std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
-                                            FleetOptions& options) {
+namespace {
+
+/// Fleet::specs_from_json, throwing without the "fleet spec: " prefix.
+std::vector<RigSpec> parse_fleet_spec(const std::string& text,
+                                      FleetOptions& options) {
   const json::Value doc = json::parse(text);
-  if (!doc.is_object()) throw Error("fleet spec: root must be an object");
+  if (!doc.is_object()) throw Error("root must be an object");
   check_spec_keys(doc, kDocumentKeys, "");
   if (const json::Value* rigs = doc.find("rigs"); rigs != nullptr) {
     for (std::size_t i = 0; i < rigs->items.size(); ++i) {
       const json::Value& r = rigs->items[i];
-      if (!r.is_object()) {
-        throw Error("fleet spec: every rig entry must be an object");
-      }
-      check_spec_keys(r, kRigKeys, "rig " + std::to_string(i) + ": ");
+      const std::string where = "rig " + std::to_string(i) + ": ";
+      if (!r.is_object()) throw Error(where + "must be an object");
+      check_spec_keys(r, kRigKeys, where);
     }
   }
 
@@ -1042,7 +1038,7 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
     try {
       options.channels = ChannelSet::parse(channel_list->string);
     } catch (const std::exception& e) {
-      throw Error(std::string("fleet spec: \"channels\": ") + e.what());
+      throw Error(std::string("\"channels\": ") + e.what());
     }
   }
   options.reference_seed =
@@ -1056,8 +1052,7 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
                         (1024.0 * 1024.0)) *
       1024.0 * 1024.0;
   if (!(cache_bytes >= 0.0 && cache_bytes < std::ldexp(1.0, 64))) {
-    throw Error(
-        "fleet spec: \"cache_max_mb\" must be a non-negative size in MiB");
+    throw Error("\"cache_max_mb\" must be a non-negative size in MiB");
   }
   options.cache_max_bytes = static_cast<std::uint64_t>(cache_bytes);
   options.detector.ring_capacity = spec_integer<std::size_t>(
@@ -1070,8 +1065,8 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
       "stall_timeout_s", options.supervisor.stall_timeout_s);
   if (!(options.supervisor.stall_timeout_s > 0.0)) {
     throw Error(
-        "fleet spec: \"stall_timeout_s\" must be a positive number of "
-        "simulated seconds");
+        "\"stall_timeout_s\" must be a positive number of simulated "
+        "seconds");
   }
   options.checkpoint_path =
       doc.string_or("checkpoint", options.checkpoint_path);
@@ -1080,22 +1075,38 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
 
   const json::Value* rigs = doc.find("rigs");
   if (rigs == nullptr || !rigs->is_array()) {
-    throw Error("fleet spec: wants a \"rigs\" array");
+    throw Error("wants a \"rigs\" array");
   }
   std::vector<RigSpec> specs;
   specs.reserve(rigs->items.size());
   for (const json::Value& r : rigs->items) {
     RigSpec spec;
-    spec.name = r.string_or("name", "");
-    spec.seed = spec_integer<std::uint64_t>(r, "seed", 1000 + specs.size());
-    spec.cube_mm = r.number_or("cube_mm", spec.cube_mm);
-    spec.height_mm = r.number_or("height_mm", spec.height_mm);
-    check_object(spec.cube_mm, spec.height_mm);
-    spec.sabotage = parse_sabotage(r.string_or("sabotage", ""));
-    spec.chaos = host::parse_chaos(r.string_or("chaos", ""));
+    try {
+      spec.name = r.string_or("name", "");
+      spec.seed =
+          spec_integer<std::uint64_t>(r, "seed", 1000 + specs.size());
+      spec.cube_mm = r.number_or("cube_mm", spec.cube_mm);
+      spec.height_mm = r.number_or("height_mm", spec.height_mm);
+      check_object(spec.cube_mm, spec.height_mm);
+      spec.sabotage = parse_sabotage(r.string_or("sabotage", ""));
+      spec.chaos = host::parse_chaos(r.string_or("chaos", ""));
+    } catch (const Error& e) {
+      throw Error("rig " + std::to_string(specs.size()) + ": " + e.what());
+    }
     specs.push_back(std::move(spec));
   }
   return specs;
+}
+
+}  // namespace
+
+std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
+                                            FleetOptions& options) {
+  try {
+    return parse_fleet_spec(text, options);
+  } catch (const Error& e) {
+    throw Error(std::string("fleet spec: ") + e.what());
+  }
 }
 
 }  // namespace offramps::svc

@@ -307,7 +307,8 @@ class Fleet {
   /// malformed JSON, an integer out of its range (`max_attempts` and
   /// `checkpoint_every` take at least 1, as their flags do), a malformed
   /// sabotage or chaos string, or an object size check_object()
-  /// rejects.
+  /// rejects.  Every message begins "fleet spec: ", and one about a
+  /// rig entry "fleet spec: rig <i>: ".
   static std::vector<RigSpec> specs_from_json(const std::string& text,
                                               FleetOptions& options);
 

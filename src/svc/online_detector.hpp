@@ -203,7 +203,6 @@ class OnlineDetector {
 
   OnlineReport report_;
   StreamContext ctx_;
-  std::vector<ChannelTrip> trips_;  // per-event scratch (no realloc churn)
   std::uint64_t backpressure_stalls_ = 0;
   bool finished_ = false;
   bool draining_ = false;

@@ -119,6 +119,13 @@ TEST(Capture, CsvHeaderMatchesPaperFigure) {
 TEST(Capture, MalformedCsvThrows) {
   EXPECT_THROW(Capture::from_csv("Index, X, Y, Z, E\n1, 2, three\n"),
                offramps::Error);
+  // A value its field cannot hold is an error, never a wrapped one:
+  // these X counts would read as 500 and 1000, and this index as 0.
+  EXPECT_THROW(Capture::from_csv("Index, X, Y, Z, E\n0, 4294967796, 0, 0, 0\n"
+                                 "1, 4294968296, 0, 0, 0\n"),
+               offramps::Error);
+  EXPECT_THROW(Capture::from_csv("Index, X, Y, Z, E\n4294967296, 1, 2, 3, 4\n"),
+               offramps::Error);
 }
 
 TEST(Capture, CsvFooterPreservesExactFinals) {
@@ -147,6 +154,14 @@ TEST(Capture, LegacyCsvWithoutFooterFallsBackToLastRow) {
 TEST(Capture, MalformedFooterThrows) {
   EXPECT_THROW(Capture::from_csv("Index, X, Y, Z, E\n0, 1, 2, 3, 4\n"
                                  "# final, x, y\n"),
+               offramps::Error);
+  // Missing finals do not read as zeros, and a comment that only starts
+  // like the footer is not an all-zero footer.
+  EXPECT_THROW(Capture::from_csv("Index, X, Y, Z, E\n0, 1, 2, 3, 4\n"
+                                 "# final, 1000\n"),
+               offramps::Error);
+  EXPECT_THROW(Capture::from_csv("Index, X, Y, Z, E\n0, 1, 2, 3, 4\n"
+                                 "# finalize me\n"),
                offramps::Error);
 }
 

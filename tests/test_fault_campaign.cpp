@@ -19,6 +19,7 @@
 
 #include "core/bytes.hpp"
 #include "core/fabric_guard.hpp"
+#include "detect/monitor.hpp"
 #include "host/fault_campaign.hpp"
 #include "host/parallel_runner.hpp"
 #include "host/rig.hpp"
@@ -78,10 +79,10 @@ TEST(FalsePositiveCharacterization, MonitorsStayQuietAcrossTwentyNoiseRuns) {
     options.faults = noise_for(i);
     Rig rig(options);
     core::FabricGuard guard(rig.board().fpga(), golden);
-    const RunResult r =
-        rig.run_monitored(program, golden, {}, /*abort_on_alarm=*/false);
+    detect::RealtimeMonitor monitor(rig.board().fpga().uart(), golden);
+    const RunResult r = rig.run(program);
     ASSERT_TRUE(r.finished) << "noise run " << i;
-    EXPECT_FALSE(r.monitor_alarmed) << "monitor false positive, run " << i;
+    EXPECT_FALSE(monitor.alarmed()) << "monitor false positive, run " << i;
     EXPECT_FALSE(guard.alarmed()) << "guard false positive, run " << i;
     // Corrupted frames were discarded by CRC, never misread as steps.
     if (i % 4 == 1 || i % 4 == 2) {
@@ -107,10 +108,10 @@ TEST(DetectionUnderNoise, T5StyleZShiftStillAlarms) {
   core::FabricGuardOptions gopt;
   gopt.safe_stop = false;  // observe the whole print
   core::FabricGuard guard(rig.board().fpga(), golden, gopt);
-  const RunResult r =
-      rig.run_monitored(object(), golden, {}, /*abort_on_alarm=*/false);
+  detect::RealtimeMonitor monitor(rig.board().fpga().uart(), golden);
+  const RunResult r = rig.run(object());
   EXPECT_GT(r.fault_stats.glitches, 100u);  // the attack really ran
-  EXPECT_TRUE(r.monitor_alarmed);
+  EXPECT_TRUE(monitor.alarmed());
   EXPECT_TRUE(guard.alarmed());
 }
 
@@ -131,11 +132,11 @@ TEST(DetectionUnderNoise, FabricSideTrojansAreOutsideTheTapsByDesign) {
                      .shift_steps = 400, .delay_after_homing_s = 1.0};
   options.trojans.t9 = core::T9Config{.duty_scale = 0.2};
   Rig rig(options);
-  const RunResult r =
-      rig.run_monitored(object(), golden, {}, /*abort_on_alarm=*/false);
+  detect::RealtimeMonitor monitor(rig.board().fpga().uart(), golden);
+  const RunResult r = rig.run(object());
   ASSERT_TRUE(r.finished);
   EXPECT_GT(r.part.first_layer_z_mm, 1.0);  // T5 did real damage
-  EXPECT_FALSE(r.monitor_alarmed);          // ...and nobody saw it
+  EXPECT_FALSE(monitor.alarmed());          // ...and nobody saw it
 }
 
 TEST(CampaignClassifier, CellsClassifyAsExpected) {

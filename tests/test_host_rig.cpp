@@ -2,6 +2,7 @@
 // plus cross-stack invariants on golden prints.
 #include <gtest/gtest.h>
 
+#include "detect/compare.hpp"
 #include "gcode/parser.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"

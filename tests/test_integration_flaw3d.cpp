@@ -3,7 +3,11 @@
 // detected; known-good reprints must not be.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "detect/compare.hpp"
+#include "detect/monitor.hpp"
 #include "gcode/flaw3d.hpp"
 #include "host/rig.hpp"
 #include "host/slicer.hpp"
@@ -90,10 +94,14 @@ TEST_F(Flaw3dFixture, RealtimeMonitorHaltsAHeavyTrojanEarly) {
   RigOptions options;
   options.firmware.jitter_seed = 9;
   Rig rig(options);
-  const RunResult r = rig.run_monitored(mutated, *golden, {},
-                                        /*abort_on_alarm=*/true);
-  EXPECT_TRUE(r.monitor_alarmed);
-  EXPECT_TRUE(r.aborted_by_monitor);
+  const std::string halted = "halted by the real-time monitor";
+  detect::RealtimeMonitor monitor(rig.board().fpga().uart(), *golden);
+  monitor.on_alarm([&](const std::vector<detect::Mismatch>&) {
+    rig.firmware().kill(halted);
+  });
+  const RunResult r = rig.run(mutated);
+  EXPECT_TRUE(monitor.alarmed());
+  EXPECT_EQ(r.kill_reason, halted);
   EXPECT_TRUE(r.killed);
   // Halted early: material (and machine time) was saved.
   const double golden_e = static_cast<double>((*golden).final_counts[3]);
@@ -105,9 +113,12 @@ TEST_F(Flaw3dFixture, RealtimeMonitorLetsCleanPrintRun) {
   RigOptions options;
   options.firmware.jitter_seed = 31337;
   Rig rig(options);
-  const RunResult r = rig.run_monitored(test_object(), *golden, {},
-                                        /*abort_on_alarm=*/true);
-  EXPECT_FALSE(r.monitor_alarmed);
+  detect::RealtimeMonitor monitor(rig.board().fpga().uart(), *golden);
+  monitor.on_alarm([&](const std::vector<detect::Mismatch>&) {
+    rig.firmware().kill("halted by the real-time monitor");
+  });
+  const RunResult r = rig.run(test_object());
+  EXPECT_FALSE(monitor.alarmed());
   EXPECT_TRUE(r.finished);
 }
 

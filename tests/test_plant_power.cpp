@@ -113,9 +113,9 @@ TEST(Brownout, LogicRailSagKillsTheController) {
   EXPECT_NE(r.kill_reason.find("brown-out"), std::string::npos);
 }
 
-TEST(Brownout, HealthyRunIsUnaffectedByPowerModel) {
-  // The power model must be inert at nominal voltage: identical finals
-  // with and without a (non-firing) brownout hook.
+TEST(Brownout, HealthyRunIsUnaffectedByPowerIntegrity) {
+  // The under-voltage model must be inert at nominal voltage: identical
+  // finals with and without a (non-firing) brownout hook.
   host::Rig a, b;
   const host::RunResult ra = a.run(object());
   const host::RunResult rb = b.run(object());

@@ -31,8 +31,7 @@ host::RunResult probed_run(const gcode::Program& p, std::uint64_t seed,
                            core::TrojanSuiteConfig trojans = {}) {
   host::RigOptions options;
   options.firmware.jitter_seed = seed;
-  options.power_probe = plant::PowerProbeOptions{};
-  options.power_probe->noise_seed = seed ^ 0xFACE;
+  options.probes[plant::SampleKind::kPower] = seed ^ 0xFACE;
   options.trojans = std::move(trojans);
   host::Rig rig(options);
   return rig.run(p);
@@ -129,15 +128,10 @@ host::RunResult multi_probed_run(const gcode::Program& p,
                                  std::uint64_t seed) {
   host::RigOptions options;
   options.firmware.jitter_seed = seed;
-  plant::PowerProbeOptions po;
-  po.noise_seed = plant::probe_noise_seed(seed, po.noise_seed);
-  options.power_probe = po;
-  plant::AcousticProbeOptions ao;
-  ao.noise_seed = plant::probe_noise_seed(seed, ao.noise_seed);
-  options.acoustic_probe = ao;
-  plant::VibrationProbeOptions vo;
-  vo.noise_seed = plant::probe_noise_seed(seed, vo.noise_seed);
-  options.vibration_probe = vo;
+  for (const plant::SampleKind kind : plant::kProbeKinds) {
+    options.probes[kind] =
+        plant::probe_noise_seed(seed, plant::probe_noise_tag(kind));
+  }
   host::Rig rig(options);
   return rig.run(p);
 }
@@ -186,23 +180,28 @@ TEST(VibrationProbe, OnlyMotionShakesTheFrame) {
 
 // Regression pin: probe noise seeds must be derived per rig (and per
 // channel), never shared.  The original wiring attached every probe
-// with its option-struct default seed, so every rig in a fleet heard
-// the same microphone noise.
+// with its kind's tag as the seed, so every rig in a fleet heard the
+// same microphone noise.
 TEST(ProbeNoiseSeed, DistinctPerRigAndPerChannel) {
-  const plant::AcousticProbeOptions ao;
-  const plant::VibrationProbeOptions vo;
-  const plant::PowerProbeOptions po;
+  using plant::SampleKind;
+  const std::uint64_t ao = plant::probe_noise_tag(SampleKind::kAcoustic);
+  const std::uint64_t vo = plant::probe_noise_tag(SampleKind::kVibration);
+  const std::uint64_t po = plant::probe_noise_tag(SampleKind::kPower);
+  // Every recorded trace was drawn with these tags.
+  EXPECT_EQ(po, 0x50C4u);
+  EXPECT_EQ(ao, 0xAC05u);
+  EXPECT_EQ(vo, 0x51B8u);
   // Adjacent rig seeds must still diverge (splitmix64 mixing).
-  EXPECT_NE(plant::probe_noise_seed(1000, ao.noise_seed),
-            plant::probe_noise_seed(1001, ao.noise_seed));
+  EXPECT_NE(plant::probe_noise_seed(1000, ao),
+            plant::probe_noise_seed(1001, ao));
   // Two channels on one rig are two different sensors.
-  EXPECT_NE(plant::probe_noise_seed(1000, ao.noise_seed),
-            plant::probe_noise_seed(1000, vo.noise_seed));
-  EXPECT_NE(plant::probe_noise_seed(1000, ao.noise_seed),
-            plant::probe_noise_seed(1000, po.noise_seed));
+  EXPECT_NE(plant::probe_noise_seed(1000, ao),
+            plant::probe_noise_seed(1000, vo));
+  EXPECT_NE(plant::probe_noise_seed(1000, ao),
+            plant::probe_noise_seed(1000, po));
   // Pure function: same rig, same channel, same seed.
-  EXPECT_EQ(plant::probe_noise_seed(1000, ao.noise_seed),
-            plant::probe_noise_seed(1000, ao.noise_seed));
+  EXPECT_EQ(plant::probe_noise_seed(1000, ao),
+            plant::probe_noise_seed(1000, ao));
 }
 
 TEST(ProbeNoiseSeed, TwoRigsRecordDifferentTraces) {

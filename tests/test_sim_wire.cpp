@@ -78,20 +78,10 @@ TEST(Wire, ListenerAddedDuringCallbackMissesCurrentEdge) {
   EXPECT_EQ(inner, 1);  // one listener added on the first edge sees this one
 }
 
-TEST(Connect, ZeroDelayCopiesImmediately) {
-  Scheduler s;
-  Wire a(s, "a"), b(s, "b");
-  auto conn = connect(a, b);
-  a.set(true);
-  EXPECT_TRUE(b.level());
-  a.set(false);
-  EXPECT_FALSE(b.level());
-}
-
 TEST(Connect, SynchronizesInitialLevel) {
   Scheduler s;
   Wire a(s, "a", true), b(s, "b", false);
-  auto conn = connect(a, b);
+  auto conn = connect(a, b, ns(1));
   EXPECT_TRUE(b.level());
 }
 
@@ -110,10 +100,12 @@ TEST(Connect, DelayDefersPropagation) {
 TEST(Connect, DisconnectStopsForwarding) {
   Scheduler s;
   Wire a(s, "a"), b(s, "b");
-  auto conn = connect(a, b);
+  auto conn = connect(a, b, ns(1));
   a.set(true);
+  s.run_all();
   conn.disconnect();
   a.set(false);
+  s.run_all();
   EXPECT_TRUE(b.level());  // b keeps its last level
 }
 
@@ -121,10 +113,12 @@ TEST(Connect, ConnectionDestructorDisconnects) {
   Scheduler s;
   Wire a(s, "a"), b(s, "b");
   {
-    auto conn = connect(a, b);
+    auto conn = connect(a, b, ns(1));
     a.set(true);
+    s.run_all();
   }
   a.set(false);
+  s.run_all();
   EXPECT_TRUE(b.level());
 }
 
@@ -212,15 +206,16 @@ TEST(WireCompaction, RepeatedConnectDisconnectKeepsStorageBounded) {
   // cycles must not grow the listener vector (or the per-edge scan)
   // without bound.
   for (int i = 0; i < 10'000; ++i) {
-    Connection c = connect(src, dst);
+    Connection c = connect(src, dst, ns(1));
     c.disconnect();
   }
   EXPECT_LE(src.listener_slots(), 2u);
   EXPECT_EQ(src.live_listeners(), 0u);
 
   // The wire still delivers edges to a fresh connection afterwards.
-  Connection c = connect(src, dst);
+  Connection c = connect(src, dst, ns(1));
   src.set(true);
+  s.run_all();
   EXPECT_TRUE(dst.level());
 }
 

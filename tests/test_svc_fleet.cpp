@@ -210,13 +210,28 @@ TEST(FleetReport, EscapesControlCharactersAndLongNames) {
 }
 
 TEST(Fleet, SpecsFromJsonRejectsMalformed) {
-  FleetOptions options;
-  EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": \"nope\" }", options),
-               offramps::Error);
-  EXPECT_THROW(Fleet::specs_from_json("not json", options), offramps::Error);
-  EXPECT_THROW(Fleet::specs_from_json(
-                   "{ \"rigs\": [{\"sabotage\": \"bogus\"}] }", options),
-               offramps::Error);
+  // Every message carries one "fleet spec: " prefix, then `where` (the
+  // rig entry, for a rig's errors), and names `needle`.
+  const auto rejects = [](const std::string& text, const std::string& where,
+                          const std::string& needle) {
+    try {
+      FleetOptions o;
+      Fleet::specs_from_json(text, o);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const offramps::Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("fleet spec: " + where, 0), 0u) << what;
+      EXPECT_EQ(what.find("fleet spec: ", 1), std::string::npos) << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  };
+  rejects("{ \"rigs\": \"nope\" }", "", "rigs");
+  rejects("not json", "", "json");
+  rejects("{ \"rigs\": [{}, {\"sabotage\": \"bogus\"}] }", "rig 1: ",
+          "bogus");
+  rejects("{ \"rigs\": [{}, {\"sabotage\": \"reduce:7\"}] }", "rig 1: ",
+          "reduce:7");
+  rejects("{ \"rigs\": [{}, 3] }", "rig 1: ", "object");
   // Integer fields: negative, fractional, out of range or non-finite
   // numbers are spec errors that name the key, never silent casts.  So
   // is a watchdog limit that is not positive: it would declare a stall
@@ -247,16 +262,8 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
         std::string("\"workers\": \"4\""),
         std::string("\"workers\": 2, \"workers\": 3"),
         std::string("\"rigs\": [], \"rigs\": [{}]")}) {
-    const std::string text = "{ " + bad + ", \"rigs\": [{}] }";
-    try {
-      FleetOptions o;
-      Fleet::specs_from_json(text, o);
-      ADD_FAILURE() << "accepted " << text;
-    } catch (const offramps::Error& e) {
-      const std::string key = bad.substr(0, bad.find(':'));
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
-          << e.what();
-    }
+    rejects("{ " + bad + ", \"rigs\": [{}] }", "",
+            bad.substr(0, bad.find(':')));
   }
   // Object sizes: non-positive or beyond the printer's travel are spec
   // errors naming the key.  1e300 used to reach the slicer's cast to an
@@ -273,23 +280,11 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
         std::string("\"name\": 3"),
         std::string("\"nmae\": \"a\""),
         std::string("\"seed\": 1, \"seed\": 2")}) {
-    const std::string text = "{ \"rigs\": [{" + bad + "}] }";
-    try {
-      FleetOptions o;
-      Fleet::specs_from_json(text, o);
-      ADD_FAILURE() << "accepted " << text;
-    } catch (const offramps::Error& e) {
-      const std::string key = bad.substr(0, bad.find(':'));
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
-          << e.what();
-    }
+    rejects("{ \"rigs\": [{}, {" + bad + "}] }", "rig 1: ",
+            bad.substr(0, bad.find(':')));
   }
-  EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": [{\"seed\": -1}] }",
-                                      options),
-               offramps::Error);
-  EXPECT_THROW(Fleet::specs_from_json("{ \"rigs\": [{\"seed\": 1.5}] }",
-                                      options),
-               offramps::Error);
+  rejects("{ \"rigs\": [{\"seed\": -1}] }", "rig 0: ", "seed");
+  rejects("{ \"rigs\": [{\"seed\": 1.5}] }", "rig 0: ", "seed");
 }
 
 TEST(Fleet, CaptureStemsMustNotCollide) {

@@ -364,38 +364,32 @@ TEST(Fusion, EarliestWindowWinsAcrossModalities) {
 TEST(AttachProbes, NoiseSeedsAreDerivedPerRig) {
   // Regression pin for the shared-noise bug: every probe attachment
   // (reference phase, live rigs, daemon) goes through attach_probes,
-  // which must derive the noise seed from the rig seed - the option
-  // defaults are channel tags, never seeds to run with.
+  // which must derive the noise seed from the rig seed - the kinds'
+  // noise tags are channel tags, never seeds to run with.
+  using offramps::plant::probe_noise_seed;
+  using offramps::plant::probe_noise_tag;
   offramps::host::RigOptions a, b;
   offramps::svc::attach_probes(a, ChannelSet{}, 1000);
   offramps::svc::attach_probes(b, ChannelSet{}, 1001);
-  ASSERT_TRUE(a.power_probe && a.acoustic_probe && a.vibration_probe);
-  EXPECT_EQ(a.power_probe->noise_seed,
-            offramps::plant::probe_noise_seed(
-                1000, offramps::plant::PowerProbeOptions{}.noise_seed));
-  EXPECT_EQ(a.acoustic_probe->noise_seed,
-            offramps::plant::probe_noise_seed(
-                1000, offramps::plant::AcousticProbeOptions{}.noise_seed));
-  EXPECT_EQ(a.vibration_probe->noise_seed,
-            offramps::plant::probe_noise_seed(
-                1000, offramps::plant::VibrationProbeOptions{}.noise_seed));
-  // Adjacent rig seeds must not share any probe's noise stream.
-  EXPECT_NE(a.power_probe->noise_seed, b.power_probe->noise_seed);
-  EXPECT_NE(a.acoustic_probe->noise_seed, b.acoustic_probe->noise_seed);
-  EXPECT_NE(a.vibration_probe->noise_seed, b.vibration_probe->noise_seed);
+  for (const SampleKind kind : offramps::plant::kProbeKinds) {
+    ASSERT_TRUE(a.probes[kind].has_value());
+    EXPECT_EQ(*a.probes[kind], probe_noise_seed(1000, probe_noise_tag(kind)));
+    // Adjacent rig seeds must not share any probe's noise stream.
+    EXPECT_NE(a.probes[kind], b.probes[kind]);
+  }
 }
 
 TEST(AttachProbes, HonorsTheChannelSet) {
   offramps::host::RigOptions ro;
   offramps::svc::attach_probes(ro, ChannelSet{}.counts_only(), 7);
-  EXPECT_FALSE(ro.power_probe.has_value());
-  EXPECT_FALSE(ro.acoustic_probe.has_value());
-  EXPECT_FALSE(ro.vibration_probe.has_value());
+  EXPECT_FALSE(ro.probes[SampleKind::kPower].has_value());
+  EXPECT_FALSE(ro.probes[SampleKind::kAcoustic].has_value());
+  EXPECT_FALSE(ro.probes[SampleKind::kVibration].has_value());
 
   offramps::svc::attach_probes(ro, ChannelSet{true, false, true, false}, 7);
-  EXPECT_FALSE(ro.power_probe.has_value());
-  EXPECT_TRUE(ro.acoustic_probe.has_value());
-  EXPECT_FALSE(ro.vibration_probe.has_value());
+  EXPECT_FALSE(ro.probes[SampleKind::kPower].has_value());
+  EXPECT_TRUE(ro.probes[SampleKind::kAcoustic].has_value());
+  EXPECT_FALSE(ro.probes[SampleKind::kVibration].has_value());
 }
 
 }  // namespace
